@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, BuildConfig
-from .errors import InputError, TransportError
+from .errors import InputError, MeasureSpecError, TransportError
 from .flow import flow as flow_map, push_measure, verify_transport
 from .measures import measure_to_dict, parse_measure
 from .monotone import compute_monotone_map
@@ -97,27 +97,8 @@ class RunConfig:
 
 
 # ======================================================================
-# spec loading and file writing
+# file writing
 # ======================================================================
-
-def _load_spec(arg: str, what: str) -> dict:
-    """Read a JSON measure spec from a file path or an inline string."""
-    text = arg
-    origin = "inline spec"
-    if os.path.exists(arg):
-        origin = arg
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{what}: {origin} is not valid JSON: {e.msg} "
-                         f"at line {e.lineno} column {e.colno}") from e
-    if not isinstance(data, dict):
-        raise InputError(f"{what}: {origin} must parse to a JSON object, "
-                         f"got {type(data).__name__}")
-    return data
-
 
 def _cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
@@ -170,82 +151,101 @@ def write_report(out_dir: str, payload: dict) -> str:
     return path
 
 
-def _grid(m, n: int, cfg: BuildConfig) -> np.ndarray:
-    lo, hi = m.window(cfg.eps_tail)
-    return np.linspace(lo, hi, n)
+def _grid(rc: RunConfig, m) -> np.ndarray:
+    lo, hi = m.window(rc.build_config().eps_tail)
+    return np.linspace(lo, hi, rc.n)
+
+
+def _write_map(rc: RunConfig, T, m0):
+    xs = _grid(rc, m0)
+    write_table(rc.out, "map", ["x", "T", "Tp"],
+                zip(xs, np.asarray(T.forward(xs), dtype=float),
+                    np.asarray(T.derivative(xs), dtype=float)), rc.fmt)
+
+
+def _write_field(rc: RunConfig, field):
+    xs = np.linspace(field.domain[0], field.domain[1], rc.n)
+    write_table(rc.out, "field", ["x", "v"], zip(xs, field(xs)), rc.fmt)
+
+
+def _write_flow(rc: RunConfig, field, x0: float, t_final: float) -> int:
+    """Trajectory table of x0 over [0, t_final]; returns its row count."""
+    ts = np.linspace(0.0, t_final, min(rc.n, _FLOW_ROWS_CAP) + 1)
+    rows = [(t, float(flow_map(field, t, np.array([x0]))[0])) for t in ts]
+    write_table(rc.out, "flow", ["t", "phi"], rows, rc.fmt)
+    return len(rows)
 
 
 # ======================================================================
 # subcommands
 # ======================================================================
 
+def _load_pair(rc: RunConfig, parse=parse_measure):
+    """Parse --mu0 and --mu1 (inline JSON or a file path each)."""
+    pair = []
+    for flag in ("mu0", "mu1"):
+        try:
+            pair.append(parse(rc.extra[flag]))
+        except MeasureSpecError as e:
+            raise MeasureSpecError(f"--{flag}: {e}") from e
+    return pair
+
+
+def _build_field(rc: RunConfig, m0, m1):
+    return build_velocity(m0, m1, seed=rc.seed_spec(), config=rc.build_config())
+
+
+def _pair_report(command: str, ok: bool, m0, m1, **extra) -> dict:
+    return {"command": command, "ok": ok, "mu0": measure_to_dict(m0),
+            "mu1": measure_to_dict(m1), **extra}
+
+
 def _cmd_map(rc: RunConfig) -> int:
-    cfg = rc.build_config()
-    m0 = parse_measure(_load_spec(rc.extra["mu0"], "--mu0"))
-    m1 = parse_measure(_load_spec(rc.extra["mu1"], "--mu1"))
-    T = compute_monotone_map(m0, m1)
-    xs = _grid(m0, rc.n, cfg)
-    rows = zip(xs, np.asarray(T.forward(xs), dtype=float),
-               np.asarray(T.derivative(xs), dtype=float))
-    write_table(rc.out, "map", ["x", "T", "Tp"], rows, rc.fmt)
-    write_report(rc.out, {"command": "map", "ok": True, "n": rc.n,
-                          "mu0": measure_to_dict(m0), "mu1": measure_to_dict(m1),
-                          "window": list(m0.window(cfg.eps_tail))})
+    m0, m1 = _load_pair(rc)
+    _write_map(rc, compute_monotone_map(m0, m1), m0)
+    write_report(rc.out, _pair_report(
+        "map", True, m0, m1, n=rc.n,
+        window=list(m0.window(rc.build_config().eps_tail))))
     return 0
 
 
 def _cmd_field(rc: RunConfig) -> int:
-    cfg = rc.build_config()
-    m0 = parse_measure(_load_spec(rc.extra["mu0"], "--mu0"))
-    m1 = parse_measure(_load_spec(rc.extra["mu1"], "--mu1"))
-    approx = None
+    m0, m1 = _load_pair(rc)
+    extra = {}
     if rc.eps is not None:
         res = approximate_lipschitz(m0, m1, rc.eps, seed=rc.seed_spec(),
-                                    config=cfg)
+                                    config=rc.build_config())
         field = res.field
-        approx = {"eps": res.eps, "shift": res.shift,
-                  "w1_target_gap": res.w1_target_gap,
-                  "candidates_tried": res.candidates_tried}
+        extra["approximate"] = {"eps": res.eps, "shift": res.shift,
+                                "w1_target_gap": res.w1_target_gap,
+                                "candidates_tried": res.candidates_tried}
     else:
-        field = build_velocity(m0, m1, seed=rc.seed_spec(), config=cfg)
-    xs = np.linspace(field.domain[0], field.domain[1], rc.n)
-    write_table(rc.out, "field", ["x", "v"], zip(xs, field(xs)), rc.fmt)
-    report = {"command": "field", "ok": True, "n": rc.n,
-              "mu0": measure_to_dict(m0), "mu1": measure_to_dict(m1),
-              "seed_kind": rc.seed_kind, "field": field.describe()}
-    if approx is not None:
-        report["approximate"] = approx
-    write_report(rc.out, report)
+        field = _build_field(rc, m0, m1)
+    _write_field(rc, field)
+    write_report(rc.out, _pair_report(
+        "field", True, m0, m1, n=rc.n, seed_kind=rc.seed_kind,
+        field=field.describe(), **extra))
     return 0
 
 
 def _cmd_flow(rc: RunConfig) -> int:
-    cfg = rc.build_config()
-    m0 = parse_measure(_load_spec(rc.extra["mu0"], "--mu0"))
-    m1 = parse_measure(_load_spec(rc.extra["mu1"], "--mu1"))
-    field = build_velocity(m0, m1, seed=rc.seed_spec(), config=cfg)
+    m0, m1 = _load_pair(rc)
+    field = _build_field(rc, m0, m1)
     x0 = rc.extra.get("x0")
     x0 = float(m0.quantile(0.5)) if x0 is None else float(x0)
     t_final = float(rc.extra.get("t", 1.0))
-    ts = np.linspace(0.0, t_final, min(rc.n, _FLOW_ROWS_CAP) + 1)
-    rows = [(t, float(flow_map(field, t, np.array([x0]))[0])) for t in ts]
-    write_table(rc.out, "flow", ["t", "phi"], rows, rc.fmt)
-    write_report(rc.out, {"command": "flow", "ok": True, "x0": x0,
-                          "t_final": t_final, "n_rows": len(rows),
-                          "mu0": measure_to_dict(m0),
-                          "mu1": measure_to_dict(m1)})
+    n_rows = _write_flow(rc, field, x0, t_final)
+    write_report(rc.out, _pair_report("flow", True, m0, m1, x0=x0,
+                                      t_final=t_final, n_rows=n_rows))
     return 0
 
 
 def _cmd_verify(rc: RunConfig) -> int:
-    cfg = rc.build_config()
-    m0 = parse_measure(_load_spec(rc.extra["mu0"], "--mu0"))
-    m1 = parse_measure(_load_spec(rc.extra["mu1"], "--mu1"))
-    field = build_velocity(m0, m1, seed=rc.seed_spec(), config=cfg)
+    m0, m1 = _load_pair(rc)
+    field = _build_field(rc, m0, m1)
     rep = verify_transport(field, m0, m1, n_push=rc.n + 1)
-    write_report(rc.out, {"command": "verify", "ok": rep.passed,
-                          "mu0": measure_to_dict(m0), "mu1": measure_to_dict(m1),
-                          "verification": rep.to_dict()})
+    write_report(rc.out, _pair_report("verify", rep.passed, m0, m1,
+                                      verification=rep.to_dict()))
     return 0 if rep.passed else 1
 
 
@@ -269,25 +269,15 @@ def _resolve_example(rc: RunConfig) -> tuple[str, dict]:
 
 
 def _cmd_example(rc: RunConfig) -> int:
-    cfg = rc.build_config()
     name, kwargs = _resolve_example(rc)
     ex = get_example(name, **kwargs)
-    field = ex.build(seed=rc.seed_spec(), config=cfg)
-    T = field.map
-
-    xs = _grid(ex.m0, rc.n, cfg)
-    write_table(rc.out, "map", ["x", "T", "Tp"],
-                zip(xs, np.asarray(T.forward(xs), dtype=float),
-                    np.asarray(T.derivative(xs), dtype=float)), rc.fmt)
-    xf = np.linspace(field.domain[0], field.domain[1], rc.n)
-    write_table(rc.out, "field", ["x", "v"], zip(xf, field(xf)), rc.fmt)
+    field = ex.build(seed=rc.seed_spec(), config=rc.build_config())
+    _write_map(rc, field.map, ex.m0)
+    _write_field(rc, field)
     for tag, m in (("density0", ex.m0), ("density1", ex.m1)):
-        xd = _grid(m, rc.n, cfg)
+        xd = _grid(rc, m)
         write_table(rc.out, tag, ["x", "pdf"], zip(xd, m.pdf(xd)), rc.fmt)
-    x0 = float(ex.m0.quantile(0.5))
-    ts = np.linspace(0.0, 1.0, min(rc.n, _FLOW_ROWS_CAP) + 1)
-    rows = [(t, float(flow_map(field, t, np.array([x0]))[0])) for t in ts]
-    write_table(rc.out, "flow", ["t", "phi"], rows, rc.fmt)
+    _write_flow(rc, field, float(ex.m0.quantile(0.5)), 1.0)
 
     rep = verify_transport(field, ex.m0, ex.m1, n_push=rc.n + 1)
     write_report(rc.out, {"command": "example", "ok": rep.passed,
@@ -341,11 +331,9 @@ def _cmd_pathology(rc: RunConfig) -> int:
 
 
 def _cmd_sudakov(rc: RunConfig) -> int:
-    cfg = rc.build_config()
-    m0 = parse_measure_nd(_load_spec(rc.extra["mu0"], "--mu0"))
-    m1 = parse_measure_nd(_load_spec(rc.extra["mu1"], "--mu1"))
+    m0, m1 = _load_pair(rc, parse_measure_nd)
     family = decompose(m0, m1)
-    field_nd = assemble_field(family, config=cfg)
+    field_nd = assemble_field(family, config=rc.build_config())
     rep = verify_nd(field_nd, n_samples=rc.n, seed=rc.seed)
     width = max(len(a) for a in rep.per_ray_alphas) if rep.per_ray_alphas else 1
     header = ["ray"] + [f"alpha{k}" for k in range(width)] + ["w1"]

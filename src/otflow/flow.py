@@ -13,8 +13,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import quad
 
+from .errors import ConstructionError, InputError
 from .measures import (Measure1D, PiecewiseDensity, l1_distance, wasserstein1)
-from .velocity import IntervalField, UnbuiltInterval, VelocityField1D, julia_residual
+from .velocity import VelocityField1D, _interval_samples, julia_residual
 
 __all__ = [
     "flow",
@@ -40,25 +41,8 @@ def flow(field: VelocityField1D, t: float, x):
     unbuilt intervals, come back NaN.
     """
     t = float(t)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    flat = np.atleast_1d(x).ravel().astype(float)
-    out = flat.copy()
-    order = np.argsort(flat, kind="stable")
-    sx = flat[order]
-    for f in field.intervals:
-        i0 = int(np.searchsorted(sx, f.lo, side="left"))
-        i1 = int(np.searchsorted(sx, f.hi, side="right"))
-        if i1 <= i0:
-            continue
-        idx = order[i0:i1]
-        if isinstance(f, UnbuiltInterval):
-            out[idx] = np.nan
-            continue
-        out[idx] = f.Finv_extended(f.F_extended(flat[idx]) + t)
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    return field._dispatch(x, lambda f, xs: f.Finv_extended(f.F_extended(xs) + t),
+                           fill=None, unbuilt=np.nan)
 
 
 # ======================================================================
@@ -96,7 +80,7 @@ def push_measure(field: VelocityField1D, m: Measure1D, t: float = 1.0, *,
     y_lo = min(max(y_lo, field.domain[0]), field.domain[1])
     y_hi = min(max(y_hi, field.domain[0]), field.domain[1])
     if not y_hi > y_lo:
-        raise ValueError(f"degenerate push window [{y_lo}, {y_hi}]")
+        raise InputError(f"degenerate push window [{y_lo}, {y_hi}]")
     ys = np.linspace(y_lo, y_hi, n)
 
     xs = flow(field, -t, ys)
@@ -123,7 +107,7 @@ def push_measure(field: VelocityField1D, m: Measure1D, t: float = 1.0, *,
 
     mass = float(np.trapezoid(dens, ys))
     if not mass > 0:
-        raise ValueError("pushed density has no mass on the evaluation grid")
+        raise ConstructionError("pushed density has no mass on the evaluation grid")
     dens = np.maximum(dens / mass, _DENSITY_FLOOR)
     measure = PiecewiseDensity(ys, dens, kind_label="grid")
     return PushResult(measure=measure, t=t, n=n, mass_defect=mass - 1.0,
@@ -173,29 +157,10 @@ class TransportReport:
         return d
 
 
-def _interval_samples(f: IntervalField, field: VelocityField1D, n: int):
-    """Deterministic points of the interval whose image stays in the tables.
-
-    Sampling is restricted to the source window, where the map's forward
-    formula is trustworthy; outside it a quantile composition saturates.
-    """
-    T = field.map
-    lo, hi = f.built_lo, f.built_hi
-    if T.source is not None:
-        w = T.source.window(field.config.eps_tail)
-        lo, hi = max(lo, w[0]), min(hi, w[1])
-    if not hi > lo:
-        return np.empty(0), np.empty(0)
-    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-    ys = np.asarray(T.forward(xs), dtype=float)
-    ok = (ys >= f.built_lo) & (ys <= f.built_hi)
-    return xs[ok], ys[ok]
-
-
 def _abel_defect(field: VelocityField1D, n: int = 256):
     worst, total = 0.0, 0
     for f in field.built_intervals:
-        xs, ys = _interval_samples(f, field, n)
+        xs, ys, _ = _interval_samples(f, field, n)
         if xs.size == 0:
             continue
         res = np.abs(f.F_spline(ys) - f.F_spline(xs) - 1.0)
@@ -232,7 +197,7 @@ def _travel_time_defect(field: VelocityField1D, per_interval: int = 5):
     """Independent adaptive quadrature of 1/|v| across single orbit steps."""
     worst, total = 0.0, 0
     for f in field.built_intervals:
-        xs, ys = _interval_samples(f, field, 64)
+        xs, ys, _ = _interval_samples(f, field, 64)
         if xs.size == 0:
             continue
         pick = np.unique(np.linspace(0, xs.size - 1, per_interval).astype(int))

@@ -490,7 +490,10 @@ def pushforward_by_map(m: Measure1D, forward: Callable, *, derivative: Callable 
 # distances
 # ======================================================================
 
-def _breakpoints(m0: Measure1D, m1: Measure1D, eps_tail: float):
+def _abs_gap_integral(f0, f1, m0: Measure1D, m1: Measure1D, eps_tail: float,
+                      tol: float) -> float:
+    """Integral of |f0 - f1| over both windows, split at finite support ends
+    and at the nodes of small piecewise densities."""
     w0 = m0.window(eps_tail)
     w1 = m1.window(eps_tail)
     lo, hi = min(w0[0], w1[0]), max(w0[1], w1[1])
@@ -501,44 +504,33 @@ def _breakpoints(m0: Measure1D, m1: Measure1D, eps_tail: float):
                 pts.add(float(e))
         if isinstance(m, PiecewiseDensity) and m.x.size <= 64:
             pts.update(float(t) for t in m.x if lo < t < hi)
-    return lo, hi, sorted(pts)
+    val, _ = quad(lambda t: abs(f0(t) - f1(t)), lo, hi, points=sorted(pts) or None,
+                  epsabs=tol, epsrel=1e-10, limit=400)
+    return float(val)
 
 
 def wasserstein1(m0: Measure1D, m1: Measure1D, *, eps_tail: float = 1e-10,
                  tol: float = 1e-12) -> float:
     """L1 distance between the cdfs (the 1d Wasserstein-1 distance)."""
-    lo, hi, pts = _breakpoints(m0, m1, eps_tail)
-
-    def f(t):
-        return abs(m0.cdf(t) - m1.cdf(t))
-
-    val, _ = quad(f, lo, hi, points=pts or None, epsabs=tol, epsrel=1e-10, limit=400)
-    return float(val)
+    return _abs_gap_integral(m0.cdf, m1.cdf, m0, m1, eps_tail, tol)
 
 
 def l1_distance(m0: Measure1D, m1: Measure1D, *, eps_tail: float = 1e-10,
                 tol: float = 1e-12) -> float:
     """L1 distance between the densities."""
-    lo, hi, pts = _breakpoints(m0, m1, eps_tail)
-
-    def f(t):
-        return abs(m0.pdf(t) - m1.pdf(t))
-
-    val, _ = quad(f, lo, hi, points=pts or None, epsabs=tol, epsrel=1e-10, limit=400)
-    return float(val)
+    return _abs_gap_integral(m0.pdf, m1.pdf, m0, m1, eps_tail, tol)
 
 
 # ======================================================================
 # JSON round-trip
 # ======================================================================
 
-def parse_measure(spec) -> Measure1D:
-    """Build a measure from a dict, a JSON string, or a path to a JSON file.
+def _read_spec(spec) -> dict:
+    """A spec dict from a dict, inline JSON text, or a path to a JSON file.
 
-    Errors carry the failing field name; JSON syntax errors carry line/column.
+    Text whose first non-blank character is "{" is inline JSON; any other
+    text names a file.  JSON syntax errors carry line and column.
     """
-    if isinstance(spec, Measure1D):
-        return spec
     if isinstance(spec, str):
         text = spec
         origin = "<inline>"
@@ -553,10 +545,21 @@ def parse_measure(spec) -> Measure1D:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MeasureSpecError(
-                f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+                f"{origin}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
     if not isinstance(spec, dict):
         raise MeasureSpecError(f"measure spec must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def parse_measure(spec) -> Measure1D:
+    """Build a measure from a dict, a JSON string, or a path to a JSON file.
+
+    Errors carry the failing field name; JSON syntax errors carry line/column.
+    """
+    if isinstance(spec, Measure1D):
+        return spec
+    spec = _read_spec(spec)
 
     kind = spec.get("kind")
     if kind is None:

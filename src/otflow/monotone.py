@@ -1,4 +1,4 @@
-"""Monotone transport maps, their fixed point structure, and orbit grids.
+"""Monotone transport maps and their fixed point structure.
 
 The increasing rearrangement between two measures is
 T = quantile_target o cdf_source.  Composition goes through (p, 1-p) pairs so
@@ -11,35 +11,28 @@ changes with a bracketing root solve, refines tangential touches through local
 minima of |T(x) - x|, and merges plateau runs into fixed intervals.  The
 complement decomposes into open intervals on which x and T(x) move the same
 direction; each carries that direction sign.
-
-Orbit grids iterate x_{k+1} = T(x_k) (or the inverse) until a boundary, a step
-floor, or a step cap is hit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .config import DEFAULT_CONFIG, BuildConfig
-from .errors import DegenerateOrbitError, InputError, InvalidMapError
+from .errors import InputError, InvalidMapError, TransportError
 from .measures import Measure1D
 
 __all__ = [
     "MonotoneMap",
     "compute_monotone_map",
     "map_from_callables",
-    "map_derivative",
     "FixedPointPartition",
     "MovingInterval",
     "find_fixed_points",
-    "OrbitStop",
-    "OrbitGrid",
-    "build_orbit_grid",
 ]
 
 # probabilities are clamped away from exact 0/1 before quantile composition so
@@ -184,11 +177,6 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
                        source, target, label=label)
 
 
-def map_derivative(T: MonotoneMap, x):
-    """Derivative of the map at x (vectorized)."""
-    return T.derivative(x)
-
-
 # ======================================================================
 # fixed point structure
 # ======================================================================
@@ -232,16 +220,6 @@ class FixedPointPartition:
             if b != a:
                 out.append(b)
         return tuple(out)
-
-    def locate(self, x: float) -> tuple[str, int]:
-        """Classify a point: ('fixed', i) or ('moving', i) or ('outside', -1)."""
-        for i, (a, b) in enumerate(self.fixed_intervals):
-            if a <= x <= b:
-                return ("fixed", i)
-        for i, itv in enumerate(self.moving_intervals):
-            if itv.lo <= x <= itv.hi:
-                return ("moving", i)
-        return ("outside", -1)
 
 
 def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = None,
@@ -326,7 +304,7 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
         for e in {a, b}:
             try:
                 de = float(np.asarray(T.derivative(e), dtype=float))
-            except Exception:
+            except TransportError:
                 de = np.nan
             if not np.isfinite(de) or abs(de - 1.0) <= config.indeterminate_slope_tol:
                 indeterminate.append(e)
@@ -415,66 +393,3 @@ def _merge_intervals(intervals, gap):
         else:
             out.append([a, b])
     return [(a, b) for a, b in out]
-
-
-# ======================================================================
-# orbit grids
-# ======================================================================
-
-@dataclass(frozen=True)
-class OrbitStop:
-    """Stopping rule for orbit iteration."""
-
-    min_step: float = 0.0       # absolute step floor
-    max_steps: int = 10 ** 6
-    boundary_lo: float = -math.inf
-    boundary_hi: float = math.inf
-
-
-@dataclass(frozen=True)
-class OrbitGrid:
-    """Iterates x, T(x), T(T(x)), ... with the reason iteration stopped."""
-
-    anchors: np.ndarray
-    seed_interval: tuple[float, float]
-    reason: str                 # "boundary" | "min-step" | "max-steps"
-
-    @property
-    def depth(self) -> int:
-        return self.anchors.size - 1
-
-
-def build_orbit_grid(step_fn: Callable, x0: float, stop: OrbitStop,
-                     *, label: str = "orbit") -> OrbitGrid:
-    """Iterate step_fn from x0 under the given stopping rule.
-
-    Raises DegenerateOrbitError when the very first step already falls under the
-    step floor (x0 is numerically fixed).
-    """
-    x = float(x0)
-    anchors = [x]
-    reason = "max-steps"
-    first = float(step_fn(x))
-    if not math.isfinite(first):
-        raise InvalidMapError(f"{label}: step map returned non-finite value at {x:.6g}")
-    if abs(first - x) <= stop.min_step:
-        raise DegenerateOrbitError(
-            f"{label}: start {x0:.6g} is a fixed point to within the step floor")
-    for _ in range(stop.max_steps):
-        nxt = float(step_fn(x))
-        if not math.isfinite(nxt):
-            raise InvalidMapError(f"{label}: step map returned non-finite value at {x:.6g}")
-        if nxt < stop.boundary_lo or nxt > stop.boundary_hi:
-            reason = "boundary"
-            break
-        anchors.append(nxt)
-        if abs(nxt - x) <= stop.min_step:
-            reason = "min-step"
-            x = nxt
-            break
-        x = nxt
-    else:
-        reason = "max-steps"
-    arr = np.asarray(anchors, dtype=float)
-    seed = (float(arr[0]), float(arr[1])) if arr.size > 1 else (float(arr[0]), float(arr[0]))
-    return OrbitGrid(anchors=arr, seed_interval=seed, reason=reason)

@@ -277,71 +277,61 @@ class CounterexampleMap:
         pos = np.searchsorted(asc, x, side="left")
         return np.minimum(self.n_anchors - pos, self.n_anchors - 1)
 
-    def displacement(self, x):
+    def _by_region(self, x, ext, low, gap):
+        """Assemble a displacement quantity region by region on [0, 1].
+
+        ext(t) on the cubic continuation x > 1/2, with t = x - 1/2; low(x) on
+        the linear pinch below the table floor (None leaves zero there);
+        gap(x, j, b_j, b_(j+1), u) on the tabulated gaps, u being the
+        position inside gap j.
+        """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x).astype(float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise InputError("counterexample map is defined on [0, 1]")
         out = np.zeros_like(x)
-        ext = x > 0.5
-        if np.any(ext):
-            t = x[ext] - 0.5
-            c0, c1, c2, c3 = self._ext
-            out[ext] = ((c3 * t + c2) * t + c1) * t + c0
-        low = (x > 0.0) & (x < self.table_floor)
-        out[low] = x[low] * self._pinch_slope
+        ext_sel = x > 0.5
+        if np.any(ext_sel):
+            out[ext_sel] = ext(x[ext_sel] - 0.5)
+        if low is not None:
+            low_sel = (x > 0.0) & (x < self.table_floor)
+            out[low_sel] = low(x[low_sel])
         mid = (x >= self.table_floor) & (x <= 0.5)
         if np.any(mid):
             xm = x[mid]
             j = self._locate(xm)
             bj, bj1 = self.gaps[j], self.gaps[j + 1]
             u = np.clip((xm - self.anchors[j + 1]) / bj, 0.0, 1.0)
+            out[mid] = gap(xm, j, bj, bj1, u)
+        return float(out[0]) if scalar else out
+
+    def displacement(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0) or np.any(x > 1.0):
+            raise InputError("counterexample map is defined on [0, 1]")
+        c0, c1, c2, c3 = self._ext
+
+        def gap(xm, j, bj, bj1, u):
             val = bj1 + (bj - bj1) * self.bump.value(u, self.gbar[j])
             exact = xm == self.anchors[j]
             val[exact] = bj[exact]
-            out[mid] = val
-        return float(out[0]) if scalar else out
+            return val
+
+        return self._by_region(x, lambda t: ((c3 * t + c2) * t + c1) * t + c0,
+                               lambda xl: xl * self._pinch_slope, gap)
 
     def displacement_slope(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
-        ext = x > 0.5
-        if np.any(ext):
-            t = x[ext] - 0.5
-            _, c1, c2, c3 = self._ext
-            out[ext] = (3.0 * c3 * t + 2.0 * c2) * t + c1
-        low = (x > 0.0) & (x < self.table_floor)
-        out[low] = self._pinch_slope
-        mid = (x >= self.table_floor) & (x <= 0.5)
-        if np.any(mid):
-            xm = x[mid]
-            j = self._locate(xm)
-            bj, bj1 = self.gaps[j], self.gaps[j + 1]
-            u = np.clip((xm - self.anchors[j + 1]) / bj, 0.0, 1.0)
-            out[mid] = (bj - bj1) / bj * self.bump.slope(u, self.gbar[j])
-        return float(out[0]) if scalar else out
+        _, c1, c2, c3 = self._ext
+        return self._by_region(
+            x, lambda t: (3.0 * c3 * t + 2.0 * c2) * t + c1,
+            lambda xl: self._pinch_slope,
+            lambda xm, j, bj, bj1, u: (bj - bj1) / bj * self.bump.slope(u, self.gbar[j]))
 
     def displacement_curvature(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
-        ext = x > 0.5
-        if np.any(ext):
-            t = x[ext] - 0.5
-            _, _, c2, c3 = self._ext
-            out[ext] = 6.0 * c3 * t + 2.0 * c2
-        mid = (x >= self.table_floor) & (x <= 0.5)
-        if np.any(mid):
-            xm = x[mid]
-            j = self._locate(xm)
-            bj, bj1 = self.gaps[j], self.gaps[j + 1]
-            u = np.clip((xm - self.anchors[j + 1]) / bj, 0.0, 1.0)
-            out[mid] = (bj - bj1) / (bj * bj) * self.bump.curvature(u, self.gbar[j])
-        return float(out[0]) if scalar else out
+        _, _, c2, c3 = self._ext
+        return self._by_region(
+            x, lambda t: 6.0 * c3 * t + 2.0 * c2, None,
+            lambda xm, j, bj, bj1, u:
+                (bj - bj1) / (bj * bj) * self.bump.curvature(u, self.gbar[j]))
 
     # map callables ----------------------------------------------------
     def forward(self, x):

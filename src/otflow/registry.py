@@ -69,6 +69,19 @@ class ExampleProblem:
 # affine family
 # ======================================================================
 
+def _affine_oracles(slope: float, shift: float, fp: float | None) -> dict:
+    """Closed velocity, flow and fixed point of an increasing affine map:
+    the translation by shift when slope is 1, else the dilation about fp."""
+    if slope == 1.0:
+        return {"velocity": lambda x: np.full_like(np.asarray(x, dtype=float), shift),
+                "flow": lambda t, x: np.asarray(x, dtype=float) + shift * t,
+                "fixed_point": None}
+    rate = math.log(slope)
+    return {"velocity": lambda x: (np.asarray(x, dtype=float) - fp) * rate,
+            "flow": lambda t, x: fp + slope ** t * (np.asarray(x, dtype=float) - fp),
+            "fixed_point": fp}
+
+
 def _affine_example(alpha: float = 3.0, beta: float = -3.0) -> ExampleProblem:
     """Uniform [1, 2] pushed onto its affine image under x -> alpha x + beta."""
     alpha = float(alpha)
@@ -80,19 +93,11 @@ def _affine_example(alpha: float = 3.0, beta: float = -3.0) -> ExampleProblem:
     m0 = Uniform(1.0, 2.0)
     m1 = AffineImage(m0, 1.0 / alpha, beta)
 
-    closed = {"map": lambda x: alpha * np.asarray(x, dtype=float) + beta}
-    if alpha == 1.0:
-        if beta == 0.0:
-            raise InputError("affine example: identity map has no field to build")
-        closed["velocity"] = lambda x: np.full_like(np.asarray(x, dtype=float), beta)
-        closed["flow"] = lambda t, x: np.asarray(x, dtype=float) + beta * t
-        closed["fixed_point"] = None
-    else:
-        xbar = beta / (1.0 - alpha)
-        rate = math.log(alpha)
-        closed["velocity"] = lambda x: (np.asarray(x, dtype=float) - xbar) * rate
-        closed["flow"] = lambda t, x: xbar + alpha ** t * (np.asarray(x, dtype=float) - xbar)
-        closed["fixed_point"] = xbar
+    if alpha == 1.0 and beta == 0.0:
+        raise InputError("affine example: identity map has no field to build")
+    closed = {"map": lambda x: alpha * np.asarray(x, dtype=float) + beta,
+              **_affine_oracles(alpha, beta,
+                                None if alpha == 1.0 else beta / (1.0 - alpha))}
 
     return ExampleProblem(
         name="affine", m0=m0, m1=m1,
@@ -112,20 +117,13 @@ def _gaussian_example(mean0: float = 0.0, std0: float = 1.0,
     m1 = Gaussian(float(mean1), float(std1))
     slope = m1.std / m0.std
 
-    closed = {"map": lambda x: slope * (np.asarray(x, dtype=float) - m0.mean) + m1.mean}
-    if slope == 1.0:
-        shift = m1.mean - m0.mean
-        if shift == 0.0:
-            raise InputError("gaussian example: identical laws leave nothing to build")
-        closed["velocity"] = lambda x: np.full_like(np.asarray(x, dtype=float), shift)
-        closed["flow"] = lambda t, x: np.asarray(x, dtype=float) + shift * t
-        closed["fixed_point"] = None
-    else:
-        fp = (m0.std * m1.mean - m1.std * m0.mean) / (m0.std - m1.std)
-        rate = math.log(slope)
-        closed["velocity"] = lambda x: (np.asarray(x, dtype=float) - fp) * rate
-        closed["flow"] = lambda t, x: fp + slope ** t * (np.asarray(x, dtype=float) - fp)
-        closed["fixed_point"] = fp
+    shift = m1.mean - m0.mean
+    if slope == 1.0 and shift == 0.0:
+        raise InputError("gaussian example: identical laws leave nothing to build")
+    fp = None if slope == 1.0 else (
+        (m0.std * m1.mean - m1.std * m0.mean) / (m0.std - m1.std))
+    closed = {"map": lambda x: slope * (np.asarray(x, dtype=float) - m0.mean) + m1.mean,
+              **_affine_oracles(slope, shift, fp)}
 
     return ExampleProblem(
         name="gaussian", m0=m0, m1=m1,

@@ -36,8 +36,8 @@ from .errors import (ConstructionError, InputError, MeasureSpecError,
                      UnsupportedDecompositionError)
 from .flow import flow as flow_1d
 from .flow import push_measure
-from .measures import (Measure1D, _as_array, _scalar_like, measure_to_dict,
-                       parse_measure, wasserstein1)
+from .measures import (Measure1D, _as_array, _read_spec, _scalar_like,
+                       measure_to_dict, parse_measure, wasserstein1)
 from .monotone import MonotoneMap, compute_monotone_map
 from .velocity import SeedSpec, VelocityField1D, build_velocity
 
@@ -257,26 +257,7 @@ def parse_measure_nd(spec) -> MeasureND:
     """Build a d-dimensional measure from a dict, JSON text, or a JSON file path."""
     if isinstance(spec, MeasureND):
         return spec
-    if isinstance(spec, str):
-        import json
-        text = spec
-        origin = "<inline>"
-        if not spec.lstrip().startswith("{"):
-            origin = spec
-            try:
-                with open(spec, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise MeasureSpecError(f"cannot read measure file {spec!r}: {exc}") from exc
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MeasureSpecError(
-                f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    if not isinstance(spec, dict):
-        raise MeasureSpecError(
-            f"measure spec must be a JSON object, got {type(spec).__name__}")
+    spec = _read_spec(spec)
     kind = spec.get("kind")
     if kind == "product":
         if "factors" not in spec:
@@ -411,11 +392,6 @@ class RayFamilyND:
 
     # ---- disintegration ---------------------------------------------------
 
-    def conditional_pair(self, alpha=None) -> tuple:
-        """The per-ray source/target conditional laws (alpha-independent by
-        the class structure; the argument is accepted for interface symmetry)."""
-        return (self.cond0, self.cond1)
-
     def fiber_mass(self, alpha, side: int = 0) -> float:
         """Density of rays at alpha: the transverse product density (parallel)
         or the uniform density on directions (radial)."""
@@ -519,9 +495,13 @@ def per_ray_monotone_map(family: RayFamilyND, alpha) -> MonotoneMap | None:
     Returns None for a zero-mass ray (fiber density vanishing on either
     side); callers iterating over rays should record and skip those.
     """
-    if min(family.fiber_mass(alpha, 0), family.fiber_mass(alpha, 1)) <= 0.0:
+    if _zero_mass(family, alpha):
         return None
     return compute_monotone_map(family.cond0, family.cond1)
+
+
+def _zero_mass(family: RayFamilyND, alpha) -> bool:
+    return min(family.fiber_mass(alpha, 0), family.fiber_mass(alpha, 1)) <= 0.0
 
 
 # ======================================================================
@@ -647,12 +627,13 @@ def assemble_field(family: RayFamilyND, *, seed: SeedSpec | None = None,
 class NdTransportReport:
     """Measured invariants of an assembled d-dimensional field.
 
-    per_ray_w1 holds one entry per sampled ray.  Conditionals are shared
-    across rays by the class structure, so identical entries are expected;
-    each is still measured through the full per-ray pipeline.  sliced_w1_*
-    compare the pushed sample cloud against a coupled target cloud (same
-    uniform draws through both samplers), so an exact field reports values
-    at the flow-accuracy level rather than the Monte Carlo noise level.
+    per_ray_w1 holds one entry per sampled ray of positive mass.  The
+    conditional pair is shared across rays by the class structure, so its
+    push and W1 are measured once and every entry repeats that value.
+    sliced_w1_* compare the pushed sample cloud against a coupled target
+    cloud (same uniform draws through both samplers), so an exact field
+    reports values at the flow-accuracy level rather than the Monte Carlo
+    noise level.
     radial_rearrangement_rel_max compares flowed radii against the separate
     d-dimensional radial cdf rearrangement (None for parallel families).
     """
@@ -707,22 +688,22 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
     alphas = fam.sample_alphas(n_rays, rng)
     fiber_defect = max((fam.fiber_mass_defect(a) for a in alphas), default=0.0)
 
-    per_ray_w1: list = []
     kept_alphas: list = []
     skipped: list = []
     for a in alphas:
-        tm = per_ray_monotone_map(fam, a)
-        if tm is None:
+        if _zero_mass(fam, a):
             skipped.append([float(v) for v in np.atleast_1d(a)])
-            continue
+        else:
+            kept_alphas.append(np.atleast_1d(np.asarray(a, dtype=float)))
+    per_ray_w1: list = []
+    if kept_alphas:
         pushed = push_measure(field_nd.field, fam.cond0, t, n=push_grid)
-        per_ray_w1.append(float(wasserstein1(pushed.measure, fam.cond1)))
-        kept_alphas.append(np.atleast_1d(np.asarray(a, dtype=float)))
+        per_ray_w1 = [float(wasserstein1(pushed.measure, fam.cond1))] * len(kept_alphas)
     w1_max = max(per_ray_w1, default=float("nan"))
     if skipped:
         notes.append(f"{len(skipped)} sampled rays carried zero mass and were skipped")
     notes.append("conditional pair is shared across rays by the class structure; "
-                 "per-ray rows are measured independently and expected equal")
+                 "its push and W1 are measured once and repeated on every kept ray")
 
     # ---- coupled sample clouds -------------------------------------------
     cols = max(fam.m0.n_uniform_columns, fam.m1.n_uniform_columns)
@@ -752,7 +733,8 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
     sliced_mean = float(np.mean(sliced)) if sliced else float("nan")
     sliced_max = float(np.max(sliced)) if sliced else float("nan")
 
-    # ---- ray confinement --------------------------------------------------
+    # ---- ray confinement, and the radial closed-form rearrangement ------
+    radial_rel = None
     if fam.kind == "parallel":
         keep = [j for j in range(d) if j != fam.axis]
         confinement = float(np.max(np.abs(yf[:, keep] - x0f[:, keep]), initial=0.0))
@@ -763,12 +745,6 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
         rely = yf - fam.center[None, :]
         ry = np.linalg.norm(rely, axis=1)
         confinement = float(np.max(np.abs(rely - ry[:, None] * e0), initial=0.0))
-
-    # ---- radial closed-form rearrangement --------------------------------
-    radial_rel = None
-    if fam.kind == "radial":
-        r0 = np.linalg.norm(x0f - fam.center[None, :], axis=1)
-        ry = np.linalg.norm(yf - fam.center[None, :], axis=1)
         direct = np.asarray(fam.cond1.quantile(fam.cond0.cdf(r0)), dtype=float)
         good = direct > 1e-12
         radial_rel = float(np.max(np.abs(ry[good] - direct[good]) / direct[good],

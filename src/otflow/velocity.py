@@ -48,7 +48,7 @@ from scipy.interpolate import CubicHermiteSpline, PPoly
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import (ConstructionError, DegenerateOrbitError, InputError,
                      NormalizationError, SearchFailureError,
-                     SeedCompatibilityError, SeedSignError)
+                     SeedCompatibilityError, SeedSignError, TransportError)
 from .measures import Measure1D, translate
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        compute_monotone_map, find_fixed_points)
@@ -202,6 +202,17 @@ class TruncationZone:
     def hi(self) -> float:
         return max(self.fp, self.edge)
 
+    def velocity(self, x):
+        return self.rate * (x - self.fp)
+
+    def primitive(self, x):
+        ratio = (x - self.fp) / (self.edge - self.fp)
+        with np.errstate(divide="ignore"):
+            return self.edge_F + np.log(ratio) / self.rate
+
+    def position(self, u):
+        return self.fp + (self.edge - self.fp) * np.exp(self.rate * (u - self.edge_F))
+
 
 @dataclass(frozen=True)
 class UnbuiltInterval:
@@ -271,80 +282,41 @@ class IntervalField:
         self.F_hi = float(self.Finv_spline.x[-1])
 
     # ------------------------------------------------------------------
-    def _zone_mask(self, x, zone):
-        return ((x >= zone.lo) & (x <= zone.hi)
-                & ((x < self.built_lo) | (x > self.built_hi)))
+    def _extend(self, x, spline, zone_law, fill, *, primitive_side=False):
+        """spline on the built tables, zone_law(zone, points) on each zone's
+        points, fill elsewhere.  With primitive_side, x holds primitive values
+        and the tables span [F_lo, F_hi]."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = ((self.F_lo, self.F_hi) if primitive_side
+                  else (self.built_lo, self.built_hi))
+        out = np.full_like(x, fill)
+        inside = (x >= lo) & (x <= hi)
+        if np.any(inside):
+            out[inside] = spline(x[inside])
+        for zone in (self.zone_trail, self.zone_lead):
+            if zone is None:
+                continue
+            if primitive_side:
+                sel = x < lo if zone.edge_F == lo else x > hi
+            else:
+                sel = (x >= zone.lo) & (x <= zone.hi) & ~inside
+            if np.any(sel):
+                out[sel] = zone_law(zone, x[sel])
+        return out
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x >= self.built_lo) & (x <= self.built_hi)
-        if np.any(inside):
-            out[inside] = self.v_spline(x[inside])
-        for zone in (self.zone_trail, self.zone_lead):
-            if zone is not None:
-                sel = self._zone_mask(x, zone)
-                out[sel] = zone.rate * (x[sel] - zone.fp)
-        return out
+        return self._extend(x, self.v_spline, TruncationZone.velocity, 0.0)
 
     def evaluate_derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x >= self.built_lo) & (x <= self.built_hi)
-        if np.any(inside):
-            out[inside] = self.dv_spline(x[inside])
-        for zone in (self.zone_trail, self.zone_lead):
-            if zone is not None:
-                out[self._zone_mask(x, zone)] = zone.rate
-        return out
+        return self._extend(x, self.dv_spline, lambda zone, _: zone.rate, 0.0)
 
     def F_extended(self, x):
         """Unit-time primitive, extended through zones by the pinch law."""
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, np.nan)
-        inside = (x >= self.built_lo) & (x <= self.built_hi)
-        if np.any(inside):
-            out[inside] = self.F_spline(x[inside])
-        for zone in (self.zone_trail, self.zone_lead):
-            if zone is None:
-                continue
-            sel = self._zone_mask(x, zone)
-            if np.any(sel):
-                ratio = (x[sel] - zone.fp) / (zone.edge - zone.fp)
-                with np.errstate(divide="ignore"):
-                    out[sel] = zone.edge_F + np.log(ratio) / zone.rate
-        return out
+        return self._extend(x, self.F_spline, TruncationZone.primitive, np.nan)
 
     def Finv_extended(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.full_like(u, np.nan)
-        inside = (u >= self.F_lo) & (u <= self.F_hi)
-        if np.any(inside):
-            out[inside] = self.Finv_spline(u[inside])
-        for zone in (self.zone_trail, self.zone_lead):
-            if zone is None:
-                continue
-            sel = u < self.F_lo if zone.edge_F == self.F_lo else u > self.F_hi
-            if np.any(sel):
-                out[sel] = zone.fp + (zone.edge - zone.fp) * np.exp(
-                    zone.rate * (u[sel] - zone.edge_F))
-        return out
-
-    def rescaled(self, scale: float) -> "IntervalField":
-        """Field with v multiplied by scale and the primitive rebuilt to match."""
-        pieces = []
-        for pc in self._pieces:
-            k = float(pc["depth"])
-            pieces.append({"depth": pc["depth"], "x": pc["x"].copy(),
-                           "v": pc["v"] * scale, "dv": pc["dv"] * scale,
-                           "F": (pc["F"] - k) / scale + k})
-        return IntervalField(lo=self.lo, hi=self.hi, direction=self.direction,
-                             x0=self.x0, seed=self.seed,
-                             seed_interval=self.seed_interval,
-                             time_scale=self.time_scale * scale, pieces=pieces,
-                             zone_trail=_rescale_zone(self.zone_trail, scale),
-                             zone_lead=_rescale_zone(self.zone_lead, scale),
-                             warnings=self.warnings)
+        return self._extend(u, self.Finv_spline, TruncationZone.position, np.nan,
+                            primitive_side=True)
 
     def describe(self) -> dict:
         d = {
@@ -365,16 +337,6 @@ class IntervalField:
                 d[name] = {"fp": zone.fp, "edge": zone.edge, "rate": zone.rate,
                            "flagged": zone.flagged, "reason": zone.reason}
         return d
-
-
-def _rescale_zone(zone, scale):
-    if zone is None:
-        return None
-    k = round(zone.edge_F)
-    return TruncationZone(side=zone.side, fp=zone.fp, edge=zone.edge,
-                          edge_F=(zone.edge_F - k) / scale + k,
-                          rate=zone.rate * scale, flagged=zone.flagged,
-                          reason=zone.reason)
 
 
 _JUNCTION_TOL = 1e-9
@@ -461,16 +423,11 @@ def _march(T, seed_arrays, *, forward, clip, stop_at, stop_fixed, motion_sign,
             with np.errstate(divide="ignore"):
                 F_b, _ = _local_hermite(src_x, src_F, 1.0 / src_v, bound)
             src_x, src_v, src_dv, src_F = (a[keep] for a in (src_x, src_v, src_dv, src_F))
-            if forward and src_x[-1] != bound:
-                src_x = np.append(src_x, bound)
-                src_v = np.append(src_v, v_b)
-                src_dv = np.append(src_dv, dv_b)
-                src_F = np.append(src_F, F_b)
-            elif (not forward) and src_x[0] != bound:
-                src_x = np.insert(src_x, 0, bound)
-                src_v = np.insert(src_v, 0, v_b)
-                src_dv = np.insert(src_dv, 0, dv_b)
-                src_F = np.insert(src_F, 0, F_b)
+            at = src_x.size if forward else 0
+            if src_x[far_idx] != bound:
+                src_x, src_v, src_dv, src_F = (
+                    np.insert(a, at, b) for a, b in
+                    zip((src_x, src_v, src_dv, src_F), (bound, v_b, dv_b, F_b)))
 
         if depth >= thin_depth and src_x.size > thin_nodes:
             idx = np.unique(np.round(
@@ -578,30 +535,23 @@ def _build_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     seed_arrays = (xs, v_nodes, dv_nodes, F_nodes)
 
     # ---- forward closure toward the leading end ------------------------------
+    march_kw = dict(motion_sign=direction, min_step=min_step, max_steps=max_steps,
+                    thin_depth=cfg.deep_piece_depth,
+                    thin_nodes=cfg.deep_piece_nodes, width=width)
     pieces_f, reason_f, edge_f = _march(
         T, seed_arrays, forward=True, clip=map_domain, stop_at=lead,
-        stop_fixed=lead_fixed, motion_sign=direction, min_step=min_step,
-        max_steps=max_steps, thin_depth=cfg.deep_piece_depth,
-        thin_nodes=cfg.deep_piece_nodes, width=width)
+        stop_fixed=lead_fixed, **march_kw)
 
     zone_lead = None
     if lead_fixed:
-        e_x, e_v, e_F = edge_f
-        flagged = _near(lead, indeterminate, width)
-        zone_lead = TruncationZone(side="lead", fp=lead, edge=e_x, edge_F=e_F,
-                                   rate=e_v / (e_x - lead), flagged=flagged,
-                                   reason=reason_f)
-        if flagged:
-            warnings.append(
-                f"leading fixed point {lead:.6g} has map slope 1; truncation at "
-                f"{e_x:.6g} after harmonic orbit steps is unverified beyond the zone")
-    else:
-        if reason_f == "max-steps":
-            warnings.append("forward march hit the step cap before the free end")
-        elif abs(edge_f[0] - lead) > 1e-6 * width:
-            warnings.append(
-                f"forward march stopped at {edge_f[0]:.6g}, short of the free end "
-                f"{lead:.6g}")
+        zone_lead = _truncation_zone("lead", lead, edge_f, reason_f, indeterminate,
+                                     width, warnings)
+    elif reason_f == "max-steps":
+        warnings.append("forward march hit the step cap before the free end")
+    elif abs(edge_f[0] - lead) > 1e-6 * width:
+        warnings.append(
+            f"forward march stopped at {edge_f[0]:.6g}, short of the free end "
+            f"{lead:.6g}")
 
     # ---- backward closure toward the trailing end ----------------------------
     pieces_b: list = []
@@ -609,18 +559,9 @@ def _build_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     if trail_fixed:
         pieces_b, reason_b, edge_b = _march(
             T, seed_arrays, forward=False, clip=map_range, stop_at=None,
-            stop_fixed=True, motion_sign=direction, min_step=min_step,
-            max_steps=max_steps, thin_depth=cfg.deep_piece_depth,
-            thin_nodes=cfg.deep_piece_nodes, width=width)
-        e_x, e_v, e_F = edge_b
-        flagged = _near(trail, indeterminate, width)
-        zone_trail = TruncationZone(side="trail", fp=trail, edge=e_x, edge_F=e_F,
-                                    rate=e_v / (e_x - trail), flagged=flagged,
-                                    reason=reason_b)
-        if flagged:
-            warnings.append(
-                f"trailing fixed point {trail:.6g} has map slope 1; truncation at "
-                f"{e_x:.6g} after harmonic orbit steps is unverified beyond the zone")
+            stop_fixed=True, **march_kw)
+        zone_trail = _truncation_zone("trail", trail, edge_b, reason_b,
+                                      indeterminate, width, warnings)
 
     return IntervalField(lo=itv.lo, hi=itv.hi, direction=direction, x0=x0,
                          seed=seed, seed_interval=(x0, x1), time_scale=tau,
@@ -629,8 +570,21 @@ def _build_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
                          warnings=warnings)
 
 
-def _near(x, points, width):
-    return any(abs(x - p) <= 1e-9 * width for p in points)
+def _truncation_zone(side, fp, edge, reason, indeterminate, width, warnings):
+    """Zone from the march's last node (x, v, F) to the fixed end fp.
+
+    The pinch rate continues the last node's value linearly to zero at fp.
+    At an indeterminate fixed point the zone is flagged and a warning added.
+    """
+    e_x, e_v, e_F = edge
+    flagged = any(abs(fp - p) <= 1e-9 * width for p in indeterminate)
+    if flagged:
+        end = "leading" if side == "lead" else "trailing"
+        warnings.append(
+            f"{end} fixed point {fp:.6g} has map slope 1; truncation at "
+            f"{e_x:.6g} after harmonic orbit steps is unverified beyond the zone")
+    return TruncationZone(side=side, fp=fp, edge=e_x, edge_F=e_F,
+                          rate=e_v / (e_x - fp), flagged=flagged, reason=reason)
 
 
 # ======================================================================
@@ -658,22 +612,25 @@ class VelocityField1D:
     def unbuilt_intervals(self) -> tuple[UnbuiltInterval, ...]:
         return tuple(f for f in self.intervals if isinstance(f, UnbuiltInterval))
 
-    def _dispatch(self, x, per_interval, fill=0.0):
-        """Evaluate per_interval(field, subarray) on the points each field owns."""
+    def _dispatch(self, x, per_interval, fill=0.0, unbuilt=None):
+        """Evaluate per_interval(field, subarray) on the points each built
+        field owns.  Other points get fill (None keeps the point itself);
+        points of unbuilt intervals get unbuilt unless it is None."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         flat = np.atleast_1d(x).ravel()
-        out = np.full(flat.shape, fill, dtype=float)
+        out = flat.copy() if fill is None else np.full(flat.shape, fill, dtype=float)
         order = np.argsort(flat, kind="stable")
         sx = flat[order]
         for f in self.intervals:
-            if isinstance(f, UnbuiltInterval):
+            is_unbuilt = isinstance(f, UnbuiltInterval)
+            if is_unbuilt and unbuilt is None:
                 continue
             i0 = int(np.searchsorted(sx, f.lo, side="left"))
             i1 = int(np.searchsorted(sx, f.hi, side="right"))
             if i1 > i0:
                 idx = order[i0:i1]
-                out[idx] = per_interval(f, flat[idx])
+                out[idx] = unbuilt if is_unbuilt else per_interval(f, flat[idx])
         if scalar:
             return float(out[0])
         return out.reshape(np.shape(x))
@@ -819,60 +776,57 @@ build_general = build_velocity
 # verification helpers and the approximate regime
 # ======================================================================
 
-def time_normalize(field: VelocityField1D, *, tol: float | None = None
-                   ) -> tuple[VelocityField1D, list[dict]]:
-    """Measure each seed's travel time and rescale any drifted interval to 1.
+def time_normalize(field: VelocityField1D) -> tuple[VelocityField1D, list[dict]]:
+    """Measure each seed's travel time with independent adaptive quadrature.
 
-    Builder output is already normalized; this re-measures with independent
-    adaptive quadrature and returns (field, rows) where rows record the
-    measured times.  Intervals drifting beyond tol are rescaled.
+    Builder output is already normalized: the seed primitive is divided by its
+    own travel time, so the measured times miss 1 only by roundoff.  Returns
+    the field unchanged together with rows recording the measured times.
     """
-    tol = field.config.tol_time if tol is None else tol
     rows = []
-    out_intervals = []
-    changed = False
-    for f in field.intervals:
-        if isinstance(f, UnbuiltInterval):
-            out_intervals.append(f)
-            continue
+    for f in field.built_intervals:
         a, b = f.seed_interval
         val, _ = quad(lambda t: 1.0 / f.v_spline(t), a, b, epsabs=1e-13, limit=200)
         rows.append({"interval": [f.lo, f.hi], "seed_time": float(val)})
-        if abs(val - 1.0) > tol:
-            f = f.rescaled(float(val))
-            changed = True
-        out_intervals.append(f)
-    if changed:
-        field = VelocityField1D(field.map, field.partition, out_intervals,
-                                field.config, field.warnings)
     return field, rows
+
+
+def _interval_samples(f: IntervalField, field: VelocityField1D, n: int):
+    """Deterministic points of the interval whose image stays in the tables.
+
+    Returns (xs, ys, n_dropped), n_dropped counting the points whose image
+    left.  Sampling is restricted to the source window, where the map's
+    forward formula is trustworthy; outside it a quantile composition
+    saturates.
+    """
+    T = field.map
+    lo, hi = f.built_lo, f.built_hi
+    if T.source is not None:
+        w = T.source.window(field.config.eps_tail)
+        lo, hi = max(lo, w[0]), min(hi, w[1])
+    if not hi > lo:
+        return np.empty(0), np.empty(0), 0
+    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    ys = np.asarray(T.forward(xs), dtype=float)
+    ok = (ys >= f.built_lo) & (ys <= f.built_hi)
+    return xs[ok], ys[ok], n - int(np.count_nonzero(ok))
 
 
 def julia_residual(field: VelocityField1D, *, n_per_interval: int = 256) -> dict:
     """Relative residual of v(T(x)) - T'(x) v(x) on built regions.
 
-    Sample points (and their images) in truncation zones or outside the built
-    tables are excluded; the report counts them.
+    Sample points whose images leave the built tables are excluded; the
+    report counts them.
     """
     T = field.map
     worst = 0.0
     total = 0
     excluded = 0
-    dom = None
-    if T.source is not None:
-        dom = T.source.window(field.config.eps_tail)
     for f in field.built_intervals:
-        lo = f.built_lo if dom is None else max(f.built_lo, dom[0])
-        hi = f.built_hi if dom is None else min(f.built_hi, dom[1])
-        if not hi > lo:
+        xs, ys, dropped = _interval_samples(f, field, n_per_interval)
+        excluded += dropped
+        if xs.size == 0:
             continue
-        xs = lo + (hi - lo) * (np.arange(n_per_interval) + 0.5) / n_per_interval
-        ys = np.asarray(T.forward(xs), dtype=float)
-        ok = (ys >= f.built_lo) & (ys <= f.built_hi) & (xs >= f.built_lo) & (xs <= f.built_hi)
-        excluded += int(np.count_nonzero(~ok))
-        if not np.any(ok):
-            continue
-        xs, ys = xs[ok], ys[ok]
         lhs = f.evaluate(ys)
         rhs = np.asarray(T.derivative(xs), dtype=float) * f.evaluate(xs)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
@@ -920,7 +874,7 @@ def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
         T_lam = _shifted_map(T, m0, m1, lam)
         try:
             partition = find_fixed_points(T_lam, config=config)
-        except Exception:
+        except TransportError:
             continue
         ok = not partition.indeterminate
         for e in partition.fixed_points:

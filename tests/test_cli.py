@@ -237,6 +237,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "line 1 column" in err
 
+    def test_spec_file_by_path(self, tmp_path):
+        spec = tmp_path / "mu0.json"
+        spec.write_text(GAUSS_01)
+        out = str(tmp_path / "out")
+        code = run_cli(["map", "--mu0", str(spec), "--mu1", GAUSS_12,
+                        "--n", "64", "--out", out])
+        assert code == 0
+        assert read_report(out)["mu0"] == json.loads(GAUSS_01)
+
+    def test_missing_spec_file_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        code = run_cli(["map", "--mu0", missing, "--mu1", UNIFORM_12,
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert missing in err and "--mu0" in err
+
     def test_unknown_kind_exits_two(self, tmp_path, capsys):
         code = run_cli(["map", "--mu0", '{"kind": "cauchy", "loc": 0}',
                         "--mu1", UNIFORM_12, "--out", str(tmp_path)])

@@ -10,8 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
+from otflow.errors import InputError, TransportError
 from otflow.flow import flow, push_measure, verify_transport
 from otflow.measures import Gaussian, Uniform, wasserstein1
+from otflow.registry import get_example
 
 TOL_TIME_ONE = 1e-6
 TOL_RK4 = 1e-6
@@ -193,6 +195,15 @@ class TestPushMeasure:
             warnings.simplefilter("ignore")
             w = wasserstein1(pr.measure, Uniform(lo, hi))
         assert w <= 1e-5
+
+
+    def test_degenerate_window_is_typed_error(self):
+        # the source lies beyond the field's domain, so its window collapses
+        field = get_example("affine").build()
+        with pytest.raises(InputError) as err:
+            push_measure(field, Uniform(10.0, 11.0))
+        assert isinstance(err.value, TransportError)
+        assert "degenerate push window" in str(err.value)
 
 
 class TestVerifyTransport:

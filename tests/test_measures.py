@@ -218,3 +218,15 @@ class TestParsing:
         with pytest.raises(MeasureSpecError) as err:
             parse_measure({"kind": "uniform", "lo": 0.0})
         assert "hi" in str(err.value)
+
+    def test_spec_file_by_path(self, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"kind": "gaussian", "mean": 1.0, "std": 2.0}))
+        m = parse_measure(str(path))
+        assert isinstance(m, Gaussian) and (m.mean, m.std) == (1.0, 2.0)
+
+    def test_missing_spec_file_named(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(MeasureSpecError) as err:
+            parse_measure(path)
+        assert path in str(err.value)

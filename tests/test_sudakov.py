@@ -70,6 +70,16 @@ class TestParsing:
         assert m.center == (1.0, -2.0, 0.5) and m.radius == 2.0
         assert measure_nd_to_dict(m)["kind"] == "ball"
 
+    def test_spec_file_by_path(self, tmp_path):
+        spec = {"kind": "product", "factors": [
+            {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            {"kind": "gaussian", "mean": 0.0, "std": 1.0}]}
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(spec))
+        m = parse_measure_nd(str(path))
+        assert isinstance(m, ProductMeasure)
+        assert measure_nd_to_dict(m) == spec
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(MeasureSpecError):
             parse_measure_nd({"kind": "torus", "radius": 1.0})

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from otflow.errors import (InputError, SearchFailureError,
+import otflow.velocity
+from otflow.errors import (InputError, InvalidMapError, SearchFailureError,
                            SeedCompatibilityError, TransportError)
 from otflow.measures import Gaussian, Uniform, translate, wasserstein1
 from otflow.monotone import compute_monotone_map
@@ -201,6 +202,33 @@ class TestApproximateLipschitz:
         with pytest.raises(SearchFailureError):
             approximate_lipschitz(Uniform(0.0, 2.0), Uniform(0.0, 2.0), 1e-2,
                                   budget=0)
+
+    def test_failed_candidate_is_skipped(self, monkeypatch):
+        real = otflow.velocity.find_fixed_points
+        calls = []
+
+        def first_fails(T, **kw):
+            calls.append(T)
+            if len(calls) == 1:
+                raise InvalidMapError("rejected candidate")
+            return real(T, **kw)
+
+        monkeypatch.setattr(otflow.velocity, "find_fixed_points", first_fails)
+        # the unshifted gaussian pair is admissible, so only the injected
+        # failure moves the search on to the second candidate, +eps/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = approximate_lipschitz(Gaussian(0.0, 1.0), Gaussian(1.0, 2.0),
+                                        1e-2)
+        assert res.candidates_tried == 2 and res.shift == 0.5e-2
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(T, **kw):
+            raise ZeroDivisionError("bug in the search")
+
+        monkeypatch.setattr(otflow.velocity, "find_fixed_points", broken)
+        with pytest.raises(ZeroDivisionError):
+            approximate_lipschitz(Uniform(0.0, 2.0), Uniform(0.0, 2.0), 1e-2)
 
     def test_gaussian_equal_pair(self):
         with warnings.catch_warnings():
