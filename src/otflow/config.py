@@ -22,10 +22,14 @@ class BuildConfig:
     fixed_point_tol_rel: float = 1e-10
     # slope window around 1 below which a fixed point is flagged indeterminate
     indeterminate_slope_tol: float = 1e-8
-    # orbit iteration stops: step floor relative to width, hard step cap
+    # orbit march stops, applied to each march on its own while all marches
+    # advance together one depth per round: step floor relative to width, and
+    # a hard cap on the depth (the number of rounds)
     orbit_min_step_rel: float = 1e-12
     orbit_max_steps: int = 10 ** 6
-    # interpolation nodes per orbit piece; deep pieces are thinned to save memory
+    # interpolation nodes per orbit piece; from depth deep_piece_depth on, a
+    # march's tables are thinned to deep_piece_nodes to save memory and to
+    # keep each round's concatenated map call small
     nodes_per_piece: int = 64
     deep_piece_nodes: int = 12
     deep_piece_depth: int = 64

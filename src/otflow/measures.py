@@ -528,13 +528,14 @@ def l1_distance(m0: Measure1D, m1: Measure1D, *, eps_tail: float = 1e-10,
 def _read_spec(spec) -> dict:
     """A spec dict from a dict, inline JSON text, or a path to a JSON file.
 
-    Text whose first non-blank character is "{" is inline JSON; any other
-    text names a file.  JSON syntax errors carry line and column.
+    Text whose first non-blank character is "{" or "[" is inline JSON (an
+    array then fails the object check); any other text names a file.  JSON
+    syntax errors carry line and column.
     """
     if isinstance(spec, str):
         text = spec
         origin = "<inline>"
-        if not spec.lstrip().startswith("{"):
+        if not spec.lstrip().startswith(("{", "[")):
             origin = spec
             try:
                 with open(spec, "r", encoding="utf-8") as fh:

@@ -50,7 +50,9 @@ class MonotoneMap:
 
     forward/derivative/inverse/second_derivative accept scalars or arrays.
     second_derivative is None when the underlying densities provide no
-    derivative; consumers fall back to finite differences.
+    derivative; consumers fall back to finite differences.  jet, when given,
+    returns (forward, derivative, second_derivative) at once, bitwise equal to
+    the three separate calls; orbit marching prefers it.
     """
 
     forward: Callable
@@ -60,6 +62,7 @@ class MonotoneMap:
     source: Measure1D | None = None
     target: Measure1D | None = None
     label: str = "monotone-map"
+    jet: Callable | None = None
 
     def __call__(self, x):
         return self.forward(x)
@@ -142,11 +145,13 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
                        source: Measure1D | None = None,
                        target: Measure1D | None = None,
                        domain: tuple[float, float] | None = None,
-                       label: str = "callable-map") -> MonotoneMap:
+                       label: str = "callable-map",
+                       jet: Callable | None = None) -> MonotoneMap:
     """Wrap closed-form map callables, filling gaps numerically.
 
     A missing derivative becomes a central difference; a missing inverse becomes
-    a bracketed root solve on the given domain (required in that case).
+    a bracketed root solve on the given domain (required in that case).  A
+    fused jet is passed through as is and must agree with the callables.
     """
     if derivative is None:
         scale = 1.0
@@ -174,7 +179,7 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
             return float(out[0]) if scalar else out
 
     return MonotoneMap(forward, derivative, inverse, second_derivative,
-                       source, target, label=label)
+                       source, target, label=label, jet=jet)
 
 
 # ======================================================================

@@ -83,58 +83,36 @@ class BumpProfile:
     def plateau(g):
         return (1.04375 + 0.075 * np.asarray(g, dtype=float)) / 0.75
 
-    def slope(self, u, g):
+    def jet(self, u, g):
+        """(q, q', q'') at (u, g), one region split for all three."""
         u = np.asarray(u, dtype=float)
         a = -np.asarray(g, dtype=float)
         h = self.plateau(g)
         u, a, h = np.broadcast_arrays(u, a, h)
-        out = np.empty_like(u)
-        m1 = u < _R1
-        m2 = (u >= _R1) & (u < _R2)
-        m3 = (u >= _R2) & (u < _R3)
-        m4 = u >= _R3
-        out[m1] = a[m1] + (h[m1] - a[m1]) * _sstep(u[m1] / _R1)
-        out[m2] = h[m2]
-        w = (u[m3] - _R2) / (_R3 - _R2)
-        out[m3] = h[m3] + (_TAIL_SLOPE - h[m3]) * _sstep(w)
-        out[m4] = _TAIL_SLOPE
-        return out
-
-    def value(self, u, g):
-        u = np.asarray(u, dtype=float)
-        a = -np.asarray(g, dtype=float)
-        h = self.plateau(g)
-        u, a, h = np.broadcast_arrays(u, a, h)
-        out = np.empty_like(u)
+        val, slope, curv = np.empty_like(u), np.empty_like(u), np.zeros_like(u)
+        w3 = _R3 - _R2
         q1 = _R1 * (a + h) / 2.0                      # value at _R1
         q2 = q1 + h * (_R2 - _R1)                     # value at _R2
-        w3 = _R3 - _R2
         q3 = q2 + h * w3 + (_TAIL_SLOPE - h) * w3 * 0.5   # value at _R3
         m1 = u < _R1
         m2 = (u >= _R1) & (u < _R2)
         m3 = (u >= _R2) & (u < _R3)
         m4 = u >= _R3
-        w = u[m1] / _R1
-        out[m1] = a[m1] * u[m1] + (h[m1] - a[m1]) * _R1 * _sstep_anti(w)
-        out[m2] = q1[m2] + h[m2] * (u[m2] - _R1)
-        w = (u[m3] - _R2) / w3
-        out[m3] = q2[m3] + h[m3] * (u[m3] - _R2) \
-            + (_TAIL_SLOPE - h[m3]) * w3 * _sstep_anti(w)
-        out[m4] = q3[m4] + _TAIL_SLOPE * (u[m4] - _R3)
-        return out
-
-    def curvature(self, u, g):
-        u = np.asarray(u, dtype=float)
-        a = -np.asarray(g, dtype=float)
-        h = self.plateau(g)
-        u, a, h = np.broadcast_arrays(u, a, h)
-        out = np.zeros_like(u)
-        m1 = u < _R1
-        m3 = (u >= _R2) & (u < _R3)
-        out[m1] = (h[m1] - a[m1]) * _sstep_d(u[m1] / _R1) / _R1
-        w3 = _R3 - _R2
-        out[m3] = (_TAIL_SLOPE - h[m3]) * _sstep_d((u[m3] - _R2) / w3) / w3
-        return out
+        u1, a1, h1 = u[m1], a[m1], h[m1]
+        w = u1 / _R1
+        val[m1] = a1 * u1 + (h1 - a1) * _R1 * _sstep_anti(w)
+        slope[m1] = a1 + (h1 - a1) * _sstep(w)
+        curv[m1] = (h1 - a1) * _sstep_d(w) / _R1
+        val[m2] = q1[m2] + h[m2] * (u[m2] - _R1)
+        slope[m2] = h[m2]
+        u3, h3 = u[m3], h[m3]
+        w = (u3 - _R2) / w3
+        val[m3] = q2[m3] + h3 * (u3 - _R2) + (_TAIL_SLOPE - h3) * w3 * _sstep_anti(w)
+        slope[m3] = h3 + (_TAIL_SLOPE - h3) * _sstep(w)
+        curv[m3] = (_TAIL_SLOPE - h3) * _sstep_d(w) / w3
+        val[m4] = q3[m4] + _TAIL_SLOPE * (u[m4] - _R3)
+        slope[m4] = _TAIL_SLOPE
+        return val, slope, curv
 
     def certify(self, g_max: float):
         """Closed-form range checks for all parameters up to g_max."""
@@ -277,61 +255,64 @@ class CounterexampleMap:
         pos = np.searchsorted(asc, x, side="left")
         return np.minimum(self.n_anchors - pos, self.n_anchors - 1)
 
-    def _by_region(self, x, ext, low, gap):
-        """Assemble a displacement quantity region by region on [0, 1].
-
-        ext(t) on the cubic continuation x > 1/2, with t = x - 1/2; low(x) on
-        the linear pinch below the table floor (None leaves zero there);
-        gap(x, j, b_j, b_(j+1), u) on the tabulated gaps, u being the
-        position inside gap j.
-        """
+    def _parts(self, x):
+        """(D, D', D'') of the displacement on [0, 1], one region split for
+        all three: the cubic continuation for x > 1/2, the linear pinch below
+        the table floor, and the gap profiles in between."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
-        ext_sel = x > 0.5
-        if np.any(ext_sel):
-            out[ext_sel] = ext(x[ext_sel] - 0.5)
-        if low is not None:
-            low_sel = (x > 0.0) & (x < self.table_floor)
-            out[low_sel] = low(x[low_sel])
         mid = (x >= self.table_floor) & (x <= 0.5)
-        if np.any(mid):
-            xm = x[mid]
-            j = self._locate(xm)
-            bj, bj1 = self.gaps[j], self.gaps[j + 1]
-            u = np.clip((xm - self.anchors[j + 1]) / bj, 0.0, 1.0)
-            out[mid] = gap(xm, j, bj, bj1, u)
-        return float(out[0]) if scalar else out
+        if mid.all():
+            parts = self._gap_parts(x)
+        else:
+            parts = np.zeros((3,) + x.shape)
+            disp, slope, curv = parts
+            ext = x > 0.5
+            if np.any(ext):
+                c0, c1, c2, c3 = self._ext
+                t = x[ext] - 0.5
+                disp[ext] = ((c3 * t + c2) * t + c1) * t + c0
+                slope[ext] = (3.0 * c3 * t + 2.0 * c2) * t + c1
+                curv[ext] = 6.0 * c3 * t + 2.0 * c2
+            low = (x > 0.0) & (x < self.table_floor)
+            disp[low] = x[low] * self._pinch_slope
+            slope[low] = self._pinch_slope
+            if np.any(mid):
+                for out, part in zip(parts, self._gap_parts(x[mid])):
+                    out[mid] = part
+        if scalar:
+            return tuple(float(p[0]) for p in parts)
+        return tuple(parts)
 
-    def displacement(self, x):
+    def _gap_parts(self, xm):
+        """(D, D', D'') on the tabulated gaps: one gap lookup and one bump
+        evaluation at the position u inside gap j; D is exactly b_j at each
+        anchor."""
+        j = self._locate(xm)
+        bj, bj1 = self.gaps[j], self.gaps[j + 1]
+        u = np.clip((xm - self.anchors[j + 1]) / bj, 0.0, 1.0)
+        q, dq, ddq = self.bump.jet(u, self.gbar[j])
+        disp = bj1 + (bj - bj1) * q
+        exact = xm == self.anchors[j]
+        disp[exact] = bj[exact]
+        return disp, (bj - bj1) / bj * dq, (bj - bj1) / (bj * bj) * ddq
+
+    @staticmethod
+    def _on_domain(x):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise InputError("counterexample map is defined on [0, 1]")
-        c0, c1, c2, c3 = self._ext
+        return x
 
-        def gap(xm, j, bj, bj1, u):
-            val = bj1 + (bj - bj1) * self.bump.value(u, self.gbar[j])
-            exact = xm == self.anchors[j]
-            val[exact] = bj[exact]
-            return val
-
-        return self._by_region(x, lambda t: ((c3 * t + c2) * t + c1) * t + c0,
-                               lambda xl: xl * self._pinch_slope, gap)
+    def displacement(self, x):
+        return self._parts(self._on_domain(x))[0]
 
     def displacement_slope(self, x):
-        _, c1, c2, c3 = self._ext
-        return self._by_region(
-            x, lambda t: (3.0 * c3 * t + 2.0 * c2) * t + c1,
-            lambda xl: self._pinch_slope,
-            lambda xm, j, bj, bj1, u: (bj - bj1) / bj * self.bump.slope(u, self.gbar[j]))
+        return self._parts(x)[1]
 
     def displacement_curvature(self, x):
-        _, _, c2, c3 = self._ext
-        return self._by_region(
-            x, lambda t: 6.0 * c3 * t + 2.0 * c2, None,
-            lambda xm, j, bj, bj1, u:
-                (bj - bj1) / (bj * bj) * self.bump.curvature(u, self.gbar[j]))
+        return self._parts(x)[2]
 
     # map callables ----------------------------------------------------
     def forward(self, x):
@@ -342,6 +323,12 @@ class CounterexampleMap:
 
     def second_derivative(self, x):
         return -self.displacement_curvature(x)
+
+    def jet(self, x):
+        """(T, T', T'') at x in one pass over the regions."""
+        x = self._on_domain(x)
+        disp, slope, curv = self._parts(x)
+        return x - disp, 1.0 - slope, -curv
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
@@ -377,7 +364,8 @@ class CounterexampleMap:
     def to_monotone_map(self) -> MonotoneMap:
         return MonotoneMap(self.forward, self.derivative, self.inverse,
                            self.second_derivative, source=Uniform(0.0, 0.5),
-                           target=None, label=f"counterexample-{self.variant}")
+                           target=None, label=f"counterexample-{self.variant}",
+                           jet=self.jet)
 
     def metadata(self) -> dict:
         return {
@@ -600,11 +588,8 @@ def probe_non_integrability(cmap: CounterexampleMap,
         spans[pc["depth"]] = (lo, hi)
         # motion-first node sits at the shallow anchor of the piece
         anchor_speed[pc["depth"]] = abs(float(pc["v"][0]))
-    mass_field = np.empty(depth)
-    for d in range(depth):
-        lo, hi = spans[d]
-        mass_field[d] = abs(float(V(hi) - V(lo)))
-    cum_field = np.cumsum(mass_field)
+    lo, hi = np.array([spans[d] for d in range(depth)]).T
+    cum_field = np.cumsum(np.abs(V(hi) - V(lo)))
     mass_exact = _orbit_mass_cascade(cmap, itf, depth, octaves)
     cum_exact = np.cumsum(mass_exact)
 
@@ -670,6 +655,6 @@ def _orbit_mass_cascade(cmap, itf, depth: int, octaves: int = 44):
     g = np.ones_like(x0)
     for d in range(depth):
         mass[d] = float(np.sum(weights * v0 * g * g))
-        g = g * cmap.derivative(cur)
-        cur = cmap.forward(cur)
+        cur, tp, _ = cmap.jet(cur)
+        g = g * tp
     return mass

@@ -198,18 +198,19 @@ def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
     return 0.5 * (a + b)
 
 
-def _newton_inverse(forward, derivative, y, lo, hi, iters: int = 6):
+def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6):
     """Vectorized Newton inverse with a bisection fallback per entry.
 
-    Seeds at y itself (the maps inverted here are small perturbations of the
-    identity), clips iterates into [lo, hi], and hands any entry that has not
-    converged to 1e-14 relative residual over to plain bisection.
+    value_slope(x) returns (T(x), T'(x)).  Seeds at y itself (the maps
+    inverted here are small perturbations of the identity), clips iterates
+    into [lo, hi], and hands any entry that has not converged to 1e-14
+    relative residual over to plain bisection on forward.
     """
     y = np.asarray(y, dtype=float)
     x = np.clip(y, lo, hi)
     for _ in range(iters):
-        r = np.asarray(forward(x), dtype=float) - y
-        d = np.asarray(derivative(x), dtype=float)
+        fx, d = value_slope(x)
+        r = fx - y
         step = r / np.where(np.abs(d) > 1e-30, d, 1.0)
         x = np.clip(x - step, lo, hi)
     resid = np.abs(np.asarray(forward(x), dtype=float) - y)
@@ -236,60 +237,66 @@ def _accumulating_example(variant: str = "c1", n_tiers: int = 12) -> ExampleProb
         raise InputError(f"accumulating example: unknown variant {variant!r}")
 
     if variant == "c1":
-        def envelope(x):
+        def envelope(x, safe):
             return x ** 3 / 5.0
 
-        def envelope_d(x):
+        def envelope_d(x, safe, e):
             return 3.0 * x * x / 5.0
 
-        def envelope_dd(x):
+        def envelope_dd(x, safe, e):
             return 6.0 * x / 5.0
     else:
-        def envelope(x):
+        def envelope(x, safe):
             with np.errstate(divide="ignore", over="ignore"):
-                return np.where(x > 0.0, np.exp(-1.0 / np.where(x > 0.0, x, 1.0)), 0.0) / 5.0
+                return np.where(x > 0.0, np.exp(-1.0 / safe), 0.0) / 5.0
 
-        def envelope_d(x):
-            safe = np.where(x > 0.0, x, 1.0)
-            return envelope(x) / safe ** 2
+        def envelope_d(x, safe, e):
+            return e / safe ** 2
 
-        def envelope_dd(x):
-            safe = np.where(x > 0.0, x, 1.0)
-            return envelope(x) * (1.0 - 2.0 * safe) / safe ** 4
+        def envelope_dd(x, safe, e):
+            return e * (1.0 - 2.0 * safe) / safe ** 4
 
-    def phase(x):
-        safe = np.where(x > 0.0, x, 1.0)
-        return np.where(x > 0.0, np.pi / safe, 0.0)
+    def jet(x, order: int = 2):
+        """(T, T', T'') up to the given order (T alone for 0), sharing one
+        evaluation of the envelope and of the phase pi/x."""
+        x = np.asarray(x, dtype=float)
+        positive = x > 0.0
+        safe = np.where(positive, x, 1.0)
+        e = envelope(x, safe)
+        phase = np.where(positive, np.pi / safe, 0.0)
+        s = np.sin(phase)
+        y = x + e * s
+        if order == 0:
+            return y
+        e1 = envelope_d(x, safe, e)
+        c = np.cos(phase)
+        tp = np.where(positive, 1.0 + e1 * s - e * c * np.pi / safe ** 2, 1.0)
+        if order == 1:
+            return y, tp
+        tpp = np.where(positive,
+                       envelope_dd(x, safe, e) * s - 2.0 * e1 * c * np.pi / safe ** 2
+                       + e * (2.0 * c * np.pi / safe ** 3 - s * np.pi ** 2 / safe ** 4),
+                       0.0)
+        return y, tp, tpp
 
     def forward(x):
-        x = np.asarray(x, dtype=float)
-        return x + envelope(x) * np.sin(phase(x))
+        return jet(x, 0)
 
     def derivative(x):
-        x = np.asarray(x, dtype=float)
-        safe = np.where(x > 0.0, x, 1.0)
-        out = 1.0 + envelope_d(x) * np.sin(phase(x)) \
-            - envelope(x) * np.cos(phase(x)) * np.pi / safe ** 2
-        return np.where(x > 0.0, out, 1.0)
+        return jet(x, 1)[1]
 
     def second_derivative(x):
-        x = np.asarray(x, dtype=float)
-        safe = np.where(x > 0.0, x, 1.0)
-        s, c = np.sin(phase(x)), np.cos(phase(x))
-        out = envelope_dd(x) * s \
-            - 2.0 * envelope_d(x) * c * np.pi / safe ** 2 \
-            + envelope(x) * (2.0 * c * np.pi / safe ** 3 - s * np.pi ** 2 / safe ** 4)
-        return np.where(x > 0.0, out, 0.0)
+        return jet(x)[2]
 
     def inverse(y):
-        return _newton_inverse(forward, derivative, y, 0.0, 1.0)
+        return _newton_inverse(forward, lambda x: jet(x, 1), y, 0.0, 1.0)
 
     m0 = Uniform(0.0, 1.0)
     m1 = pushforward_by_map(m0, forward, derivative=derivative, n=65537)
     tmap = map_from_callables(forward, inverse=inverse, derivative=derivative,
                               second_derivative=second_derivative,
                               source=m0, target=m1,
-                              label=f"accumulating-{variant}")
+                              label=f"accumulating-{variant}", jet=jet)
 
     cuts = [1.0 / n for n in range(n_tiers, 0, -1)]
     fixed = [(0.0, cuts[0])] + [(c, c) for c in cuts[1:]]

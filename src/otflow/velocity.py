@@ -21,10 +21,18 @@ Construction, per moving interval of the map's fixed point partition:
      pieces.  (F, F^(-1)) drive the flow phi(t, x) = F^(-1)(F(x) + t) and make
      the unit-travel-time property a structural identity at the nodes.
 
-Orbit marching stops at a free boundary, below a step floor, or at a step cap;
-near fixed ends the remaining gap is recorded as a truncation zone where the
-field continues by the linear pinch v = rate * (x - fp).  Moving intervals
-narrower than a resolution floor are left unbuilt and flagged.
+Marching is lockstep: the build seeds every moving interval first, then
+advances all of their marches (forward, and backward toward a fixed trailing
+end) one orbit depth per round.  A round makes one T.inverse call on the
+concatenated backward sources and one map jet call, (T, T', T'') at once, on
+the forward sources followed by the backward images.  The map callables act
+elementwise, so every interval gets bitwise the tables it would get alone.
+Each march stops on its own: at its free end ("complete"), below the step
+floor ("min-step"), at the step cap ("max-steps"), or where the applied map's
+domain ends ("boundary").  Near fixed ends the remaining gap is recorded as a
+truncation zone where the field continues by the linear pinch
+v = rate * (x - fp).  Moving intervals narrower than a resolution floor are
+left unbuilt and flagged.
 
 Array convention: while marching, node arrays are kept in motion order (from
 the anchor toward the image), so index relations are direction independent:
@@ -36,6 +44,8 @@ so assembled breakpoints dedupe exactly.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,14 +115,20 @@ class SeedSpec:
                              "higher orders would need third derivatives of the map")
 
 
-def _second_derivative(T: MonotoneMap, x, width: float):
-    """T'' from the map when available, else a central difference of T'."""
+def _map_jet(T: MonotoneMap, x, width: float):
+    """(T, T', T'') at x: the map's fused jet when it has one, else its three
+    callables, with a central difference of T' standing in for a missing T''."""
+    if T.jet is not None:
+        return tuple(np.asarray(a, dtype=float) for a in T.jet(x))
+    y = np.asarray(T.forward(x), dtype=float)
+    tp = np.asarray(T.derivative(x), dtype=float)
     if T.second_derivative is not None:
-        return np.asarray(T.second_derivative(x), dtype=float)
+        return y, tp, np.asarray(T.second_derivative(x), dtype=float)
     h = max(1e-6 * width, 1e-12)
     x = np.asarray(x, dtype=float)
-    return (np.asarray(T.derivative(x + h), dtype=float)
-            - np.asarray(T.derivative(x - h), dtype=float)) / (2.0 * h)
+    tpp = (np.asarray(T.derivative(x + h), dtype=float)
+           - np.asarray(T.derivative(x - h), dtype=float)) / (2.0 * h)
+    return y, tp, tpp
 
 
 def _seed_polynomial(T: MonotoneMap, x0: float, x1: float, seed: SeedSpec,
@@ -144,7 +160,7 @@ def _seed_polynomial(T: MonotoneMap, x0: float, x1: float, seed: SeedSpec,
     # hermite_ck with order_k == 1: cubic matching values and derivatives,
     # the far-end derivative taken from the derivative recursion
     d1 = seed.d1 if seed.d1 is not None else (v1 - v0) / step
-    tpp0 = float(np.asarray(_second_derivative(T, x0, width), dtype=float))
+    tpp0 = float(_map_jet(T, x0, width)[2])
     d1_img = d1 + v0 * tpp0 / tp0
     s = step
     a2 = (3.0 * (v1 - v0) / s - 2.0 * d1 - d1_img) / s
@@ -353,27 +369,23 @@ def _hermite_ppoly(segments) -> PPoly:
     """
     if not segments:
         raise ConstructionError("no pieces to assemble")
-    xl, xr, yl, yr, dl, dr = [], [], [], [], [], []
-    breaks = []
-    prev_end = None
-    for x, y, d in segments:
-        if prev_end is not None:
-            if abs(prev_end - x[0]) > _JUNCTION_TOL * max(1.0, abs(prev_end)):
-                raise ConstructionError(
-                    f"piece junction mismatch: {prev_end!r} vs {x[0]!r}")
-            breaks.append(x[1:])
-        else:
-            breaks.append(x)
-        prev_end = x[-1]
-        xl.append(x[:-1]); xr.append(x[1:])
-        yl.append(y[:-1]); yr.append(y[1:])
-        dl.append(d[:-1]); dr.append(d[1:])
-    bx = np.concatenate(breaks)
+    x, y, d = (np.concatenate(a) for a in zip(*segments))
+    joints = np.cumsum([seg[0].size for seg in segments[:-1]], dtype=int)
+    prev_end, start = x[joints - 1], x[joints]
+    off = np.abs(prev_end - start) > _JUNCTION_TOL * np.maximum(1.0, np.abs(prev_end))
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ConstructionError(
+            f"piece junction mismatch: {prev_end[k]!r} vs {start[k]!r}")
+    bx = np.delete(x, joints)
     if not np.all(np.diff(bx) > 0):
         raise ConstructionError("assembled breakpoints are not strictly increasing")
-    xl, xr = np.concatenate(xl), np.concatenate(xr)
-    yl, yr = np.concatenate(yl), np.concatenate(yr)
-    dl, dr = np.concatenate(dl), np.concatenate(dr)
+    # node pairs inside a segment; the pair across each junction is skipped
+    inner = np.ones(x.size - 1, dtype=bool)
+    inner[joints - 1] = False
+    xl, xr = x[:-1][inner], x[1:][inner]
+    yl, yr = y[:-1][inner], y[1:][inner]
+    dl, dr = d[:-1][inner], d[1:][inner]
     h = xr - xl
     m = (yr - yl) / h
     c2 = (3.0 * m - 2.0 * dl - dr) / h
@@ -391,106 +403,163 @@ def _local_hermite(x, y, dy, xq):
     return float(sp(xq)), float(sp.derivative()(xq))
 
 
-def _march(T, seed_arrays, *, forward, clip, stop_at, stop_fixed, motion_sign,
-           min_step, max_steps, thin_depth, thin_nodes, width):
-    """Propagate node tables orbit step by orbit step in one direction.
+class _March:
+    """One orbit march: the node tables of one interval, propagated in one
+    direction a depth at a time by _march_lockstep.
 
-    seed_arrays = (x, v, dv, F) in motion order.  forward=True applies the map,
-    False applies its inverse.  clip = (lo, hi) bounds where the applied map is
-    defined.  Returns (pieces, reason, edge) with edge = (x, v, F) at the far
-    end of the march.
+    Arrays (x, v, dv, F) are in motion order.  forward=True applies the map,
+    False its inverse; clip = (lo, hi) bounds where the applied map is
+    defined; stop_at is the free end that completes the march (None toward a
+    fixed end).  After marching, pieces holds one node table per depth,
+    reason the stop reason and edge = (x, v, F) at the far end.
     """
-    src_x, src_v, src_dv, src_F = seed_arrays
-    offset = 1.0 if forward else -1.0
-    clip_lo, clip_hi = clip
-    pieces = []
-    far_idx = -1 if forward else 0
-    edge = (float(src_x[far_idx]), float(src_v[far_idx]), float(src_F[far_idx]))
-    reason = "max-steps"
-    reach_sign = motion_sign if forward else -motion_sign
-    tol_reach = 1e-12 * width
 
-    for depth in range(1, max_steps + 1):
-        keep = (src_x >= clip_lo) & (src_x <= clip_hi)
+    def __init__(self, seed_arrays, *, forward, clip, stop_at, motion_sign,
+                 min_step, width, interval):
+        self.x, self.v, self.dv, self.F = seed_arrays
+        self.forward = forward
+        self.clip = clip
+        self.stop_at = stop_at
+        self.reach_sign = motion_sign if forward else -motion_sign
+        self.min_step = min_step
+        self.tol_reach = 1e-12 * width
+        self.far = -1 if forward else 0
+        self.name = (f"interval ({interval[0]:.6g}, {interval[1]:.6g}), "
+                     f"{'forward' if forward else 'backward'} march")
+        self.pieces = []
+        self.reason = "max-steps"
+        self.edge = self._node(self.x, self.v, self.F)
+
+    def _node(self, x, v, F):
+        i = self.far
+        return float(x[i]), float(v[i]), float(F[i])
+
+    def clip_and_thin(self, depth, thin_depth, thin_nodes) -> bool:
+        """Restrict the sources to the clip window, appending the exact
+        boundary point, and thin deep tables.  False when under two nodes
+        stay inside (the march stops at the boundary)."""
+        clip_lo, clip_hi = self.clip
+        x, v, dv, F = self.x, self.v, self.dv, self.F
+        keep = (x >= clip_lo) & (x <= clip_hi)
         n_keep = int(np.count_nonzero(keep))
         if n_keep < 2:
-            reason = "boundary"
-            break
-        if n_keep < src_x.size:
-            # clip to the map's domain and append the exact boundary point
-            bound = clip_hi if (src_x.max() > clip_hi) else clip_lo
-            v_b, dv_b = _local_hermite(src_x, src_v, src_dv, bound)
+            self.reason = "boundary"
+            return False
+        if n_keep < x.size:
+            bound = clip_hi if (x.max() > clip_hi) else clip_lo
+            v_b, dv_b = _local_hermite(x, v, dv, bound)
             with np.errstate(divide="ignore"):
-                F_b, _ = _local_hermite(src_x, src_F, 1.0 / src_v, bound)
-            src_x, src_v, src_dv, src_F = (a[keep] for a in (src_x, src_v, src_dv, src_F))
-            at = src_x.size if forward else 0
-            if src_x[far_idx] != bound:
-                src_x, src_v, src_dv, src_F = (
-                    np.insert(a, at, b) for a, b in
-                    zip((src_x, src_v, src_dv, src_F), (bound, v_b, dv_b, F_b)))
-
-        if depth >= thin_depth and src_x.size > thin_nodes:
+                F_b, _ = _local_hermite(x, F, 1.0 / v, bound)
+            x, v, dv, F = (a[keep] for a in (x, v, dv, F))
+            at = x.size if self.forward else 0
+            if x[self.far] != bound:
+                x, v, dv, F = (np.insert(a, at, b) for a, b in
+                               zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
+        if depth >= thin_depth and x.size > thin_nodes:
             idx = np.unique(np.round(
-                np.linspace(0, src_x.size - 1, thin_nodes)).astype(int))
-            src_x, src_v, src_dv, src_F = (a[idx] for a in (src_x, src_v, src_dv, src_F))
+                np.linspace(0, x.size - 1, thin_nodes)).astype(int))
+            x, v, dv, F = (a[idx] for a in (x, v, dv, F))
+        self.x, self.v, self.dv, self.F = x, v, dv, F
+        return True
 
-        if forward:
-            new_x = np.asarray(T.forward(src_x), dtype=float)
-            tp = np.asarray(T.derivative(src_x), dtype=float)
-            tpp = np.asarray(_second_derivative(T, src_x, width), dtype=float)
-            new_v = tp * src_v
-            new_dv = src_dv + src_v * tpp / tp
-        else:
-            new_x = np.asarray(T.inverse(src_x), dtype=float)
-            tp = np.asarray(T.derivative(new_x), dtype=float)
-            tpp = np.asarray(_second_derivative(T, new_x, width), dtype=float)
-            new_v = src_v / tp
-            new_dv = src_dv - new_v * tpp / tp
-        new_F = src_F + offset
-        if not forward:
-            # pin the junction bitwise: T^(-1)(T(x)) drifts by roundoff.
-            # dv stays elementwise: with a C^0 seed junction v has a genuine
-            # kink there, and each piece needs its own one-sided derivative.
-            new_x[-1] = src_x[0]
-            new_v[-1] = src_v[0]
-            new_F[-1] = src_F[0]
+    def advance(self, depth, x, v, dv, F) -> bool:
+        """Record the depth's piece and apply the stop tests; False when the
+        march is finished."""
+        self.pieces.append({"depth": depth if self.forward else -depth,
+                            "x": x, "v": v, "dv": dv, "F": F})
+        far_prev = float(self.x[self.far])
+        self.edge = self._node(x, v, F)
+        far = self.edge[0]
+        if self.stop_at is not None and \
+                self.reach_sign * (far - self.stop_at) >= -self.tol_reach:
+            self.reason = "complete"
+            return False
+        if abs(far - far_prev) <= self.min_step:
+            self.reason = "min-step"
+            return False
+        self.x, self.v, self.dv, self.F = x, v, dv, F
+        return True
 
-        if not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_v))
-                and np.all(np.isfinite(new_dv))):
-            raise ConstructionError(
-                f"orbit march produced non-finite node data at depth {depth}")
-        if np.any(new_v * math.copysign(1.0, src_v[0]) <= 0.0):
-            raise ConstructionError(
-                f"propagated field changed sign at depth {depth}; "
-                "the map derivative is not positive there")
 
-        pieces.append({"depth": int(offset) * depth, "x": new_x, "v": new_v,
-                       "dv": new_dv, "F": new_F})
+def _march_lockstep(T, marches, *, max_steps, thin_depth, thin_nodes, width):
+    """Advance every march one orbit depth per round until each stops.
 
-        far_prev = float(src_x[far_idx])
-        far = float(new_x[far_idx])
-        edge = (far, float(new_v[far_idx]), float(new_F[far_idx]))
-        step = abs(far - far_prev)
-
-        if (not stop_fixed) and stop_at is not None:
-            if reach_sign * (far - stop_at) >= -tol_reach:
-                reason = "complete"
-                break
-        if step <= min_step:
-            reason = "min-step"
+    A round clips and thins each march, inverts all backward sources in one
+    T.inverse call, and evaluates one map jet on the forward sources followed
+    by the backward images.  The map callables act elementwise, so each
+    march's tables are bitwise those it would get marching alone.
+    """
+    live = list(marches)
+    for depth in range(1, max_steps + 1):
+        live = [m for m in live if m.clip_and_thin(depth, thin_depth, thin_nodes)]
+        if not live:
             break
-        src_x, src_v, src_dv, src_F = new_x, new_v, new_dv, new_F
+        live.sort(key=lambda m: not m.forward)
+        bounds = list(itertools.accumulate((m.x.size for m in live), initial=0))
+        segs = [slice(i, j) for i, j in zip(bounds, bounds[1:])]
+        n_fwd = bounds[sum(m.forward for m in live)]
+        x, v, dv, F = (np.concatenate(a) for a in
+                       zip(*((m.x, m.v, m.dv, m.F) for m in live)))
 
-    return pieces, reason, edge
+        at = x
+        if n_fwd < x.size:
+            at = np.concatenate((x[:n_fwd], np.asarray(T.inverse(x[n_fwd:]), dtype=float)))
+        img, tp, tpp = _map_jet(T, at, width)
+        f, b = slice(None, n_fwd), slice(n_fwd, None)
+        v_b = v[b] / tp[b]
+        new_x, new_v, new_dv, new_F = (np.concatenate(p) for p in zip(
+            (img[f], tp[f] * v[f], dv[f] + v[f] * tpp[f] / tp[f], F[f] + 1.0),
+            (at[b], v_b, dv[b] - v_b * tpp[b] / tp[b], F[b] - 1.0)))
+        # pin each backward junction bitwise: T^(-1)(T(x)) drifts by roundoff.
+        # dv stays elementwise: with a C^0 seed junction v has a genuine kink
+        # there, and each piece needs its own one-sided derivative.
+        for m, seg in zip(live, segs):
+            if not m.forward:
+                i, j = seg.start, seg.stop - 1
+                new_x[j], new_v[j], new_F[j] = x[i], v[i], F[i]
+
+        finite = np.isfinite(new_x) & np.isfinite(new_v) & np.isfinite(new_dv)
+        signs = np.repeat([math.copysign(1.0, m.v[0]) for m in live], np.diff(bounds))
+        ok = finite & (new_v * signs > 0.0)
+        if not ok.all():
+            k = bisect.bisect_right(bounds, int(np.argmin(ok))) - 1
+            if finite[segs[k]].all():
+                raise ConstructionError(
+                    f"{live[k].name}: propagated field changed sign at depth "
+                    f"{depth}; the map derivative is not positive there")
+            raise ConstructionError(
+                f"{live[k].name}: orbit march produced non-finite node data "
+                f"at depth {depth}")
+
+        live = [m for m, seg in zip(live, segs) if m.advance(
+            depth, new_x[seg], new_v[seg], new_dv[seg], new_F[seg])]
 
 
 # ======================================================================
 # per-interval build
 # ======================================================================
 
-def _build_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
-                    cfg: BuildConfig, map_domain, map_range, width, max_steps,
-                    indeterminate):
+@dataclass
+class _SeededInterval:
+    """A moving interval between its seed step and its finish step."""
+
+    itv: MovingInterval
+    seed: SeedSpec
+    x0: float
+    x1: float
+    tau: float
+    seed_piece: dict
+    lead: float
+    lead_fixed: bool
+    trail: float
+    forward: _March
+    backward: _March | None     # marches only toward a fixed trailing end
+
+
+def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
+                   cfg: BuildConfig, map_domain, map_range, width):
+    """Anchor, seed piece and march states of one interval, or an
+    UnbuiltInterval when there is nothing to build."""
     if itv.width < cfg.min_interval_rel * width:
         return UnbuiltInterval(itv.lo, itv.hi, itv.direction, "sub-resolution")
     direction = itv.direction
@@ -506,7 +575,6 @@ def _build_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     if not src_hi > src_lo:
         return UnbuiltInterval(itv.lo, itv.hi, direction, "no-source-overlap")
 
-    warnings: list[str] = []
     min_step = cfg.orbit_min_step_rel * width
 
     if trail_fixed:
@@ -534,38 +602,43 @@ def _build_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     seed_piece = {"depth": 0, "x": xs, "v": v_nodes, "dv": dv_nodes, "F": F_nodes}
     seed_arrays = (xs, v_nodes, dv_nodes, F_nodes)
 
-    # ---- forward closure toward the leading end ------------------------------
-    march_kw = dict(motion_sign=direction, min_step=min_step, max_steps=max_steps,
-                    thin_depth=cfg.deep_piece_depth,
-                    thin_nodes=cfg.deep_piece_nodes, width=width)
-    pieces_f, reason_f, edge_f = _march(
-        T, seed_arrays, forward=True, clip=map_domain, stop_at=lead,
-        stop_fixed=lead_fixed, **march_kw)
+    march_kw = dict(motion_sign=direction, min_step=min_step, width=width,
+                    interval=(itv.lo, itv.hi))
+    forward = _March(seed_arrays, forward=True, clip=map_domain,
+                     stop_at=None if lead_fixed else lead, **march_kw)
+    backward = (_March(seed_arrays, forward=False, clip=map_range, stop_at=None,
+                       **march_kw) if trail_fixed else None)
+    return _SeededInterval(itv=itv, seed=seed, x0=x0, x1=x1, tau=tau,
+                           seed_piece=seed_piece, lead=lead, lead_fixed=lead_fixed,
+                           trail=trail, forward=forward, backward=backward)
 
+
+def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
+    """Zones, warnings and the assembled field of a marched interval."""
+    warnings: list[str] = []
+    fwd, bwd = s.forward, s.backward
     zone_lead = None
-    if lead_fixed:
-        zone_lead = _truncation_zone("lead", lead, edge_f, reason_f, indeterminate,
-                                     width, warnings)
-    elif reason_f == "max-steps":
+    if s.lead_fixed:
+        zone_lead = _truncation_zone("lead", s.lead, fwd.edge, fwd.reason,
+                                     indeterminate, width, warnings)
+    elif fwd.reason == "max-steps":
         warnings.append("forward march hit the step cap before the free end")
-    elif abs(edge_f[0] - lead) > 1e-6 * width:
+    elif abs(fwd.edge[0] - s.lead) > 1e-6 * width:
         warnings.append(
-            f"forward march stopped at {edge_f[0]:.6g}, short of the free end "
-            f"{lead:.6g}")
+            f"forward march stopped at {fwd.edge[0]:.6g}, short of the free end "
+            f"{s.lead:.6g}")
 
-    # ---- backward closure toward the trailing end ----------------------------
     pieces_b: list = []
     zone_trail = None
-    if trail_fixed:
-        pieces_b, reason_b, edge_b = _march(
-            T, seed_arrays, forward=False, clip=map_range, stop_at=None,
-            stop_fixed=True, **march_kw)
-        zone_trail = _truncation_zone("trail", trail, edge_b, reason_b,
+    if bwd is not None:
+        pieces_b = bwd.pieces
+        zone_trail = _truncation_zone("trail", s.trail, bwd.edge, bwd.reason,
                                       indeterminate, width, warnings)
 
-    return IntervalField(lo=itv.lo, hi=itv.hi, direction=direction, x0=x0,
-                         seed=seed, seed_interval=(x0, x1), time_scale=tau,
-                         pieces=pieces_b + [seed_piece] + pieces_f,
+    return IntervalField(lo=s.itv.lo, hi=s.itv.hi, direction=s.itv.direction,
+                         x0=s.x0, seed=s.seed, seed_interval=(s.x0, s.x1),
+                         time_scale=s.tau,
+                         pieces=pieces_b + [s.seed_piece] + fwd.pieces,
                          zone_trail=zone_trail, zone_lead=zone_lead,
                          warnings=warnings)
 
@@ -719,10 +792,14 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
     width = partition.domain[1] - partition.domain[0]
     steps = int(max_steps if max_steps is not None else config.orbit_max_steps)
 
-    fields = []
-    for itv, sd in zip(moving, seeds):
-        fields.append(_build_interval(T, itv, sd, config, map_domain, map_range,
-                                      width, steps, partition.indeterminate))
+    seeded = [_seed_interval(T, itv, sd, config, map_domain, map_range, width)
+              for itv, sd in zip(moving, seeds)]
+    _march_lockstep(T, [m for s in seeded if isinstance(s, _SeededInterval)
+                        for m in (s.forward, s.backward) if m is not None],
+                    max_steps=steps, thin_depth=config.deep_piece_depth,
+                    thin_nodes=config.deep_piece_nodes, width=width)
+    fields = [_finish_interval(s, partition.indeterminate, width)
+              if isinstance(s, _SeededInterval) else s for s in seeded]
     return VelocityField1D(T, partition, fields, config)
 
 

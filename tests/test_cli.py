@@ -254,6 +254,14 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert missing in err and "--mu0" in err
 
+    def test_inline_array_exits_two(self, tmp_path, capsys):
+        code = run_cli(["map", "--mu0", '[{"kind": "uniform"}]',
+                        "--mu1", UNIFORM_12, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--mu0" in err and "must be a JSON object, got list" in err
+        assert "cannot read measure file" not in err
+
     def test_unknown_kind_exits_two(self, tmp_path, capsys):
         code = run_cli(["map", "--mu0", '{"kind": "cauchy", "loc": 0}',
                         "--mu1", UNIFORM_12, "--out", str(tmp_path)])

@@ -230,3 +230,8 @@ class TestParsing:
         with pytest.raises(MeasureSpecError) as err:
             parse_measure(path)
         assert path in str(err.value)
+
+    def test_inline_array_is_json_not_a_path(self):
+        with pytest.raises(MeasureSpecError) as err:
+            parse_measure('[{"kind": "uniform", "lo": 0.0, "hi": 1.0}]')
+        assert "must be a JSON object, got list" in str(err.value)

@@ -175,6 +175,44 @@ class TestDivergenceProbe:
             assert 0 < row["lower_bound"] <= row["l1_partial"], row
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedJet:
+    """The fused (T, T', T'') equals the three separate callables bitwise."""
+
+    @pytest.mark.parametrize("variant", ["quadratic", "log_squared"])
+    def test_jet_matches_callables(self, variant):
+        cmap = build_counterexample(variant)
+        a, b = cmap.anchors, cmap.gaps
+        inside = [a[j + 1] + u * b[j] for j in (0, 7, 300, cmap.n_anchors - 1)
+                  for u in (0.15, 0.75, 0.9)]
+        xs = np.concatenate(([0.0, 0.5 * cmap.table_floor, cmap.table_floor],
+                             a, inside, [0.5 + 1e-9, 0.75, 1.0]))
+        got = cmap.jet(xs)
+        want = (cmap.forward(xs), cmap.derivative(xs), cmap.second_derivative(xs))
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+        # elementwise: a slice of the points gets the same bits on its own,
+        # which is what lets orbit marches share one call
+        for g, w in zip(cmap.jet(xs[5:40]), got):
+            assert _same_bits(g, w[5:40])
+
+    def test_scalar_jet(self):
+        cmap = build_counterexample("quadratic")
+        for x in (0.0, cmap.table_floor, 0.3, 0.5, 0.9):
+            got = cmap.jet(x)
+            want = (cmap.forward(x), cmap.derivative(x), cmap.second_derivative(x))
+            assert all(_same_bits(g, w) for g, w in zip(got, want)), x
+
+    def test_jet_refuses_outside_domain(self):
+        cmap = build_counterexample("quadratic")
+        with pytest.raises(InputError):
+            cmap.jet(np.array([0.2, 1.5]))
+
+
 class TestValidation:
     """Bad construction and probe inputs are refused loudly."""
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from otflow.errors import InputError
-from otflow.registry import example_names, get_example
+from otflow.registry import _bisect_inverse, example_names, get_example
 
 
 class TestLookup:
@@ -220,3 +220,41 @@ class TestAccumulating:
         for x in (1e-3, 1e-2):
             assert abs(float(tm.forward(x)) - x) <= 1e-40
             assert abs(float(tm.derivative(x)) - 1.0) <= 1e-30
+
+
+def _reference_newton(forward, derivative, y, lo, hi, iters=6):
+    """The Newton inverse written with separate forward and derivative calls."""
+    x = np.clip(y, lo, hi)
+    for _ in range(iters):
+        r = np.asarray(forward(x), dtype=float) - y
+        d = np.asarray(derivative(x), dtype=float)
+        x = np.clip(x - r / np.where(np.abs(d) > 1e-30, d, 1.0), lo, hi)
+    resid = np.abs(np.asarray(forward(x), dtype=float) - y)
+    bad = resid > 1e-14 * np.maximum(np.abs(y), 1.0)
+    if np.any(bad):
+        x = np.where(bad, _bisect_inverse(forward, y, lo, hi), x)
+    return x
+
+
+class TestAccumulatingJet:
+    """The fused jet of the accumulating maps equals their callables bitwise."""
+
+    @pytest.mark.parametrize("name", ["accumulating-c1", "accumulating-cinf"])
+    def test_jet_matches_callables(self, name):
+        tm = get_example(name, n_tiers=4).transport_map
+        xs = np.concatenate(([0.0], np.linspace(0.0, 1.0, 4097), [1e-3, 1.0 / 3.0]))
+        for x in (xs, 0.0, 0.37):
+            got = tm.jet(x)
+            want = (tm.forward(x), tm.derivative(x), tm.second_derivative(x))
+            for g, w in zip(got, want):
+                g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", ["accumulating-c1", "accumulating-cinf"])
+    def test_newton_inverse_unchanged(self, name):
+        tm = get_example(name, n_tiers=4).transport_map
+        ys = np.concatenate((tm.forward(np.linspace(0.0, 1.0, 2049)),
+                             np.linspace(1e-4, 1.0, 513)))
+        got = tm.inverse(ys)
+        want = _reference_newton(tm.forward, tm.derivative, ys, 0.0, 1.0)
+        assert got.tobytes() == want.tobytes()

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import otflow.velocity
-from otflow.errors import (InputError, InvalidMapError, SearchFailureError,
-                           SeedCompatibilityError, TransportError)
+from otflow.errors import (ConstructionError, InputError, InvalidMapError,
+                           SearchFailureError, SeedCompatibilityError,
+                           TransportError)
 from otflow.measures import Gaussian, Uniform, translate, wasserstein1
-from otflow.monotone import compute_monotone_map
+from otflow.monotone import (FixedPointPartition, MovingInterval,
+                             compute_monotone_map, map_from_callables)
+from otflow.registry import get_example
 from otflow.velocity import (SeedSpec, approximate_lipschitz, build_general,
                              build_no_fixed_point, build_one_fixed_point,
                              build_two_fixed_points, build_velocity,
@@ -257,3 +260,100 @@ class TestTruncationZones:
         _, field = bad_fixed_point_built
         text = " ".join(field.all_warnings())
         assert "slope 1" in text and "truncation" in text
+
+
+def _solo(partition, itv):
+    return FixedPointPartition(domain=partition.domain,
+                               fixed_intervals=partition.fixed_intervals,
+                               moving_intervals=(itv,),
+                               indeterminate=partition.indeterminate)
+
+
+def _table_bits(f):
+    return [a.tobytes() for sp in (f.v_spline, f.F_spline, f.Finv_spline)
+            for a in (sp.x, sp.c)]
+
+
+class TestLockstepMarching:
+    """Marching all intervals together changes no interval's tables."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("accumulating-c1", {"n_tiers": 5}),   # alternating directions
+        ("affine", {}),                        # one interval each way
+    ])
+    def test_interval_alone_matches_combined_build(self, name, params):
+        ex = get_example(name, **params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            combined = ex.build()
+        partition = combined.partition
+        assert {itv.direction for itv in partition.moving_intervals} == {-1, 1}
+        for itv, f in zip(partition.moving_intervals, combined.intervals):
+            # a fixed trailing end makes the interval march both ways
+            assert f.depth_forward > 0 and f.depth_backward > 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                alone = build_velocity(ex.m0, ex.m1,
+                                       transport_map=ex.transport_map,
+                                       partition=_solo(partition, itv),
+                                       max_steps=ex.default_max_steps)
+            (g,) = alone.intervals
+            assert _table_bits(g) == _table_bits(f)
+            assert (g.zone_trail, g.zone_lead) == (f.zone_trail, f.zone_lead)
+            assert g.warnings == f.warnings
+
+    def test_failure_names_interval_direction_and_depth(self):
+        # T(x) = 2x, but the supplied T' turns negative on (0.1, 0.2): only
+        # the backward march of the second interval reaches it, at depth 2
+        def derivative(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.1) & (x < 0.2), -2.0, 2.0)
+
+        T = map_from_callables(
+            lambda x: 2.0 * np.asarray(x, dtype=float),
+            inverse=lambda y: 0.5 * np.asarray(y, dtype=float),
+            derivative=derivative,
+            second_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            domain=(-1.0, 1.0))
+        partition = FixedPointPartition(
+            domain=(-1.0, 1.0), fixed_intervals=((0.0, 0.0),),
+            moving_intervals=(MovingInterval(-1.0, 0.0, -1, False, True),
+                              MovingInterval(0.0, 1.0, 1, True, False)))
+        with pytest.raises(ConstructionError) as err:
+            build_velocity(transport_map=T, partition=partition, domain=(-1.0, 1.0))
+        msg = str(err.value)
+        assert "interval (0, 1)" in msg
+        assert "backward march" in msg and "depth 2" in msg
+        assert "changed sign" in msg
+
+
+def _reference_hermite_ppoly(segments):
+    """Per-segment loop form of the assembled Hermite coefficients."""
+    xl, xr, yl, yr, dl, dr, breaks = [], [], [], [], [], [], []
+    for k, (x, y, d) in enumerate(segments):
+        breaks.append(x if k == 0 else x[1:])
+        xl.append(x[:-1]); xr.append(x[1:])
+        yl.append(y[:-1]); yr.append(y[1:])
+        dl.append(d[:-1]); dr.append(d[1:])
+    xl, xr, yl, yr, dl, dr = (np.concatenate(a) for a in (xl, xr, yl, yr, dl, dr))
+    h = xr - xl
+    m = (yr - yl) / h
+    c2 = (3.0 * m - 2.0 * dl - dr) / h
+    c3 = (dl + dr - 2.0 * m) / (h * h)
+    return np.concatenate(breaks), np.vstack((c3, c2, dl, yl))
+
+
+def test_hermite_assembly_matches_segment_loop():
+    from otflow.velocity import _hermite_ppoly
+    rng = np.random.default_rng(3)
+    cuts = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    segments = []
+    for a, b, n in zip(cuts[:-1], cuts[1:], rng.integers(2, 9, 39)):
+        x = np.linspace(a, b, n)
+        segments.append((x, rng.normal(size=n), rng.normal(size=n)))
+    pp = _hermite_ppoly(segments)
+    bx, c = _reference_hermite_ppoly(segments)
+    assert pp.x.tobytes() == bx.tobytes() and pp.c.tobytes() == c.tobytes()
+    shifted = segments[:5] + [(segments[5][0] + 1e-3,) + segments[5][1:]]
+    with pytest.raises(ConstructionError, match="junction mismatch"):
+        _hermite_ppoly(shifted)
