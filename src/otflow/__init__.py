@@ -12,10 +12,8 @@ from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        compute_monotone_map, find_fixed_points,
                        map_from_callables)
 from .velocity import (ApproximateResult, SeedSpec, TruncationZone,
-                       VelocityField1D, approximate_lipschitz, build_general,
-                       build_no_fixed_point, build_one_fixed_point,
-                       build_two_fixed_points, build_velocity, julia_residual,
-                       time_normalize)
+                       VelocityField1D, approximate_lipschitz, build_velocity,
+                       julia_residual)
 from .flow import (PushResult, TransportReport, flow, push_measure,
                    verify_transport)
 from .pathology import (CounterexampleMap, DivergenceResult, GrowthResult,

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 class BuildConfig:
     # mass truncated from each unbounded tail when windowing a support
     eps_tail: float = 1e-10
-    # absolute tolerance for adaptive quadrature (cdf integrals, distances)
-    quad_tol: float = 1e-12
     # fixed point detection: grid resolution and |T(x) - x| threshold rel. to width
     fixed_point_grid: int = 2 ** 14
     fixed_point_tol_rel: float = 1e-10

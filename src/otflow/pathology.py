@@ -428,6 +428,11 @@ def build_counterexample(variant: str = "quadratic", *, n_anchors: int = 12000,
 # probes
 # ======================================================================
 
+# indices per block of the growth scan: small enough that the scan's
+# temporaries stay a few MB
+_GROWTH_BLOCK = 2 ** 18
+
+
 @dataclass
 class GrowthResult:
     """Anchor-derivative product scan along the orbit of 1/2."""
@@ -450,34 +455,34 @@ class GrowthResult:
 
 
 def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
-                          target_product: float = 1e3,
-                          chunk: int = 2_500_000) -> GrowthResult:
+                          target_product: float = 1e3) -> GrowthResult:
     """Scan P_i = prod of T'(anchor_j) for j < i and certify its divergence.
 
-    Every index is checked in chunks for strict growth (each factor > 1) and
-    for the term-wise lower bound P_i >= (1/4) * sum of (1 - b_(j+1)/b_j).
-    Reported rows are geometrically thinned; the scan stops shortly after the
-    product first exceeds target_product (or at i_max).
+    Every index is checked, one block of indices at a time, for strict growth
+    (each factor > 1) and for the term-wise lower bound
+    P_i >= (1/4) * sum of (1 - b_(j+1)/b_j).  The running sums carry across
+    blocks sequentially, so the results do not depend on the block size.
+    Reported rows are geometrically thinned; the scan stops at the end of the
+    block where the product first exceeds target_product (or at i_max).
     """
     seq = cmap.sequence
     res = GrowthResult(variant=cmap.variant)
     row_marks = _geometric_marks(i_max)
     log_p = 0.0
     sum_drop = 0.0
-    crossing = None
+    log_target = math.log(target_product)
     start = 0
     while start < i_max:
-        n = min(chunk, i_max - start)
-        js = np.arange(start, start + n, dtype=float)
-        drops = np.asarray(seq.drop(js), dtype=float)
+        n = min(_GROWTH_BLOCK, i_max - start)
+        drops = np.asarray(seq.drop(np.arange(start, start + n, dtype=float)),
+                           dtype=float)
         if drops.min() <= 0.0:
             res.product_monotone = False
-        lp = log_p + np.cumsum(np.log1p(drops / 4.0))
-        sd = sum_drop + np.cumsum(drops)
-        # P at index i uses factors j < i: shift by one position
-        p_prev = np.exp(np.concatenate(([log_p], lp[:-1])))
-        b_prev = 0.25 * np.concatenate(([sum_drop], sd[:-1]))
-        if np.any(p_prev < b_prev):
+        # entry k is the sum over factors j < start + k, the previous block's
+        # total leading: P at index i uses factors j < i
+        lp = np.cumsum(np.concatenate(([log_p], np.log1p(drops / 4.0))))
+        sd = np.cumsum(np.concatenate(([sum_drop], drops)))
+        if np.any(np.exp(lp[:-1]) < 0.25 * sd[:-1]):
             res.bound_holds = False
         for mark in row_marks:
             if start <= mark < start + n:
@@ -486,8 +491,8 @@ def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
                        "alpha": float(seq.anchor(mark)),
                        "beta": float(seq.gap(mark)),
                        "tprime": float(cmap.anchor_derivative(mark)),
-                       "product": float(p_prev[k]),
-                       "lower_bound": float(b_prev[k])}
+                       "product": float(np.exp(lp[k])),
+                       "lower_bound": float(0.25 * sd[k])}
                 if cmap.variant == "log_squared":
                     al = row["alpha"]
                     row["growth_scale"] = 1.0 / al - 2.0 * math.log(al)
@@ -495,13 +500,10 @@ def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
         log_p = float(lp[-1])
         sum_drop = float(sd[-1])
         start += n
-        if crossing is None and log_p > math.log(target_product):
-            idx = start - n + int(np.searchsorted(
-                lp, math.log(target_product), side="right"))
-            crossing = idx + 1       # P at index idx+1 uses factors j <= idx
-            res.crossing_index = crossing
-            res.crossing_value = float(np.exp(
-                lp[crossing - 1 - (start - n)] if crossing - 1 < start else log_p))
+        if log_p > log_target:
+            k = int(np.searchsorted(lp, log_target, side="right"))
+            res.crossing_index = start - n + k
+            res.crossing_value = float(np.exp(lp[k]))
             break
     res.i_scanned = start
     return res
@@ -578,18 +580,14 @@ def probe_non_integrability(cmap: CounterexampleMap,
                          config=config, max_steps=depth)
     itf = fld.built_intervals[0]
 
-    # spline-route per-piece absolute mass, ordered by orbit depth
+    # spline-route per-piece absolute mass, ordered by orbit depth.  The
+    # interval moves down from its seed at 1/2, so its anchors in descending
+    # order are the orbit, and the piece of depth d spans the d-th gap; each
+    # anchor's node speed is the one its piece recorded when marching from it
     V = itf.v_spline.antiderivative()
-    spans = {}
-    anchor_speed = np.empty(depth + 1)
-    for pc in itf._pieces:
-        lo = float(min(pc["x"][0], pc["x"][-1]))
-        hi = float(max(pc["x"][0], pc["x"][-1]))
-        spans[pc["depth"]] = (lo, hi)
-        # motion-first node sits at the shallow anchor of the piece
-        anchor_speed[pc["depth"]] = abs(float(pc["v"][0]))
-    lo, hi = np.array([spans[d] for d in range(depth)]).T
-    cum_field = np.cumsum(np.abs(V(hi) - V(lo)))
+    orbit = itf.anchors[::-1]
+    cum_field = np.cumsum(np.abs(V(orbit[:depth]) - V(orbit[1:depth + 1])))
+    anchor_speed = np.abs(itf.anchor_v[::-1][:depth + 1])
     mass_exact = _orbit_mass_cascade(cmap, itf, depth, octaves)
     cum_exact = np.cumsum(mass_exact)
 

@@ -18,8 +18,11 @@ Construction, per moving interval of the map's fixed point partition:
 
   3. Primitive.  Alongside v the primitive F with F' = 1/v is accumulated:
      quadrature on the seed, then exact unit shifts F(T(x)) = F(x) + 1 across
-     pieces.  (F, F^(-1)) drive the flow phi(t, x) = F^(-1)(F(x) + t) and make
-     the unit-travel-time property a structural identity at the nodes.
+     pieces, which makes the unit-travel-time property a structural identity
+     at the nodes.  F is the interval's one clock: the flow
+     phi(t, x) = F^(-1)(F(x) + t) inverts the F table itself by Newton inside
+     its piece, so phi is a group to roundoff and the flow's semigroup check
+     guards that inversion.
 
 Marching is lockstep: the build seeds every moving interval first, then
 advances all of their marches (forward, and backward toward a fixed trailing
@@ -39,7 +42,9 @@ the anchor toward the image), so index relations are direction independent:
 a forward piece's first node coincides with its source's last node, a backward
 piece's last node coincides with its source's first node.  Junction nodes are
 bitwise equal by evaluation chaining (forward) or explicit pinning (backward),
-so assembled breakpoints dedupe exactly.
+so assembled breakpoints dedupe exactly.  A finished interval concatenates
+its pieces once in motion order (backward pieces deepest first, the seed,
+forward pieces) and flips the result once when it moves down.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from .config import DEFAULT_CONFIG, BuildConfig
@@ -70,10 +74,6 @@ __all__ = [
     "UnbuiltInterval",
     "VelocityField1D",
     "build_velocity",
-    "build_no_fixed_point",
-    "build_one_fixed_point",
-    "build_two_fixed_points",
-    "time_normalize",
     "julia_residual",
     "approximate_lipschitz",
     "ApproximateResult",
@@ -241,10 +241,17 @@ class UnbuiltInterval:
 
 
 class IntervalField:
-    """Velocity field and unit-time primitive on one moving interval."""
+    """Velocity field and unit-time primitive on one moving interval.
+
+    Two cubic Hermite tables over the same breakpoints: v_spline, the field,
+    and F_spline, the clock F with F' = 1/v and F(T(x)) = F(x) + 1.  The flow
+    inverts F_spline piece by piece, so no separate table of F^(-1) exists.
+    anchors and anchor_v hold x and v at the ends of the orbit pieces.
+    """
 
     def __init__(self, *, lo, hi, direction, x0, seed, seed_interval, time_scale,
-                 pieces, zone_trail, zone_lead, warnings):
+                 nodes, joints, depth_forward, depth_backward, zone_trail,
+                 zone_lead, warnings):
         self.lo = float(lo)
         self.hi = float(hi)
         self.direction = int(direction)
@@ -255,65 +262,45 @@ class IntervalField:
         self.zone_trail = zone_trail
         self.zone_lead = zone_lead
         self.warnings = tuple(warnings)
-        self.depth_forward = max((pc["depth"] for pc in pieces), default=0)
-        self.depth_backward = -min((pc["depth"] for pc in pieces), default=0)
-        self._pieces = pieces
-        self._assemble()
+        self.depth_forward = int(depth_forward)
+        self.depth_backward = int(depth_backward)
+        self._assemble(*nodes, joints)
 
     # ------------------------------------------------------------------
-    def _assemble(self):
-        asc = []
-        for pc in self._pieces:
-            x, v, dv, F = pc["x"], pc["v"], pc["dv"], pc["F"]
-            if x.size < 2:
-                continue
-            if x[0] > x[-1]:
-                x, v, dv, F = x[::-1], v[::-1], dv[::-1], F[::-1]
-            asc.append({"depth": pc["depth"], "x": x, "v": v, "dv": dv, "F": F})
-        if not asc:
-            raise ConstructionError("interval produced no usable pieces")
-        asc.sort(key=lambda pc: pc["x"][0])
-
-        anchors = [asc[0]["x"][0]]
-        v_segs, F_segs, finv_segs = [], [], []
-        for pc in asc:
-            x, v, dv, F = pc["x"], pc["v"], pc["dv"], pc["F"]
-            anchors.append(x[-1])
-            v_segs.append((x, v, dv))
-            F_segs.append((x, F, 1.0 / v))
-            if F[-1] > F[0]:
-                finv_segs.append((F, x, v))
-            else:
-                finv_segs.append((F[::-1], x[::-1], v[::-1]))
-
-        self.anchors = np.asarray(anchors, dtype=float)
-        self.built_lo = float(asc[0]["x"][0])
-        self.built_hi = float(asc[-1]["x"][-1])
-        self.v_spline = _hermite_ppoly(v_segs)
-        self.dv_spline = self.v_spline.derivative()
-        self.F_spline = _hermite_ppoly(F_segs)
-        finv_segs.sort(key=lambda seg: seg[0][0])
-        self.Finv_spline = _hermite_ppoly(finv_segs)
-        self.F_lo = float(self.Finv_spline.x[0])
-        self.F_hi = float(self.Finv_spline.x[-1])
+    def _assemble(self, x, v, dv, F, joints):
+        """Tables from the node arrays (x, v, dv, F) of all pieces, concatenated
+        in motion order; joints index the first node of every piece but the
+        first.  F rises along the motion, so its ends are the clock's range."""
+        self.F_lo, self.F_hi = float(F[0]), float(F[-1])
+        if self.direction < 0:
+            x, v, dv, F = x[::-1], v[::-1], dv[::-1], F[::-1]
+            joints = x.size - joints[::-1]
+        # the node ending each ascending piece, and the first node
+        bounds = np.concatenate(([0], joints - 1, [x.size - 1]))
+        self.anchors = x[bounds]
+        self.anchor_v = v[bounds]
+        self.built_lo, self.built_hi = float(x[0]), float(x[-1])
+        self.v_spline = _hermite_ppoly(x, v, dv, joints)
+        self.F_spline = _hermite_ppoly(x, F, 1.0 / v, joints)
 
     # ------------------------------------------------------------------
-    def _extend(self, x, spline, zone_law, fill, *, primitive_side=False):
-        """spline on the built tables, zone_law(zone, points) on each zone's
-        points, fill elsewhere.  With primitive_side, x holds primitive values
-        and the tables span [F_lo, F_hi]."""
+    def _extend(self, x, inside_law, zone_law, fill, *, primitive_side=False):
+        """inside_law on the built range, zone_law(zone, points) on each zone's
+        points, fill elsewhere.  With primitive_side, x holds clock values:
+        the built range is [F_lo, F_hi], the trail zone lies below it and the
+        lead zone above."""
         x = np.asarray(x, dtype=float)
         lo, hi = ((self.F_lo, self.F_hi) if primitive_side
                   else (self.built_lo, self.built_hi))
         out = np.full_like(x, fill)
         inside = (x >= lo) & (x <= hi)
         if np.any(inside):
-            out[inside] = spline(x[inside])
+            out[inside] = inside_law(x[inside])
         for zone in (self.zone_trail, self.zone_lead):
             if zone is None:
                 continue
             if primitive_side:
-                sel = x < lo if zone.edge_F == lo else x > hi
+                sel = x < lo if zone.side == "trail" else x > hi
             else:
                 sel = (x >= zone.lo) & (x <= zone.hi) & ~inside
             if np.any(sel):
@@ -324,15 +311,42 @@ class IntervalField:
         return self._extend(x, self.v_spline, TruncationZone.velocity, 0.0)
 
     def evaluate_derivative(self, x):
-        return self._extend(x, self.dv_spline, lambda zone, _: zone.rate, 0.0)
+        return self._extend(x, lambda xs: self.v_spline(xs, 1),
+                            lambda zone, _: zone.rate, 0.0)
 
     def F_extended(self, x):
         """Unit-time primitive, extended through zones by the pinch law."""
         return self._extend(x, self.F_spline, TruncationZone.primitive, np.nan)
 
     def Finv_extended(self, u):
-        return self._extend(u, self.Finv_spline, TruncationZone.position, np.nan,
+        """Inverse of F_extended: the point whose clock reads u."""
+        return self._extend(u, self._F_inverse, TruncationZone.position, np.nan,
                             primitive_side=True)
+
+    def _F_inverse(self, u):
+        """Solve F_spline(x) = u for u in [F_lo, F_hi].
+
+        The piece holding u is found from the clock's values at the
+        breakpoints; Newton then runs on that piece's cubic in its local
+        coordinate s = x - breakpoint, from the linear guess, clipped to the
+        piece.  It stops once every step is within a few ulps of the piece
+        width, so F_spline(x) reproduces u to roundoff.
+        """
+        c3, c2, c1, c0 = self.F_spline.c
+        xb = self.F_spline.x
+        sign = float(self.direction)
+        j = np.searchsorted(sign * c0, sign * u, side="right") - 1
+        j = np.clip(j, 0, c0.size - 1)
+        h = xb[j + 1] - xb[j]
+        a3, a2, a1, r0 = c3[j], c2[j], c1[j], c0[j] - u
+        s = np.clip(-r0 * h / (((a3 * h + a2) * h + a1) * h), 0.0, h)
+        for _ in range(_NEWTON_MAX_STEPS):
+            step = ((((a3 * s + a2) * s + a1) * s + r0)
+                    / ((3.0 * a3 * s + 2.0 * a2) * s + a1))
+            s = np.clip(s - step, 0.0, h)
+            if np.all(np.abs(step) <= _NEWTON_TOL * h):
+                break
+        return xb[j] + s
 
     def describe(self) -> dict:
         d = {
@@ -356,21 +370,20 @@ class IntervalField:
 
 
 _JUNCTION_TOL = 1e-9
+# Newton on one cubic piece converges quadratically from the linear guess
+# (2-4 steps in practice); the cap only bounds a pathological piece
+_NEWTON_MAX_STEPS = 16
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
 
 
-def _hermite_ppoly(segments) -> PPoly:
+def _hermite_ppoly(x, y, d, joints) -> PPoly:
     """One cubic Hermite piecewise polynomial over many node segments.
 
-    segments is a sequence of (x, y, d) triples with x ascending inside each
-    segment and segments ascending overall; adjacent segments must share their
-    junction abscissa but may carry different one-sided derivatives there.
-    Equivalent to concatenating per-segment Hermite splines, without the
-    per-segment construction overhead.
+    x, y, d are the concatenated segments with x ascending; joints index the
+    first node of every segment but the first.  Adjacent segments share their
+    junction abscissa but may carry different one-sided derivatives there;
+    the earlier segment's copy of a junction is the breakpoint.
     """
-    if not segments:
-        raise ConstructionError("no pieces to assemble")
-    x, y, d = (np.concatenate(a) for a in zip(*segments))
-    joints = np.cumsum([seg[0].size for seg in segments[:-1]], dtype=int)
     prev_end, start = x[joints - 1], x[joints]
     off = np.abs(prev_end - start) > _JUNCTION_TOL * np.maximum(1.0, np.abs(prev_end))
     if np.any(off):
@@ -410,8 +423,8 @@ class _March:
     Arrays (x, v, dv, F) are in motion order.  forward=True applies the map,
     False its inverse; clip = (lo, hi) bounds where the applied map is
     defined; stop_at is the free end that completes the march (None toward a
-    fixed end).  After marching, pieces holds one node table per depth,
-    reason the stop reason and edge = (x, v, F) at the far end.
+    fixed end).  After marching, pieces holds one node table (x, v, dv, F)
+    per depth, reason the stop reason and edge = (x, v, F) at the far end.
     """
 
     def __init__(self, seed_arrays, *, forward, clip, stop_at, motion_sign,
@@ -462,11 +475,10 @@ class _March:
         self.x, self.v, self.dv, self.F = x, v, dv, F
         return True
 
-    def advance(self, depth, x, v, dv, F) -> bool:
+    def advance(self, x, v, dv, F) -> bool:
         """Record the depth's piece and apply the stop tests; False when the
         march is finished."""
-        self.pieces.append({"depth": depth if self.forward else -depth,
-                            "x": x, "v": v, "dv": dv, "F": F})
+        self.pieces.append((x, v, dv, F))
         far_prev = float(self.x[self.far])
         self.edge = self._node(x, v, F)
         far = self.edge[0]
@@ -532,7 +544,7 @@ def _march_lockstep(T, marches, *, max_steps, thin_depth, thin_nodes, width):
                 f"at depth {depth}")
 
         live = [m for m, seg in zip(live, segs) if m.advance(
-            depth, new_x[seg], new_v[seg], new_dv[seg], new_F[seg])]
+            new_x[seg], new_v[seg], new_dv[seg], new_F[seg])]
 
 
 # ======================================================================
@@ -548,7 +560,7 @@ class _SeededInterval:
     x0: float
     x1: float
     tau: float
-    seed_piece: dict
+    seed_piece: tuple
     lead: float
     lead_fixed: bool
     trail: float
@@ -599,14 +611,13 @@ def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     F_nodes = F_raw / tau
     F_nodes[0] = 0.0
     F_nodes[-1] = 1.0
-    seed_piece = {"depth": 0, "x": xs, "v": v_nodes, "dv": dv_nodes, "F": F_nodes}
-    seed_arrays = (xs, v_nodes, dv_nodes, F_nodes)
+    seed_piece = (xs, v_nodes, dv_nodes, F_nodes)
 
     march_kw = dict(motion_sign=direction, min_step=min_step, width=width,
                     interval=(itv.lo, itv.hi))
-    forward = _March(seed_arrays, forward=True, clip=map_domain,
+    forward = _March(seed_piece, forward=True, clip=map_domain,
                      stop_at=None if lead_fixed else lead, **march_kw)
-    backward = (_March(seed_arrays, forward=False, clip=map_range, stop_at=None,
+    backward = (_March(seed_piece, forward=False, clip=map_range, stop_at=None,
                        **march_kw) if trail_fixed else None)
     return _SeededInterval(itv=itv, seed=seed, x0=x0, x1=x1, tau=tau,
                            seed_piece=seed_piece, lead=lead, lead_fixed=lead_fixed,
@@ -631,14 +642,19 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
     pieces_b: list = []
     zone_trail = None
     if bwd is not None:
-        pieces_b = bwd.pieces
+        pieces_b = bwd.pieces[::-1]
         zone_trail = _truncation_zone("trail", s.trail, bwd.edge, bwd.reason,
                                       indeterminate, width, warnings)
 
+    # motion order: backward pieces deepest first, the seed, forward pieces
+    pieces = pieces_b + [s.seed_piece] + fwd.pieces
+    joints = np.cumsum([pc[0].size for pc in pieces[:-1]], dtype=int)
     return IntervalField(lo=s.itv.lo, hi=s.itv.hi, direction=s.itv.direction,
                          x0=s.x0, seed=s.seed, seed_interval=(s.x0, s.x1),
                          time_scale=s.tau,
-                         pieces=pieces_b + [s.seed_piece] + fwd.pieces,
+                         nodes=[np.concatenate(a) for a in zip(*pieces)],
+                         joints=joints, depth_forward=len(fwd.pieces),
+                         depth_backward=len(pieces_b),
                          zone_trail=zone_trail, zone_lead=zone_lead,
                          warnings=warnings)
 
@@ -814,59 +830,9 @@ def _normalize_seeds(seed, n):
     return seeds
 
 
-def build_no_fixed_point(m0=None, m1=None, **kw) -> VelocityField1D:
-    """Build for a map without fixed points (disjoint or overlapping supports)."""
-    f = build_velocity(m0, m1, **kw)
-    if f.partition.fixed_intervals:
-        raise InputError(
-            f"map has fixed points {f.partition.fixed_intervals}; "
-            "use build_general or the matching case builder")
-    return f
-
-
-def build_one_fixed_point(m0=None, m1=None, **kw) -> VelocityField1D:
-    """Build when the fixed set is a single point (up to resolution)."""
-    f = build_velocity(m0, m1, **kw)
-    fi = f.partition.fixed_intervals
-    if len(fi) != 1 or fi[0][1] - fi[0][0] > 1e-3 * (f.domain[1] - f.domain[0]):
-        raise InputError(f"fixed set {fi} is not a single point; use build_general")
-    return f
-
-
-def build_two_fixed_points(m0=None, m1=None, **kw) -> VelocityField1D:
-    """Build when the fixed set is exactly the two ends of one moving interval."""
-    f = build_velocity(m0, m1, **kw)
-    fi = f.partition.fixed_intervals
-    pinned = [i for i in f.partition.moving_intervals
-              if i.lo_is_fixed and i.hi_is_fixed]
-    if len(fi) != 2 or not pinned:
-        raise InputError(
-            f"fixed set {fi} is not two points bounding a moving interval; "
-            "use build_general")
-    return f
-
-
-build_general = build_velocity
-
-
 # ======================================================================
 # verification helpers and the approximate regime
 # ======================================================================
-
-def time_normalize(field: VelocityField1D) -> tuple[VelocityField1D, list[dict]]:
-    """Measure each seed's travel time with independent adaptive quadrature.
-
-    Builder output is already normalized: the seed primitive is divided by its
-    own travel time, so the measured times miss 1 only by roundoff.  Returns
-    the field unchanged together with rows recording the measured times.
-    """
-    rows = []
-    for f in field.built_intervals:
-        a, b = f.seed_interval
-        val, _ = quad(lambda t: 1.0 / f.v_spline(t), a, b, epsabs=1e-13, limit=200)
-        rows.append({"interval": [f.lo, f.hi], "seed_time": float(val)})
-    return field, rows
-
 
 def _interval_samples(f: IntervalField, field: VelocityField1D, n: int):
     """Deterministic points of the interval whose image stays in the tables.

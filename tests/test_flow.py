@@ -158,6 +158,72 @@ class TestSemigroupAndOrder:
         assert np.all(yb[good] - ya[good] >= -1e-12)
 
 
+_GROUP_FIELDS = ("affine_built", "gaussian_built", "bad_fixed_point_built",
+                 "accumulating_c1_built", "accumulating_cinf_built",
+                 "radial_disks")
+
+
+def _session_field(request, name):
+    """The 1D field of a session fixture (the shared ray field for disks)."""
+    value = request.getfixturevalue(name)
+    return value[1].field if name == "radial_disks" else value[1]
+
+
+class TestExactGroup:
+    """The flow inverts its own clock F, so it is a one-parameter group to
+    roundoff: composition, inversion and the clock's unit speed."""
+
+    @pytest.fixture(params=_GROUP_FIELDS)
+    def field(self, request):
+        return _session_field(request, request.param)
+
+    @staticmethod
+    def _points(field, rng):
+        """Random points of the domain and of every truncation zone."""
+        lo, hi = field.domain
+        pts = [rng.uniform(lo, hi, 1000)]
+        pts += [rng.uniform(z.lo, z.hi, 50) for z in field.truncation_zones()]
+        return np.concatenate(pts)
+
+    def test_composition_and_inverse(self, field):
+        rng = np.random.default_rng(RNG_SEED)
+        xs = self._points(field, rng)
+        bound = 1e-13 * max(field.domain[1] - field.domain[0], 1.0)
+        n_checked = 0
+        for s, t in rng.uniform(-1.5, 1.5, (8, 2)):
+            a = flow(field, s, flow(field, t, xs))
+            b = flow(field, s + t, xs)
+            ok = np.isfinite(a) & np.isfinite(b)
+            assert np.max(np.abs(a - b)[ok], initial=0.0) <= bound, (s, t)
+            back = flow(field, -t, flow(field, t, xs))
+            ok = np.isfinite(back)
+            assert np.max(np.abs(back - xs)[ok], initial=0.0) <= bound, t
+            n_checked += int(np.count_nonzero(ok))
+        assert n_checked >= 4 * xs.size
+
+    def test_report_semigroup_at_roundoff(self, field):
+        from otflow.flow import _semigroup_defect
+        worst, n = _semigroup_defect(field)
+        assert n > 0
+        assert worst <= 1e-13 * max(field.domain[1] - field.domain[0], 1.0)
+
+    def test_clock_advances_by_t(self, field):
+        # one ulp of x moves F by ulp/|v|, which no inversion can beat, so
+        # the bound carries that resolution term besides the relative one
+        rng = np.random.default_rng(RNG_SEED)
+        for f in field.built_intervals:
+            xs = rng.uniform(f.built_lo, f.built_hi, 200)
+            Fx = f.F_extended(xs)
+            for t in rng.uniform(-1.5, 1.5, 4):
+                y = flow(field, t, xs)
+                inside = (y >= f.built_lo) & (y <= f.built_hi)
+                Fy = f.F_extended(y[inside])
+                resolution = 4.0 * np.spacing(np.abs(y[inside])) / np.abs(
+                    f.evaluate(y[inside]))
+                err = np.abs(Fy - Fx[inside] - t)
+                assert np.all(err <= 1e-13 * (1.0 + np.abs(Fy)) + resolution), t
+
+
 class TestPushMeasure:
     """Pushforward density against the closed-form image."""
 

@@ -12,8 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import otflow.pathology
 from otflow.errors import InputError
-from otflow.pathology import build_counterexample, probe_non_integrability
+from otflow.pathology import (build_counterexample, probe_non_integrability,
+                              probe_velocity_growth)
 
 FROZEN_CROSSING_INDEX = 11264747
 FROZEN_CROSSING_VALUE = 1000.0000213837988
@@ -123,6 +125,36 @@ class TestGrowthProbe:
         assert abs(res.crossing_value - FROZEN_CROSSING_VALUE) <= 1e-6
         assert res.crossing_value > 1000.0
         assert res.i_scanned >= res.crossing_index
+
+
+class TestGrowthScanMemory:
+    """The growth scan's working memory is one block, and the block size
+    changes no result."""
+
+    def test_peak_memory_is_flat(self, quadratic_probe):
+        import tracemalloc
+        cmap, _ = quadratic_probe
+        tracemalloc.start()
+        try:
+            probe_velocity_growth(cmap, i_max=3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"{peak / 1e6:.1f} MB"
+
+    def test_block_size_changes_no_result(self, quadratic_probe, monkeypatch):
+        cmap, _ = quadratic_probe
+        kw = {"i_max": 3_000_000, "target_product": 300.0}
+        default = probe_velocity_growth(cmap, **kw)
+        monkeypatch.setattr(otflow.pathology, "_GROWTH_BLOCK", 1000)
+        small = probe_velocity_growth(cmap, **kw)
+        # the crossing lies in the fourth default block
+        assert default.crossing_index > 3 * 2 ** 18
+        assert small.rows == default.rows
+        assert (small.crossing_index, small.crossing_value) == \
+            (default.crossing_index, default.crossing_value)
+        assert (small.product_monotone, small.bound_holds) == \
+            (default.product_monotone, default.bound_holds)
 
 
 class TestDivergenceProbe:

@@ -19,10 +19,8 @@ from otflow.measures import Gaussian, Uniform, translate, wasserstein1
 from otflow.monotone import (FixedPointPartition, MovingInterval,
                              compute_monotone_map, map_from_callables)
 from otflow.registry import get_example
-from otflow.velocity import (SeedSpec, approximate_lipschitz, build_general,
-                             build_no_fixed_point, build_one_fixed_point,
-                             build_two_fixed_points, build_velocity,
-                             julia_residual, time_normalize)
+from otflow.velocity import (SeedSpec, approximate_lipschitz, build_velocity,
+                             julia_residual)
 
 TOL_RESIDUAL = 1e-8
 TOL_FLOW = 1e-6
@@ -125,26 +123,32 @@ class TestSeedKinds:
 
 
 class TestCaseBuilders:
-    """Specialized entry points accept exactly their advertised shapes."""
+    """build_velocity handles each shape of fixed set: none, one point, and
+    two points bounding a moving interval."""
 
     def test_no_fixed_point_disjoint(self):
-        from otflow.flow import flow
+        from otflow.flow import _osgood_rows, flow
         m0, m1 = Uniform(0.0, 1.0), Uniform(2.0, 3.0)
-        field = build_no_fixed_point(m0, m1)
+        field = build_velocity(m0, m1)
+        assert field.partition.fixed_intervals == ()
         xs = np.linspace(0.05, 0.95, 101)
         T = field.map
         y = flow(field, 1.0, xs)
         good = np.isfinite(y)
         assert good.sum() > 90
         assert np.max(np.abs(y[good] - np.asarray(T.forward(xs))[good])) <= TOL_FLOW
-
-    def test_no_fixed_point_rejects_fixed(self):
-        with pytest.raises(InputError):
-            build_no_fixed_point(Uniform(1.0, 2.0), Uniform(0.0, 3.0))
+        # the free trailing end anchors the seed, so Osgood row m = 1 is the
+        # independent quadrature of 1/|v| across the seed interval
+        (f,) = field.built_intervals
+        assert f.zone_trail is None
+        assert tuple(f.anchors[:2]) == f.seed_interval
+        (first,) = [r for r in _osgood_rows(field) if r["m"] == 1]
+        assert abs(first["integral"] - 1.0) <= 1e-6, first
 
     def test_one_fixed_point_accepts_affine(self):
-        field = build_one_fixed_point(Uniform(1.0, 2.0), Uniform(0.0, 3.0))
-        assert len(field.partition.fixed_intervals) == 1
+        field = build_velocity(Uniform(1.0, 2.0), Uniform(0.0, 3.0))
+        (fi,) = field.partition.fixed_intervals
+        assert fi[1] - fi[0] <= 1e-3 * (field.domain[1] - field.domain[0])
 
     def test_two_fixed_points_quadratic(self):
         from otflow.flow import flow
@@ -156,26 +160,15 @@ class TestCaseBuilders:
                 np.asarray(x, dtype=float), 2.0),
             inverse=lambda y: np.sqrt(np.asarray(y, dtype=float)),
             domain=(0.0, 1.0))
-        field = build_two_fixed_points(transport_map=T, domain=(0.0, 1.0))
+        field = build_velocity(transport_map=T, domain=(0.0, 1.0))
+        assert len(field.partition.fixed_intervals) == 2
+        assert any(i.lo_is_fixed and i.hi_is_fixed
+                   for i in field.partition.moving_intervals)
         xs = np.linspace(0.15, 0.9, 151)
         y = flow(field, 1.0, xs)
         good = np.isfinite(y)
         assert good.sum() > 140
         assert np.max(np.abs(y[good] - xs[good] ** 2)) <= TOL_FLOW
-
-    def test_general_is_default_entry(self):
-        assert build_general is build_velocity
-
-
-class TestTimeNormalize:
-    """Travel time across each moving interval's orbit step is one."""
-
-    def test_already_normalized(self):
-        field = build_velocity(Uniform(1.0, 2.0), Uniform(0.0, 3.0))
-        _, rows = time_normalize(field)
-        assert rows, "every built interval reports a measured time"
-        for row in rows:
-            assert abs(row["seed_time"] - 1.0) <= 1e-6, row
 
 
 class TestApproximateLipschitz:
@@ -270,7 +263,7 @@ def _solo(partition, itv):
 
 
 def _table_bits(f):
-    return [a.tobytes() for sp in (f.v_spline, f.F_spline, f.Finv_spline)
+    return [a.tobytes() for sp in (f.v_spline, f.F_spline)
             for a in (sp.x, sp.c)]
 
 
@@ -351,9 +344,12 @@ def test_hermite_assembly_matches_segment_loop():
     for a, b, n in zip(cuts[:-1], cuts[1:], rng.integers(2, 9, 39)):
         x = np.linspace(a, b, n)
         segments.append((x, rng.normal(size=n), rng.normal(size=n)))
-    pp = _hermite_ppoly(segments)
+    joints = np.cumsum([seg[0].size for seg in segments[:-1]])
+    flat = [np.concatenate(a) for a in zip(*segments)]
+    pp = _hermite_ppoly(*flat, joints)
     bx, c = _reference_hermite_ppoly(segments)
     assert pp.x.tobytes() == bx.tobytes() and pp.c.tobytes() == c.tobytes()
-    shifted = segments[:5] + [(segments[5][0] + 1e-3,) + segments[5][1:]]
+    x = flat[0].copy()
+    x[joints[4]:joints[5]] += 1e-3      # the sixth segment moves off its joint
     with pytest.raises(ConstructionError, match="junction mismatch"):
-        _hermite_ppoly(shifted)
+        _hermite_ppoly(x, *flat[1:], joints)
