@@ -704,12 +704,16 @@ class VelocityField1D:
     def _dispatch(self, x, per_interval, fill=0.0, unbuilt=None):
         """Evaluate per_interval(field, subarray) on the points each built
         field owns.  Other points get fill (None keeps the point itself);
-        points of unbuilt intervals get unbuilt unless it is None."""
+        points of unbuilt intervals get unbuilt unless it is None.
+
+        Each field sees its points in ascending order, which its table
+        lookups need to run fast.  The sort need not be stable: per_interval
+        acts elementwise, so the order of tied points changes no value."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         flat = np.atleast_1d(x).ravel()
         out = flat.copy() if fill is None else np.full(flat.shape, fill, dtype=float)
-        order = np.argsort(flat, kind="stable")
+        order = np.argsort(flat)
         sx = flat[order]
         for f in self.intervals:
             is_unbuilt = isinstance(f, UnbuiltInterval)

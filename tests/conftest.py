@@ -8,11 +8,18 @@ objects instead of using these.
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from otflow.pathology import (build_counterexample, probe_non_integrability,
                               probe_velocity_growth)
 from otflow.registry import get_example
 from otflow.sudakov import BallMeasure, assemble_field, decompose, verify_nd
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 results do not depend on earlier runs.
+settings.register_profile("otflow", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("otflow")
 
 
 def _built(name):

@@ -1,0 +1,195 @@
+"""W1 and L1 distances against references that share no code with them.
+
+The properties run on random piecewise-linear pairs drawn like the
+benchmark's random-pl recipe (3 to 8 nodes, gaps and node densities uniform,
+normalised to mass 1).  W1 is checked there against its quantile form,
+the integral of |Q0 - Q1| over p by composite Gauss-Legendre.  The pushes of
+the registry examples and of the Sudakov conditional pairs are checked
+against a per-cell adaptive Gauss-Kronrod reference (scipy's quad_vec) on
+the merged breakpoints, each cell first split where the gap changes sign on
+17 samples; a gap at roundoff level (the affine push) agrees only to
+one ulp of the integrand over the window.
+"""
+
+import importlib
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from scipy.integrate import quad_vec
+
+from otflow.measures import (AffineImage, Gaussian, PiecewiseDensity, Uniform,
+                             l1_distance, translate, wasserstein1)
+from otflow.registry import example_names
+from otflow.sudakov import ProductMeasure, assemble_field, decompose
+
+flow_mod = importlib.import_module("otflow.flow")
+
+EPS_TAIL = 1e-10
+TOL_PROPERTY = 1e-10
+GL_X, GL_W = np.polynomial.legendre.leggauss(8)
+
+
+# ----------------------------------------------------------------------
+# random piecewise-linear pairs
+# ----------------------------------------------------------------------
+
+@st.composite
+def pl_densities(draw):
+    n = draw(st.integers(3, 8))
+    unit = st.floats(0.2, 1.0)
+    gaps = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    dens = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    x = np.cumsum(gaps) + draw(st.floats(-1.0, 1.0))
+    mass = float(np.sum(0.5 * (dens[:-1] + dens[1:]) * np.diff(x)))
+    return PiecewiseDensity(x, dens / mass)
+
+
+def sign_changes(gap, t, halvings=60):
+    """Points where gap changes sign between consecutive samples t[:, k],
+    t[:, k + 1] of each row, located by bisection, and the samples where it
+    vanishes."""
+    g = gap(t.ravel()).reshape(t.shape)
+    zeros = t[g == 0.0]
+    row, k = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+    left, right = t[row, k], t[row, k + 1]
+    left_sign = np.sign(g[row, k])
+    for _ in range(halvings):
+        mid = 0.5 * (left + right)
+        move = np.sign(gap(mid)) == left_sign
+        left, right = np.where(move, mid, left), np.where(move, right, mid)
+    return np.concatenate((zeros, 0.5 * (left + right)))
+
+
+def quantile_w1(m0, m1, panels=8):
+    """Integral over p of |Q0 - Q1|, split at the merged cumulative masses
+    and at the crossings of the quantiles, by composite Gauss-Legendre."""
+    ps = np.union1d(m0.cdf(m0.x), m1.cdf(m1.x))
+
+    def gap(p):
+        return m0.quantile(p) - m1.quantile(p)
+
+    t = ps[:-1, None] + np.diff(ps)[:, None] * np.linspace(0.0, 1.0, 65)
+    ps = np.unique(np.concatenate((ps, sign_changes(gap, t))))
+    edges = (ps[:-1, None] + np.diff(ps)[:, None] * np.arange(panels + 1) / panels)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    p = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * GL_X
+    return float(np.sum(0.5 * (b - a) * (np.abs(gap(p.ravel())).reshape(p.shape) @ GL_W)))
+
+
+class TestDistanceProperties:
+    """Metric facts and the quantile form on random piecewise-linear pairs."""
+
+    @given(pl_densities(), pl_densities())
+    def test_w1_equals_quantile_form(self, m0, m1):
+        assert abs(wasserstein1(m0, m1) - quantile_w1(m0, m1)) <= TOL_PROPERTY
+
+    @given(pl_densities(), st.floats(-3.0, 3.0))
+    def test_w1_of_a_translate_is_the_shift(self, m, c):
+        assert abs(wasserstein1(m, translate(m, c)) - abs(c)) <= TOL_PROPERTY
+
+    @given(pl_densities(), pl_densities())
+    def test_symmetric(self, m0, m1):
+        assert wasserstein1(m0, m1) == wasserstein1(m1, m0)
+        assert l1_distance(m0, m1) == l1_distance(m1, m0)
+
+    @given(pl_densities(), pl_densities(), pl_densities())
+    def test_triangle_inequality(self, a, b, c):
+        for dist in (wasserstein1, l1_distance):
+            assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
+
+    @given(pl_densities(), pl_densities())
+    def test_l1_range(self, m0, m1):
+        assert l1_distance(m0, m0) == 0.0
+        assert 0.0 <= l1_distance(m0, m1) <= 2.0 + 1e-12
+
+
+# ----------------------------------------------------------------------
+# pushes against a per-cell adaptive reference
+# ----------------------------------------------------------------------
+
+# quantiles laid on an analytic family's cells by the reference
+_REFERENCE_P = np.concatenate((np.arange(1, 100) / 100.0,
+                               10.0 ** -np.arange(3, 12), 1.0 - 10.0 ** -np.arange(3, 12)))
+
+
+def _nodes(m):
+    if isinstance(m, PiecewiseDensity):
+        return m.x
+    if isinstance(m, Uniform):
+        return np.array([m.lo, m.hi])
+    if isinstance(m, AffineImage):
+        return _nodes(m.base) / m.alpha + m.beta
+    ends = [e for e in m.support if math.isfinite(e)]
+    return np.concatenate((ends, m.quantile(_REFERENCE_P)))
+
+
+def reference_abs_gap(law, m0, m1, samples=17):
+    """(integral, noise): the sum over the merged cells of the adaptive
+    Gauss-Kronrod integral of |law(m0) - law(m1)|, each cell split at the
+    sign changes of the gap, and one ulp of the integrand over the window.
+
+    A gap that is pure roundoff integrates to a value that depends on where
+    it is sampled, so agreement is only defined above that noise.
+    """
+    w0, w1 = m0.window(EPS_TAIL), m1.window(EPS_TAIL)
+    lo, hi = min(w0[0], w1[0]), max(w0[1], w1[1])
+    x = np.concatenate(([lo, hi], _nodes(m0), _nodes(m1)))
+    x = np.unique(x[(x >= lo) & (x <= hi)])
+    f0, f1 = getattr(m0, law), getattr(m1, law)
+
+    def gap(t):
+        return f0(t) - f1(t)
+
+    a, b = x[:-1], x[1:]
+    t = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, samples)
+    # the end samples one ulp inside the cell: a density may jump at a node
+    t[:, 0], t[:, -1] = np.nextafter(a, b), np.nextafter(b, a)
+    scale = max(np.max(np.abs(f0(t))), np.max(np.abs(f1(t))))
+    noise = np.finfo(float).eps * scale * (hi - lo)
+    pts = np.unique(np.concatenate((x, sign_changes(gap, t))))
+    sa, sh = pts[:-1], np.diff(pts)
+
+    def integrand(v):
+        return sh * np.abs(gap(sa + sh * v))
+
+    val, _ = quad_vec(integrand, 0.0, 1.0, epsabs=noise, epsrel=1e-13, norm="max")
+    return float(np.sum(val)), noise
+
+
+def _assert_matches_reference(push, target):
+    for law, dist in (("cdf", wasserstein1), ("pdf", l1_distance)):
+        ref, noise = reference_abs_gap(law, push, target)
+        got = dist(push, target)
+        assert abs(got - ref) <= 1e-10 * ref + 1e-16 + noise, (law, got, ref)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_registry_push_distances_match_reference(name, request):
+    ex, field = request.getfixturevalue(f"{name.replace('-', '_')}_built")
+    push = flow_mod.push_measure(field, ex.m0, 1.0)
+    _assert_matches_reference(push.measure, ex.m1)
+
+
+SUDAKOV_PRODUCTS = {
+    "uniform": ((Gaussian(0.0, 1.0), Uniform(0.0, 1.0)),
+                (Gaussian(0.0, 1.0), Uniform(1.0, 3.0))),
+    "gaussian": ((Uniform(0.0, 1.0), Gaussian(0.0, 1.0)),
+                 (Uniform(0.0, 1.0), Gaussian(1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("cond", ["radius", "uniform", "gaussian"])
+def test_sudakov_push_distances_match_reference(cond, radial_disks):
+    if cond == "radius":
+        family, field_nd, _ = radial_disks
+    else:
+        f0, f1 = SUDAKOV_PRODUCTS[cond]
+        family = decompose(ProductMeasure(f0), ProductMeasure(f1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field_nd = assemble_field(family)
+    push = flow_mod.push_measure(field_nd.field, family.cond0, 1.0, n=2049)
+    _assert_matches_reference(push.measure, family.cond1)

@@ -5,10 +5,12 @@ dx/dt = v(x) written inline, plus the universal fact that the time-1 flow of a
 correctly built field must reproduce the transport map itself.
 """
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from otflow.errors import InputError, TransportError
 from otflow.flow import flow, push_measure, verify_transport
@@ -316,3 +318,44 @@ class TestVerifyTransport:
         assert rep.passed, rep.to_dict()
         for row in rep.osgood:
             assert abs(row["deviation"]) <= 1e-6, row
+
+
+def _quad_segment_time(pp, a, b):
+    """Reference for flow._segment_time: one adaptive quad of 1/|pp| per
+    polynomial piece, in the piece's local coordinate."""
+    xs = pp.x
+    j0 = max(int(np.searchsorted(xs, a, side="right")) - 1, 0)
+    j1 = min(int(np.searchsorted(xs, b, side="left")), xs.size - 1)
+    total = 0.0
+    for j in range(j0, j1):
+        lo, hi = max(a, float(xs[j])), min(b, float(xs[j + 1]))
+        if not hi > lo:
+            continue
+        c3, c2, c1, c0 = (float(pp.c[k, j]) for k in range(4))
+        val, _ = quad(lambda s: 1.0 / abs(((c3 * s + c2) * s + c1) * s + c0),
+                      lo - float(xs[j]), hi - float(xs[j]),
+                      epsabs=1e-14, epsrel=1e-14, limit=200)
+        total += val
+    return total
+
+
+@pytest.mark.parametrize("name", _GROUP_FIELDS[:-1])
+def test_segment_time_matches_quad(name, request, monkeypatch):
+    """Every travel-time and Osgood integral equals per-piece adaptive
+    quadrature to 1e-13."""
+    flow_mod = importlib.import_module("otflow.flow")
+    field = _session_field(request, name)
+    own = flow_mod._segment_time
+    pairs = []
+
+    def both(pp, a, b):
+        got = own(pp, a, b)
+        pairs.append((got, _quad_segment_time(pp, a, b)))
+        return got
+
+    monkeypatch.setattr(flow_mod, "_segment_time", both)
+    flow_mod._travel_time_defect(field)
+    flow_mod._osgood_rows(field)
+    assert len(pairs) >= 25
+    for got, ref in pairs:
+        assert abs(got - ref) <= 1e-13, (got, ref)

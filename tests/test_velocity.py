@@ -353,3 +353,62 @@ def test_hermite_assembly_matches_segment_loop():
     x[joints[4]:joints[5]] += 1e-3      # the sixth segment moves off its joint
     with pytest.raises(ConstructionError, match="junction mismatch"):
         _hermite_ppoly(x, *flat[1:], joints)
+
+
+def _argsort_dispatch(field, x, per_interval, fill=0.0, unbuilt=None):
+    """Reference for VelocityField1D._dispatch: a stable argsort of the
+    points, then one searchsorted slice per interval in list order."""
+    x = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(x).ravel()
+    out = flat.copy() if fill is None else np.full(flat.shape, fill, dtype=float)
+    order = np.argsort(flat, kind="stable")
+    sx = flat[order]
+    for f in field.intervals:
+        is_unbuilt = isinstance(f, otflow.velocity.UnbuiltInterval)
+        if is_unbuilt and unbuilt is None:
+            continue
+        i0 = int(np.searchsorted(sx, f.lo, side="left"))
+        i1 = int(np.searchsorted(sx, f.hi, side="right"))
+        if i1 > i0:
+            idx = order[i0:i1]
+            out[idx] = unbuilt if is_unbuilt else per_interval(f, flat[idx])
+    if x.ndim == 0:
+        return float(out[0])
+    return out.reshape(np.shape(x))
+
+
+def _field_with_unbuilt_interval():
+    from otflow.config import DEFAULT_CONFIG
+    from otflow.measures import AffineImage
+    m0 = Uniform(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = build_velocity(m0, AffineImage(m0, 1.0 / 3.0, -3.0),
+                               config=DEFAULT_CONFIG.with_(min_interval_rel=0.6))
+    assert field.unbuilt_intervals
+    return field
+
+
+@pytest.mark.parametrize("name", ["affine_built", "gaussian_built",
+                                  "bad_fixed_point_built",
+                                  "accumulating_c1_built", "unbuilt"])
+def test_dispatch_equals_stable_argsort(name, request):
+    """Evaluation and flow through _dispatch equal the stable-argsort
+    dispatcher bitwise: random points, every interval end (shared ends
+    included), points outside the domain, a 2-D array and a scalar."""
+    field = (_field_with_unbuilt_interval() if name == "unbuilt"
+             else request.getfixturevalue(name)[1])
+    lo, hi = field.domain
+    rng = np.random.default_rng(7)
+    ends = np.array([e for f in field.intervals for e in (f.lo, f.hi)])
+    xs = np.concatenate((rng.uniform(lo - 0.1 * (hi - lo), hi, 20000), ends, ends))
+    rng.shuffle(xs)
+    xs = xs.reshape(-1, 2)
+    laws = ((lambda f, p: f.evaluate(p), 0.0, None),
+            (lambda f, p: f.Finv_extended(f.F_extended(p) + 0.75), None, np.nan))
+    for law, fill, unbuilt in laws:
+        for pts in (xs, float(ends[-1]), float(ends[0])):
+            got = field._dispatch(pts, law, fill=fill, unbuilt=unbuilt)
+            want = _argsort_dispatch(field, pts, law, fill=fill, unbuilt=unbuilt)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.shape(got) == np.shape(want)
