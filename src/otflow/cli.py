@@ -195,16 +195,25 @@ def _build_field(rc: RunConfig, m0, m1):
     return build_velocity(m0, m1, seed=rc.seed_spec(), config=rc.build_config())
 
 
-def _pair_report(command: str, ok: bool, m0, m1, **extra) -> dict:
-    return {"command": command, "ok": ok, "mu0": measure_to_dict(m0),
+def _pair_report(command: str, m0, m1, **extra) -> dict:
+    return {"command": command, "mu0": measure_to_dict(m0),
             "mu1": measure_to_dict(m1), **extra}
+
+
+def _verify_and_report(rc: RunConfig, field, m0, m1, report: dict) -> int:
+    """Verify field against (m0, m1), write report.json with the outcome
+    under "ok" and "verification", and return the exit status."""
+    rep = verify_transport(field, m0, m1, n_push=rc.n + 1)
+    write_report(rc.out, {**report, "ok": rep.passed,
+                          "verification": rep.to_dict()})
+    return 0 if rep.passed else 1
 
 
 def _cmd_map(rc: RunConfig) -> int:
     m0, m1 = _load_pair(rc)
     _write_map(rc, compute_monotone_map(m0, m1), m0)
     write_report(rc.out, _pair_report(
-        "map", True, m0, m1, n=rc.n,
+        "map", m0, m1, ok=True, n=rc.n,
         window=list(m0.window(rc.build_config().eps_tail))))
     return 0
 
@@ -223,7 +232,7 @@ def _cmd_field(rc: RunConfig) -> int:
         field = _build_field(rc, m0, m1)
     _write_field(rc, field)
     write_report(rc.out, _pair_report(
-        "field", True, m0, m1, n=rc.n, seed_kind=rc.seed_kind,
+        "field", m0, m1, ok=True, n=rc.n, seed_kind=rc.seed_kind,
         field=field.describe(), **extra))
     return 0
 
@@ -235,18 +244,15 @@ def _cmd_flow(rc: RunConfig) -> int:
     x0 = float(m0.quantile(0.5)) if x0 is None else float(x0)
     t_final = float(rc.extra.get("t", 1.0))
     n_rows = _write_flow(rc, field, x0, t_final)
-    write_report(rc.out, _pair_report("flow", True, m0, m1, x0=x0,
+    write_report(rc.out, _pair_report("flow", m0, m1, ok=True, x0=x0,
                                       t_final=t_final, n_rows=n_rows))
     return 0
 
 
 def _cmd_verify(rc: RunConfig) -> int:
     m0, m1 = _load_pair(rc)
-    field = _build_field(rc, m0, m1)
-    rep = verify_transport(field, m0, m1, n_push=rc.n + 1)
-    write_report(rc.out, _pair_report("verify", rep.passed, m0, m1,
-                                      verification=rep.to_dict()))
-    return 0 if rep.passed else 1
+    return _verify_and_report(rc, _build_field(rc, m0, m1), m0, m1,
+                              _pair_report("verify", m0, m1))
 
 
 def _resolve_example(rc: RunConfig) -> tuple[str, dict]:
@@ -278,13 +284,9 @@ def _cmd_example(rc: RunConfig) -> int:
         xd = _grid(rc, m)
         write_table(rc.out, tag, ["x", "pdf"], zip(xd, m.pdf(xd)), rc.fmt)
     _write_flow(rc, field, float(ex.m0.quantile(0.5)), 1.0)
-
-    rep = verify_transport(field, ex.m0, ex.m1, n_push=rc.n + 1)
-    write_report(rc.out, {"command": "example", "ok": rep.passed,
-                          "example": name, "parameters": kwargs,
-                          "description": ex.description,
-                          "verification": rep.to_dict()})
-    return 0 if rep.passed else 1
+    return _verify_and_report(rc, field, ex.m0, ex.m1, {
+        "command": "example", "example": name, "parameters": kwargs,
+        "description": ex.description})
 
 
 def _cmd_pathology(rc: RunConfig) -> int:

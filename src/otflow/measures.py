@@ -1,9 +1,10 @@
 """One-dimensional absolutely continuous measures.
 
-Every measure exposes a density, a cdf/quantile pair, and (when the family allows
-it) the density's derivative.  Supports are intervals; densities must be strictly
-positive on the closed support.  Unbounded supports are handled through quantile
-windows that cut eps_tail mass from each tail.
+Every measure exposes a density and its derivative, a cdf/quantile pair, and
+the nodes between which its density is smooth (cell_nodes).  Supports are
+intervals; densities must be strictly positive on the closed support.
+Unbounded supports are handled through quantile windows that cut eps_tail mass
+from each tail.
 
 Tail accuracy matters because monotone transport maps are built as
 quantile(target) o cdf(source): composing through probabilities near 1 loses all
@@ -23,15 +24,15 @@ Families:
 
 Distances: wasserstein1 integrates |F0 - F1| (the 1d W1) and l1_distance
 |rho0 - rho1| over the union of both eps_tail windows, on cells whose ends
-are the merged nodes of both measures: the window and finite support ends,
-every node of a piecewise density, the pushed nodes of an affine image's
-base, and for any other family its quantiles on a fixed probability grid.
-When both measures are piecewise polynomial (uniform, piecewise_linear,
-grid and their affine images) the density gap is linear and the cdf gap
-quadratic on each cell, and |gap| is integrated in closed form, split at
-the roots.  Otherwise each cell gets 8-point Gauss-Legendre, split first at
-every sign change its samples show.  No rule is adaptive and no quadrature
-warning can arise.
+are the merged nodes of both measures (cell_nodes): the window and finite
+support ends, every node of a piecewise density, the pushed nodes of an
+affine image's base, and for any other family its quantiles on a fixed
+probability grid.  When both measures are piecewise polynomial (uniform,
+piecewise_linear, grid, the radius laws of d <= 2 and their affine images)
+the density gap is linear and the cdf gap quadratic on each cell, and |gap|
+is integrated in closed form, split at the roots.  Otherwise each cell gets
+8-point Gauss-Legendre, split first at every sign change its samples show.
+No rule is adaptive and no quadrature warning can arise.
 
 JSON round-trip: parse_measure / measure_to_dict.
 """
@@ -84,9 +85,6 @@ class Measure1D:
 
     kind: str = "abstract"
 
-    # subclasses set this when pdf_derivative is implemented
-    has_pdf_derivative: bool = False
-
     @property
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -126,7 +124,15 @@ class Measure1D:
         return _scalar_like(out, scalar)
 
     def pdf_derivative(self, x):
-        raise NotImplementedError(f"{self.kind} measure has no density derivative")
+        raise NotImplementedError
+
+    def cell_nodes(self):
+        """(nodes, polynomial): points between which the density is smooth,
+        and whether it is a polynomial of degree at most one there.  This
+        default cuts at the quantiles of _CELL_P from both tails."""
+        ends = [e for e in self.support if math.isfinite(e)]
+        return np.concatenate((self.quantile(_CELL_P),
+                               self.quantile_from_upper(_CELL_P), ends)), False
 
     def window(self, eps_tail: float) -> tuple[float, float]:
         """Effective support: exact for bounded supports, quantile-trimmed otherwise."""
@@ -150,7 +156,6 @@ class Uniform(Measure1D):
     hi: float
 
     kind = "uniform"
-    has_pdf_derivative = True
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -171,6 +176,9 @@ class Uniform(Measure1D):
     def pdf_derivative(self, x):
         x, scalar = _as_array(x)
         return _scalar_like(np.zeros_like(x), scalar)
+
+    def cell_nodes(self):
+        return np.array([self.lo, self.hi]), True
 
     def cdf(self, x):
         x, scalar = _as_array(x)
@@ -201,7 +209,6 @@ class Gaussian(Measure1D):
     std: float
 
     kind = "gaussian"
-    has_pdf_derivative = True
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.std)):
@@ -269,10 +276,6 @@ class AffineImage(Measure1D):
         if not math.isfinite(self.beta):
             raise MeasureSpecError("affine_image: beta must be finite")
 
-    @property
-    def has_pdf_derivative(self):  # type: ignore[override]
-        return self.base.has_pdf_derivative
-
     def _pull(self, y):
         return self.alpha * (y - self.beta)
 
@@ -292,6 +295,10 @@ class AffineImage(Measure1D):
         y, scalar = _as_array(y)
         out = self.alpha ** 2 * self.base.pdf_derivative(self._pull(y))
         return _scalar_like(out, scalar)
+
+    def cell_nodes(self):
+        nodes, polynomial = self.base.cell_nodes()
+        return self._push(nodes), polynomial
 
     def cdf(self, y):
         y, scalar = _as_array(y)
@@ -335,8 +342,6 @@ class PiecewiseDensity(Measure1D):
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
     _cumr: np.ndarray = field(init=False, repr=False, compare=False)
     mass_defect: float = field(init=False, compare=False)
-
-    has_pdf_derivative = True
 
     def __post_init__(self):
         xs = np.asarray(self.x, dtype=float)
@@ -402,6 +407,9 @@ class PiecewiseDensity(Measure1D):
         j = self._cell(x)
         out = np.where((x < self.x[0]) | (x > self.x[-1]), 0.0, self._slope[j])
         return _scalar_like(out, scalar)
+
+    def cell_nodes(self):
+        return self.x, True
 
     def cdf(self, x):
         x, scalar = _as_array(x)
@@ -516,21 +524,6 @@ _CELL_P = np.union1d(np.arange(1, 33) / 64.0, 2.0 ** -np.arange(7, 41))
 _BISECT_STEPS = 40
 
 
-def _cell_nodes(m: Measure1D):
-    """(nodes, polynomial): points between which m's density is smooth, and
-    whether it is a polynomial of degree at most one there."""
-    if isinstance(m, PiecewiseDensity):
-        return m.x, True
-    if isinstance(m, Uniform):
-        return np.array([m.lo, m.hi]), True
-    if isinstance(m, AffineImage):
-        nodes, polynomial = _cell_nodes(m.base)
-        return m._push(nodes), polynomial
-    ends = [e for e in m.support if math.isfinite(e)]
-    return np.concatenate((m.quantile(_CELL_P), m.quantile_from_upper(_CELL_P),
-                           ends)), False
-
-
 def _abs_quadratic_integral(gap, a, b) -> float:
     """Integral of |gap| over the cells [a, b] where gap is a quadratic in
     each cell: fitted through its values at 1/4, 1/2 and 3/4 of the cell
@@ -600,15 +593,15 @@ def _abs_gap_integral(law: str, m0: Measure1D, m1: Measure1D,
     """Integral of |law(m0) - law(m1)| (law "cdf" or "pdf") over both windows.
 
     Cells are the merged nodes of both measures inside the union of their
-    windows (see _cell_nodes).  Between nodes, a pair of piecewise
+    windows (see Measure1D.cell_nodes).  Between nodes, a pair of piecewise
     polynomial measures has a linear density gap and a quadratic cdf gap,
     integrated exactly; any other pair goes through _abs_gauss_legendre.
     """
     w0 = m0.window(eps_tail)
     w1 = m1.window(eps_tail)
     lo, hi = min(w0[0], w1[0]), max(w0[1], w1[1])
-    n0, poly0 = _cell_nodes(m0)
-    n1, poly1 = _cell_nodes(m1)
+    n0, poly0 = m0.cell_nodes()
+    n1, poly1 = m1.cell_nodes()
     x = np.concatenate(([lo, hi], n0, n1))
     x = np.unique(x[(x >= lo) & (x <= hi)])
     f0, f1 = getattr(m0, law), getattr(m1, law)

@@ -1,10 +1,17 @@
 """Monotone transport maps and their fixed point structure.
 
-The increasing rearrangement between two measures is
-T = quantile_target o cdf_source.  Composition goes through (p, 1-p) pairs so
-both tails keep full precision, and the derivative comes from the density
-ratio dT/dx = pdf_source(x) / pdf_target(T(x)) with a finite difference
-fallback where the ratio degenerates.
+The map contract: every MonotoneMap carries forward(x) = T(x), a fused
+jet(x) = (T, T', T'') whose first entry is bitwise forward(x), and a
+vectorised inverse(y) = T^(-1)(y).  Orbit marching needs (T, T', T'') at
+every depth and T^(-1) on the backward side, and takes them from here alone.
+
+compute_monotone_map builds the increasing rearrangement between two
+measures, T = quantile_target o cdf_source, composed through (p, 1-p) pairs
+so both tails keep full precision; its jet takes T' from the density ratio
+pdf_source(x) / pdf_target(T(x)), with a finite difference fallback where the
+ratio degenerates, and T'' from the density derivatives.  map_from_callables
+wraps closed-form maps, filling a missing T' or T'' by central differences
+and a missing inverse by the shared Newton inverse, once, at construction.
 
 Fixed point detection scans T(x) - x on a dyadic grid, refines isolated sign
 changes with a bracketing root solve, refines tangential touches through local
@@ -46,97 +53,89 @@ _P_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """Strictly increasing map with derivative, inverse, and optional curvature.
+    """Strictly increasing map: forward, fused jet and inverse.
 
-    forward/derivative/inverse/second_derivative accept scalars or arrays.
-    second_derivative is None when the underlying densities provide no
-    derivative; consumers fall back to finite differences.  jet, when given,
-    returns (forward, derivative, second_derivative) at once, bitwise equal to
-    the three separate calls; orbit marching prefers it.
+    forward(x) is T(x), jet(x) is (T, T', T'') at once and inverse(y) is
+    T^(-1)(y); all three accept scalars or arrays and act elementwise.  The
+    one condition binding them: forward(x) equals jet(x)[0] bitwise.
+    compute_monotone_map and map_from_callables build maps that meet it.
     """
 
     forward: Callable
-    derivative: Callable
     inverse: Callable
-    second_derivative: Callable | None = None
+    jet: Callable
     source: Measure1D | None = None
     target: Measure1D | None = None
     label: str = "monotone-map"
-    jet: Callable | None = None
 
     def __call__(self, x):
         return self.forward(x)
 
+    def derivative(self, x):
+        """T'(x), the middle entry of the jet."""
+        return self.jet(x)[1]
+
 
 def compute_monotone_map(m0: Measure1D, m1: Measure1D) -> MonotoneMap:
-    """Increasing rearrangement pushing m0 onto m1, via tail-paired quantiles."""
+    """Increasing rearrangement pushing m0 onto m1, via tail-paired quantiles.
+
+    The jet composes the quantiles once and reuses y = T(x) in
+    T' = pdf0(x) / pdf1(y) and T'' = (pdf0'(x) - T'^2 pdf1'(y)) / pdf1(y).
+    """
 
     def forward(x):
-        p, q = m0.cdf_pair(x)
-        p = np.clip(p, _P_FLOOR, 1.0)
-        q = np.clip(q, _P_FLOOR, 1.0)
-        return m1.quantile_pair(p, q)
+        return _compose(m0, m1, x)
 
-    def derivative(x):
-        return _density_ratio_derivative(m0, m1, forward, x)
+    def jet(x):
+        x_arr = np.asarray(x, dtype=float)
+        scalar = x_arr.ndim == 0
+        x_arr = np.atleast_1d(x_arr)
+        y = np.asarray(forward(x_arr), dtype=float)
+        p1 = np.atleast_1d(np.asarray(m1.pdf(y), dtype=float))
+        tp = _density_ratio(m0, forward, x_arr, p1)
+        num = m0.pdf_derivative(x_arr) - tp * tp * m1.pdf_derivative(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tpp = np.where(p1 != 0.0, num / np.where(p1 != 0.0, p1, 1.0), np.nan)
+        if scalar:
+            return float(y[0]), float(tp[0]), float(tpp[0])
+        return y, tp, tpp
 
-    def inverse(y):
-        p, q = m1.cdf_pair(y)
-        p = np.clip(p, _P_FLOOR, 1.0)
-        q = np.clip(q, _P_FLOOR, 1.0)
-        return m0.quantile_pair(p, q)
-
-    second = None
-    if m0.has_pdf_derivative and m1.has_pdf_derivative:
-        def second(x):  # noqa: F811 - deliberate conditional definition
-            y = forward(x)
-            dT = derivative(x)
-            num = m0.pdf_derivative(x) - dT * dT * m1.pdf_derivative(y)
-            den = m1.pdf(y)
-            return _guarded_div(num, den)
-
-    return MonotoneMap(forward, derivative, inverse, second, m0, m1,
+    return MonotoneMap(forward, lambda y: _compose(m1, m0, y), jet, m0, m1,
                        label="quantile-composition")
 
 
-def _guarded_div(num, den):
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), np.nan)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _compose(a: Measure1D, b: Measure1D, x):
+    """quantile_b o cdf_a at x, through the tail-accurate (p, 1 - p) pair."""
+    p, q = a.cdf_pair(x)
+    return b.quantile_pair(np.clip(p, _P_FLOOR, 1.0), np.clip(q, _P_FLOOR, 1.0))
 
 
-def _density_ratio_derivative(m0, m1, forward, x):
-    """dT/dx = pdf0(x)/pdf1(T(x)), with a central difference where 0/0."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    y = np.asarray(forward(x_arr), dtype=float)
-    p0 = np.atleast_1d(np.asarray(m0.pdf(x_arr), dtype=float))
-    p1 = np.atleast_1d(np.asarray(m1.pdf(y), dtype=float))
+def _density_ratio(m0, forward, x, p1):
+    """T' = pdf0(x) / p1 on the array x, where p1 = pdf1(T(x)), with a
+    central difference of forward where the ratio is not finite (0/0)."""
+    p0 = np.atleast_1d(np.asarray(m0.pdf(x), dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(p1 > 0.0, p0 / np.where(p1 > 0.0, p1, 1.0), np.nan)
     bad = ~np.isfinite(out)
     if np.any(bad):
         lo, hi = m0.support
-        w = _finite_width(m0)
-        h = max(1e-7 * w, 1e-12)
-        xb = x_arr[bad]
+        w_lo, w_hi = m0.window(1e-10)
+        h = max(1e-7 * max(w_hi - w_lo, 1e-300), 1e-12)
+        xb = x[bad]
         xl = np.maximum(xb - h, lo if math.isfinite(lo) else xb - h)
         xr = np.minimum(xb + h, hi if math.isfinite(hi) else xb + h)
         with np.errstate(invalid="ignore"):
             fd = (np.asarray(forward(xr), dtype=float)
                   - np.asarray(forward(xl), dtype=float)) / (xr - xl)
         out[bad] = fd
-    return float(out[0]) if scalar else out
+    return out
 
 
-def _finite_width(m: Measure1D) -> float:
-    lo, hi = m.window(1e-10)
-    return max(hi - lo, 1e-300)
+# Relative step of the central differences that stand in for a missing T'
+# or T'': near eps^(1/4), which balances truncation against roundoff in the
+# nested difference giving T''; the single difference giving T' stays
+# accurate to O(step^2).
+_FD_STEP = 1e-4
 
 
 def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
@@ -147,39 +146,77 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
                        domain: tuple[float, float] | None = None,
                        label: str = "callable-map",
                        jet: Callable | None = None) -> MonotoneMap:
-    """Wrap closed-form map callables, filling gaps numerically.
+    """Wrap closed-form map callables, filling every missing piece once.
 
-    A missing derivative becomes a central difference; a missing inverse becomes
-    a bracketed root solve on the given domain (required in that case).  A
-    fused jet is passed through as is and must agree with the callables.
+    A given jet is used as is.  Otherwise the jet stacks forward, derivative
+    and second_derivative; a missing derivative is a central difference of
+    forward, a missing second_derivative one of the derivative, both with
+    the step _FD_STEP * (|x| + s), s the largest of 1 and |domain ends|.  A
+    missing inverse becomes the vectorised Newton inverse on domain
+    (required in that case).
     """
-    if derivative is None:
-        scale = 1.0
-        if domain is not None:
-            scale = max(abs(domain[0]), abs(domain[1]), 1.0)
+    scale = 1.0 if domain is None else max(abs(domain[0]), abs(domain[1]), 1.0)
 
-        def derivative(x, _f=forward, _s=scale):
+    def central(f):
+        def difference(x):
             x = np.asarray(x, dtype=float)
-            h = (np.abs(x) + _s) * 6.0e-6
-            return (np.asarray(_f(x + h), dtype=float)
-                    - np.asarray(_f(x - h), dtype=float)) / (2.0 * h)
+            h = (np.abs(x) + scale) * _FD_STEP
+            return (np.asarray(f(x + h), dtype=float)
+                    - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
+        return difference
+
+    if jet is None:
+        slope = central(forward) if derivative is None else derivative
+        curve = central(slope) if second_derivative is None else second_derivative
+
+        def jet(x):
+            return tuple(np.asarray(f(x), dtype=float) for f in (forward, slope, curve))
 
     if inverse is None:
         if domain is None:
             raise InputError("map_from_callables: domain is required to invert numerically")
-        lo, hi = domain
+        lo, hi = float(domain[0]), float(domain[1])
 
-        def inverse(y, _f=forward, _lo=lo, _hi=hi):
-            y_arr = np.asarray(y, dtype=float)
-            scalar = y_arr.ndim == 0
-            y_arr = np.atleast_1d(y_arr)
-            out = np.empty_like(y_arr)
-            for i, yi in enumerate(y_arr):
-                out[i] = brentq(lambda t: float(_f(t)) - yi, _lo, _hi, xtol=1e-15)
-            return float(out[0]) if scalar else out
+        def inverse(y):
+            return _newton_inverse(forward, lambda x: jet(x)[:2], y, lo, hi)
 
-    return MonotoneMap(forward, derivative, inverse, second_derivative,
-                       source, target, label=label, jet=jet)
+    return MonotoneMap(forward, inverse, jet, source, target, label=label)
+
+
+def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
+    """Vectorized bisection for a strictly increasing map on [lo, hi]
+    (scalars, or arrays shaped like y)."""
+    y = np.asarray(y, dtype=float)
+    a = np.full(y.shape, lo, dtype=float)
+    b = np.full(y.shape, hi, dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        below = np.asarray(forward(mid), dtype=float) < y
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    return 0.5 * (a + b)
+
+
+def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6):
+    """Vectorized Newton inverse with a bisection fallback per entry.
+
+    value_slope(x) returns (T(x), T'(x)).  Seeds at y clipped into [lo, hi]
+    (lo, hi scalars or arrays shaped like y), which suits maps near the
+    identity, clips iterates into [lo, hi], and hands any entry that has not
+    converged to 1e-14 relative residual over to plain bisection on forward.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.clip(y, lo, hi)
+    for _ in range(iters):
+        fx, d = value_slope(x)
+        r = fx - y
+        step = r / np.where(np.abs(d) > 1e-30, d, 1.0)
+        x = np.clip(x - step, lo, hi)
+    resid = np.abs(np.asarray(forward(x), dtype=float) - y)
+    bad = resid > 1e-14 * np.maximum(np.abs(y), 1.0)
+    if np.any(bad):
+        x = np.where(bad, _bisect_inverse(forward, y, lo, hi), x)
+    return x
 
 
 # ======================================================================

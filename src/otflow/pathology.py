@@ -10,8 +10,7 @@ slower gap sequence not even locally integrable.
 
 Two gap sequences:
   quadratic    b_i ~ 1/(i+10)^2     (velocity unbounded near 0)
-  log_squared  b_i ~ 1/(i*log^2 i), index offset recorded in metadata
-               (velocity not L1 near 0)
+  log_squared  b_i ~ 1/((i+6) log^2(i+6))   (velocity not L1 near 0)
 
 The profile is one C^2 family: quintic-smoothstep ramps onto a plateau, then
 an exactly linear tail of slope -1/4 on [9/10, 1].  The linear tail keeps
@@ -29,13 +28,13 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import polygamma
 
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import ConstructionError, InputError
 from .measures import Uniform
-from .monotone import FixedPointPartition, MonotoneMap, MovingInterval
+from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
+                       _newton_inverse)
 from .velocity import SeedSpec, build_velocity
 
 __all__ = [
@@ -214,7 +213,6 @@ class CounterexampleMap:
         self.variant = variant
         self.sequence = sequence
         self.bump = bump
-        self.index_offset = sequence.offset
         self.gamma = sequence.gamma
         self.n_anchors = int(n_anchors)
 
@@ -308,21 +306,9 @@ class CounterexampleMap:
     def displacement(self, x):
         return self._parts(self._on_domain(x))[0]
 
-    def displacement_slope(self, x):
-        return self._parts(x)[1]
-
-    def displacement_curvature(self, x):
-        return self._parts(x)[2]
-
     # map callables ----------------------------------------------------
     def forward(self, x):
         return np.asarray(x, dtype=float) - self.displacement(x)
-
-    def derivative(self, x):
-        return 1.0 - self.displacement_slope(x)
-
-    def second_derivative(self, x):
-        return -self.displacement_curvature(x)
 
     def jet(self, x):
         """(T, T', T'') at x in one pass over the regions."""
@@ -331,29 +317,29 @@ class CounterexampleMap:
         return x - disp, 1.0 - slope, -curv
 
     def inverse(self, y):
+        """T^(-1) on the image (0, T(1)]: the linear pinch in closed form
+        below the floor's image, else the shared Newton inverse inside the
+        gap that T maps onto y's gap ([1/2, 1] above the anchors)."""
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        flat = np.atleast_1d(y).astype(float)
-        out = np.empty_like(flat)
-        top = float(self.forward(np.array(1.0)))
-        floor_img = self.table_floor * (1.0 - self._pinch_slope)
-        n = self.n_anchors
-        asc = self.anchors[::-1]
-        for k, yv in enumerate(flat):
-            if not 0.0 < yv <= top:
-                raise InputError(f"inverse: {yv:g} outside the image (0, {top:g}]")
-            if yv <= floor_img:
-                out[k] = yv / (1.0 - self._pinch_slope)
-                continue
-            j = n - int(np.searchsorted(asc, yv, side="left"))
-            if j <= 0:
-                lo, hi = 0.5, 1.0
-            else:
-                j = min(j, n)
-                lo, hi = float(self.anchors[j]), float(self.anchors[j - 1])
-            out[k] = brentq(lambda t: float(self.forward(np.array(t))) - yv,
-                            lo, hi, xtol=1e-15, rtol=8.9e-16)
-        return float(out[0]) if scalar else out.reshape(np.shape(y))
+        flat = np.atleast_1d(y)
+        top = float(self.forward(1.0))
+        outside = ~((flat > 0.0) & (flat <= top))
+        if np.any(outside):
+            raise InputError(f"inverse: {flat[outside][0]:g} outside the "
+                             f"image (0, {top:g}]")
+        out = flat / (1.0 - self._pinch_slope)
+        solve = flat > self.table_floor * (1.0 - self._pinch_slope)
+        ys = flat[solve]
+        # T maps gap j onto gap j + 1; the deepest gap's image ends below
+        # the floor, where _locate clips to that same gap
+        j = np.where(ys > self.table_floor, self._locate(ys) - 1, self.n_anchors - 1)
+        above = j < 0
+        j = np.maximum(j, 0)
+        lo = np.where(above, 0.5, self.anchors[j + 1])
+        hi = np.where(above, 1.0, self.anchors[j])
+        out[solve] = _newton_inverse(self.forward, lambda x: self.jet(x)[:2],
+                                     ys, lo, hi)
+        return float(out[0]) if y.ndim == 0 else out
 
     def anchor_derivative(self, i):
         """T' at the i-th anchor, in closed form from the gap sequence."""
@@ -362,20 +348,9 @@ class CounterexampleMap:
         return 1.0 + (b(i) - b(i + 1)) / (4.0 * b(i))
 
     def to_monotone_map(self) -> MonotoneMap:
-        return MonotoneMap(self.forward, self.derivative, self.inverse,
-                           self.second_derivative, source=Uniform(0.0, 0.5),
-                           target=None, label=f"counterexample-{self.variant}",
-                           jet=self.jet)
-
-    def metadata(self) -> dict:
-        return {
-            "variant": self.variant,
-            "index_offset": self.index_offset,
-            "gamma": self.gamma,
-            "n_anchors": self.n_anchors,
-            "table_floor": self.table_floor,
-            "gap_sum_defect": float(self.gamma * self.sequence.tail0 - 0.5),
-        }
+        return MonotoneMap(self.forward, self.inverse, self.jet,
+                           source=Uniform(0.0, 0.5), target=None,
+                           label=f"counterexample-{self.variant}")
 
 
 def build_counterexample(variant: str = "quadratic", *, n_anchors: int = 12000,
@@ -414,7 +389,7 @@ def build_counterexample(variant: str = "quadratic", *, n_anchors: int = 12000,
             f"anchor {k} maps to {img[k]!r} instead of {cmap.anchors[k + 1]!r}")
 
     xs = np.linspace(cmap.table_floor, 1.0, grid_points)
-    tp = cmap.derivative(xs)
+    tp = cmap.jet(xs)[1]
     if tp.min() < 0.5 or tp.max() > 1.5:
         raise ConstructionError(
             f"map derivative range [{tp.min():.6g}, {tp.max():.6g}] leaves [1/2, 3/2]")
@@ -444,14 +419,6 @@ class GrowthResult:
     i_scanned: int = 0
     product_monotone: bool = True
     bound_holds: bool = True
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "rows": self.rows,
-                "crossing_index": self.crossing_index,
-                "crossing_value": self.crossing_value,
-                "i_scanned": self.i_scanned,
-                "product_monotone": self.product_monotone,
-                "bound_holds": self.bound_holds}
 
 
 def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
@@ -533,17 +500,8 @@ class DivergenceResult:
     levels: tuple
     rows: list = dc_field(default_factory=list)
     anchor_speed_monotone: bool = True
-    zone_flagged: bool = False
     seed_floor: float = 0.0
     n_quad_points: int = 0
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "levels": list(self.levels),
-                "rows": self.rows,
-                "anchor_speed_monotone": self.anchor_speed_monotone,
-                "zone_flagged": self.zone_flagged,
-                "seed_floor": self.seed_floor,
-                "n_quad_points": self.n_quad_points}
 
 
 def probe_non_integrability(cmap: CounterexampleMap,
@@ -577,7 +535,7 @@ def probe_non_integrability(cmap: CounterexampleMap,
         moving_intervals=(MovingInterval(0.0, 0.5, -1, True, False),),
         indeterminate=(0.0,))
     fld = build_velocity(transport_map=T, partition=partition, seed=seed,
-                         config=config, max_steps=depth)
+                         config=config.with_(orbit_max_steps=depth))
     itf = fld.built_intervals[0]
 
     # spline-route per-piece absolute mass, ordered by orbit depth.  The
@@ -604,7 +562,6 @@ def probe_non_integrability(cmap: CounterexampleMap,
                            seed_floor=seed_floor,
                            n_quad_points=8 * (2 * octaves + 1))
     res.anchor_speed_monotone = bool(np.all(np.diff(anchor_speed) > 0))
-    res.zone_flagged = any(z.flagged for z in fld.truncation_zones())
     f_top = float(itf.F_spline(itf.x0))
     prev = 0.0
     for m in levels:

@@ -32,7 +32,7 @@ from .errors import InputError
 from .measures import (AffineImage, Gaussian, Measure1D, PiecewiseDensity,
                        Uniform, pushforward_by_map)
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
-                       map_from_callables)
+                       _newton_inverse, map_from_callables)
 from .velocity import SeedSpec, VelocityField1D, build_velocity
 
 __all__ = ["ExampleProblem", "example_names", "get_example"]
@@ -57,12 +57,13 @@ class ExampleProblem:
     closed: dict = dc_field(default_factory=dict)
 
     def build(self, *, seed: SeedSpec | None = None,
-              config: BuildConfig = DEFAULT_CONFIG,
-              max_steps: int | None = None) -> VelocityField1D:
-        steps = max_steps if max_steps is not None else self.default_max_steps
+              config: BuildConfig = DEFAULT_CONFIG) -> VelocityField1D:
+        """Build the field; default_max_steps, when set, replaces the
+        config's orbit_max_steps."""
+        if self.default_max_steps is not None:
+            config = config.with_(orbit_max_steps=self.default_max_steps)
         return build_velocity(self.m0, self.m1, transport_map=self.transport_map,
-                              partition=self.partition, seed=seed, config=config,
-                              max_steps=steps)
+                              partition=self.partition, seed=seed, config=config)
 
 
 # ======================================================================
@@ -185,41 +186,6 @@ def _bad_fixed_point_example() -> ExampleProblem:
 # accumulating fixed points
 # ======================================================================
 
-def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
-    """Vectorized bisection for a strictly increasing map on [lo, hi]."""
-    y = np.asarray(y, dtype=float)
-    a = np.full(y.shape, lo, dtype=float)
-    b = np.full(y.shape, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        below = np.asarray(forward(mid), dtype=float) < y
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
-
-
-def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6):
-    """Vectorized Newton inverse with a bisection fallback per entry.
-
-    value_slope(x) returns (T(x), T'(x)).  Seeds at y itself (the maps
-    inverted here are small perturbations of the identity), clips iterates
-    into [lo, hi], and hands any entry that has not converged to 1e-14
-    relative residual over to plain bisection on forward.
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.clip(y, lo, hi)
-    for _ in range(iters):
-        fx, d = value_slope(x)
-        r = fx - y
-        step = r / np.where(np.abs(d) > 1e-30, d, 1.0)
-        x = np.clip(x - step, lo, hi)
-    resid = np.abs(np.asarray(forward(x), dtype=float) - y)
-    bad = resid > 1e-14 * np.maximum(np.abs(y), 1.0)
-    if np.any(bad):
-        x = np.where(bad, _bisect_inverse(forward, y, lo, hi), x)
-    return x
-
-
 def _accumulating_example(variant: str = "c1", n_tiers: int = 12) -> ExampleProblem:
     """Uniform [0, 1] under a map with fixed points at every 1/n.
 
@@ -282,20 +248,13 @@ def _accumulating_example(variant: str = "c1", n_tiers: int = 12) -> ExampleProb
     def forward(x):
         return jet(x, 0)
 
-    def derivative(x):
-        return jet(x, 1)[1]
-
-    def second_derivative(x):
-        return jet(x)[2]
-
     def inverse(y):
         return _newton_inverse(forward, lambda x: jet(x, 1), y, 0.0, 1.0)
 
     m0 = Uniform(0.0, 1.0)
-    m1 = pushforward_by_map(m0, forward, derivative=derivative, n=65537)
-    tmap = map_from_callables(forward, inverse=inverse, derivative=derivative,
-                              second_derivative=second_derivative,
-                              source=m0, target=m1,
+    m1 = pushforward_by_map(m0, forward, derivative=lambda x: jet(x, 1)[1],
+                            n=65537)
+    tmap = map_from_callables(forward, inverse=inverse, source=m0, target=m1,
                               label=f"accumulating-{variant}", jet=jet)
 
     cuts = [1.0 / n for n in range(n_tiers, 0, -1)]

@@ -77,7 +77,6 @@ class RadiusLaw(Measure1D):
     radius: float
 
     kind = "radius"
-    has_pdf_derivative = True
 
     def __post_init__(self):
         if int(self.dimension) != self.dimension or self.dimension < 1:
@@ -110,6 +109,13 @@ class RadiusLaw(Measure1D):
                 out = np.where(inside,
                                d * (d - 1) * np.abs(r) ** (d - 2) / R ** d, 0.0)
         return _scalar_like(out, scalar)
+
+    def cell_nodes(self):
+        """The support ends, between which the density is constant (d = 1)
+        or linear (d = 2); higher dimensions take the quantile grid."""
+        if self.dimension <= 2:
+            return np.array([0.0, self.radius]), True
+        return super().cell_nodes()
 
     def cdf(self, r):
         r, scalar = _as_array(r)
@@ -608,14 +614,13 @@ class VelocityFieldND:
 
 
 def assemble_field(family: RayFamilyND, *, seed: SeedSpec | None = None,
-                   config: BuildConfig = DEFAULT_CONFIG,
-                   max_steps: int | None = None) -> VelocityFieldND:
+                   config: BuildConfig = DEFAULT_CONFIG) -> VelocityFieldND:
     """Build the shared scalar ray field and wrap it with the ray geometry."""
     tmap = per_ray_monotone_map(family, family.representative_alpha())
     if tmap is None:
         raise ConstructionError("assemble_field: representative ray has zero mass")
     field = build_velocity(family.cond0, family.cond1, transport_map=tmap,
-                           seed=seed, config=config, max_steps=max_steps)
+                           seed=seed, config=config)
     return VelocityFieldND(family, field)
 
 

@@ -115,24 +115,8 @@ class SeedSpec:
                              "higher orders would need third derivatives of the map")
 
 
-def _map_jet(T: MonotoneMap, x, width: float):
-    """(T, T', T'') at x: the map's fused jet when it has one, else its three
-    callables, with a central difference of T' standing in for a missing T''."""
-    if T.jet is not None:
-        return tuple(np.asarray(a, dtype=float) for a in T.jet(x))
-    y = np.asarray(T.forward(x), dtype=float)
-    tp = np.asarray(T.derivative(x), dtype=float)
-    if T.second_derivative is not None:
-        return y, tp, np.asarray(T.second_derivative(x), dtype=float)
-    h = max(1e-6 * width, 1e-12)
-    x = np.asarray(x, dtype=float)
-    tpp = (np.asarray(T.derivative(x + h), dtype=float)
-           - np.asarray(T.derivative(x - h), dtype=float)) / (2.0 * h)
-    return y, tp, tpp
-
-
-def _seed_polynomial(T: MonotoneMap, x0: float, x1: float, seed: SeedSpec,
-                     width: float) -> Polynomial:
+def _seed_polynomial(T: MonotoneMap, x0: float, x1: float,
+                     seed: SeedSpec) -> Polynomial:
     """The (unnormalized) seed profile as a polynomial in (x - x0)."""
     step = x1 - x0
     v0 = seed.v0 if seed.v0 is not None else step
@@ -160,7 +144,7 @@ def _seed_polynomial(T: MonotoneMap, x0: float, x1: float, seed: SeedSpec,
     # hermite_ck with order_k == 1: cubic matching values and derivatives,
     # the far-end derivative taken from the derivative recursion
     d1 = seed.d1 if seed.d1 is not None else (v1 - v0) / step
-    tpp0 = float(_map_jet(T, x0, width)[2])
+    tpp0 = float(T.jet(x0)[2])
     d1_img = d1 + v0 * tpp0 / tp0
     s = step
     a2 = (3.0 * (v1 - v0) / s - 2.0 * d1 - d1_img) / s
@@ -493,17 +477,19 @@ class _March:
         return True
 
 
-def _march_lockstep(T, marches, *, max_steps, thin_depth, thin_nodes, width):
-    """Advance every march one orbit depth per round until each stops.
+def _march_lockstep(T, marches, cfg: BuildConfig):
+    """Advance every march one orbit depth per round until each stops, at
+    most cfg.orbit_max_steps rounds.
 
     A round clips and thins each march, inverts all backward sources in one
-    T.inverse call, and evaluates one map jet on the forward sources followed
-    by the backward images.  The map callables act elementwise, so each
-    march's tables are bitwise those it would get marching alone.
+    T.inverse call, and evaluates one T.jet call on the forward sources
+    followed by the backward images.  The map callables act elementwise, so
+    each march's tables are bitwise those it would get marching alone.
     """
     live = list(marches)
-    for depth in range(1, max_steps + 1):
-        live = [m for m in live if m.clip_and_thin(depth, thin_depth, thin_nodes)]
+    for depth in range(1, cfg.orbit_max_steps + 1):
+        live = [m for m in live if m.clip_and_thin(
+            depth, cfg.deep_piece_depth, cfg.deep_piece_nodes)]
         if not live:
             break
         live.sort(key=lambda m: not m.forward)
@@ -516,7 +502,7 @@ def _march_lockstep(T, marches, *, max_steps, thin_depth, thin_nodes, width):
         at = x
         if n_fwd < x.size:
             at = np.concatenate((x[:n_fwd], np.asarray(T.inverse(x[n_fwd:]), dtype=float)))
-        img, tp, tpp = _map_jet(T, at, width)
+        img, tp, tpp = T.jet(at)
         f, b = slice(None, n_fwd), slice(n_fwd, None)
         v_b = v[b] / tp[b]
         new_x, new_v, new_dv, new_F = (np.concatenate(p) for p in zip(
@@ -598,7 +584,7 @@ def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
         raise DegenerateOrbitError(
             f"seed anchor {x0:.6g} is numerically fixed (step {x1 - x0:.3g})")
 
-    poly = _seed_polynomial(T, x0, x1, seed, width)
+    poly = _seed_polynomial(T, x0, x1, seed)
     _validate_seed_sign(poly, x0, x1)
 
     xs = np.linspace(x0, x1, cfg.nodes_per_piece)
@@ -773,7 +759,6 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
                    partition: FixedPointPartition | None = None,
                    seed: SeedSpec | Sequence[SeedSpec] | None = None,
                    config: BuildConfig = DEFAULT_CONFIG,
-                   max_steps: int | None = None,
                    domain: tuple[float, float] | None = None) -> VelocityField1D:
     """Build the autonomous field realizing the monotone map between m0 and m1.
 
@@ -810,14 +795,12 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
     moving = partition.moving_intervals
     seeds = _normalize_seeds(seed, len(moving))
     width = partition.domain[1] - partition.domain[0]
-    steps = int(max_steps if max_steps is not None else config.orbit_max_steps)
 
     seeded = [_seed_interval(T, itv, sd, config, map_domain, map_range, width)
               for itv, sd in zip(moving, seeds)]
     _march_lockstep(T, [m for s in seeded if isinstance(s, _SeededInterval)
                         for m in (s.forward, s.backward) if m is not None],
-                    max_steps=steps, thin_depth=config.deep_piece_depth,
-                    thin_nodes=config.deep_piece_nodes, width=width)
+                    config)
     fields = [_finish_interval(s, partition.indeterminate, width)
               if isinstance(s, _SeededInterval) else s for s in seeded]
     return VelocityField1D(T, partition, fields, config)
@@ -901,8 +884,7 @@ def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
                           seed: SeedSpec | None = None,
                           config: BuildConfig = DEFAULT_CONFIG,
                           slope_margin: float = 1e-5,
-                          budget: int = 64,
-                          max_steps: int | None = None) -> ApproximateResult:
+                          budget: int = 64) -> ApproximateResult:
     """Replace m1 by a translate within eps in W1 whose map has no slope-1
     fixed points, then build the field for the shifted problem.
 
@@ -932,7 +914,7 @@ def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
         if not ok:
             continue
         fld = build_velocity(transport_map=T_lam, partition=partition, seed=seed,
-                             config=config, max_steps=max_steps)
+                             config=config)
         return ApproximateResult(shift=lam, eps=eps, field=fld,
                                  transport_map=T_lam, partition=partition,
                                  target=T_lam.target, w1_target_gap=abs(lam),
@@ -960,13 +942,16 @@ def _dyadic_fractions(budget: int):
 def _shifted_map(T: MonotoneMap, m0, m1, lam: float) -> MonotoneMap:
     if lam == 0.0:
         return T
-    second = T.second_derivative
 
     def forward(x):
         return np.asarray(T.forward(x), dtype=float) - lam
 
+    def jet(x):
+        y, tp, tpp = T.jet(x)
+        return np.asarray(y, dtype=float) - lam, tp, tpp
+
     def inverse(y):
         return T.inverse(np.asarray(y, dtype=float) + lam)
 
-    return MonotoneMap(forward, T.derivative, inverse, second,
-                       m0, translate(m1, -lam), label=f"shifted({lam:g})")
+    return MonotoneMap(forward, inverse, jet, m0, translate(m1, -lam),
+                       label=f"shifted({lam:g})")

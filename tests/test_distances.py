@@ -23,9 +23,10 @@ from scipy.integrate import quad_vec
 from otflow.measures import (AffineImage, Gaussian, PiecewiseDensity, Uniform,
                              l1_distance, translate, wasserstein1)
 from otflow.registry import example_names
-from otflow.sudakov import ProductMeasure, assemble_field, decompose
+from otflow.sudakov import ProductMeasure, RadiusLaw, assemble_field, decompose
 
 flow_mod = importlib.import_module("otflow.flow")
+measures_mod = importlib.import_module("otflow.measures")
 
 EPS_TAIL = 1e-10
 TOL_PROPERTY = 1e-10
@@ -193,3 +194,19 @@ def test_sudakov_push_distances_match_reference(cond, radial_disks):
             field_nd = assemble_field(family)
     push = flow_mod.push_measure(field_nd.field, family.cond0, 1.0, n=2049)
     _assert_matches_reference(push.measure, family.cond1)
+
+
+def test_radius_pair_w1_takes_the_closed_form(radial_disks, monkeypatch):
+    # the d = 2 radius laws have a linear density on [0, R], so the push of
+    # the disks' conditional pair against its target never needs quadrature
+    family, field_nd, _ = radial_disks
+    push = flow_mod.push_measure(field_nd.field, family.cond0, 1.0, n=2049)
+    target = RadiusLaw(2, 2.0)
+    ref, noise = reference_abs_gap("cdf", push.measure, target)
+
+    def refuse(*args):
+        raise AssertionError("Gauss-Legendre fallback used")
+
+    monkeypatch.setattr(measures_mod, "_abs_gauss_legendre", refuse)
+    got = wasserstein1(push.measure, target)
+    assert abs(got - ref) <= 1e-10 * ref + 1e-16 + noise, (got, ref)

@@ -5,14 +5,19 @@ pairs; those serve as oracles here.  Fixed point structure is checked on maps
 whose fixed sets are known by construction.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from otflow.config import DEFAULT_CONFIG
 from otflow.errors import InputError, InvalidMapError
 from otflow.measures import AffineImage, Gaussian, Uniform
 from otflow.monotone import (compute_monotone_map, find_fixed_points,
                              map_from_callables)
+from otflow.sudakov import RadiusLaw
+from test_distances import pl_densities
 
 TOL_MAP = 1e-10
 TOL_DERIV = 1e-7
@@ -59,6 +64,65 @@ class TestComputeMonotoneMap:
         assert np.all(np.asarray(T.forward(b)) >= np.asarray(T.forward(a)))
 
 
+def _reference_jet(m0, m1, forward, x):
+    """(T, T', T'') of the quantile map, written out from the measures:
+    T from forward; T' = pdf0(x) / pdf1(T(x)), by a central difference of
+    forward (step 1e-7 of the source's 1e-10 window, clipped to a finite
+    support) where that ratio is not finite; T'' = (pdf0'(x) - T'^2
+    pdf1'(T(x))) / pdf1(T(x)), NaN where pdf1(T(x)) = 0."""
+    y = forward(x)
+    p0, p1 = m0.pdf(x), m1.pdf(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tp = np.where(p1 > 0.0, p0 / np.where(p1 > 0.0, p1, 1.0), np.nan)
+    lo, hi = m0.support
+    w_lo, w_hi = m0.window(1e-10)
+    h = max(1e-7 * (w_hi - w_lo), 1e-12)
+    for k in np.flatnonzero(~np.isfinite(tp)):
+        a = max(x[k] - h, lo) if math.isfinite(lo) else x[k] - h
+        b = min(x[k] + h, hi) if math.isfinite(hi) else x[k] + h
+        tp[k] = (forward(np.array([b]))[0] - forward(np.array([a]))[0]) / (b - a)
+    num = m0.pdf_derivative(x) - tp * tp * m1.pdf_derivative(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tpp = np.where(p1 != 0.0, num / np.where(p1 != 0.0, p1, 1.0), np.nan)
+    return y, tp, tpp
+
+
+def _assert_jet_is_reference(m0, m1, xs):
+    T = compute_monotone_map(m0, m1)
+    got = T.jet(xs)
+    want = _reference_jet(m0, m1, T.forward, xs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert np.asarray(T.forward(xs)).tobytes() == got[0].tobytes()
+    # scalars get the bits of the array entries
+    for k in (0, xs.size // 2, xs.size - 1):
+        assert all(np.float64(s).tobytes() == a[k].tobytes()
+                   for s, a in zip(T.jet(float(xs[k])), got))
+
+
+class TestQuantileJet:
+    """The fused jet of the quantile map against a reference written from
+    the measures, bitwise, inside and outside the source support."""
+
+    @given(pl_densities(), pl_densities())
+    def test_random_piecewise_linear_pairs(self, m0, m1):
+        lo, hi = m0.support
+        xs = np.concatenate((np.linspace(lo - 0.5, hi + 0.5, 101), m0.x))
+        _assert_jet_is_reference(m0, m1, xs)
+
+    @pytest.mark.parametrize("m0,m1,xs", [
+        (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0), np.linspace(-40.0, 40.0, 161)),
+        (Uniform(1.0, 2.0), AffineImage(Uniform(1.0, 2.0), 1.0 / 3.0, -3.0),
+         np.linspace(0.0, 3.0, 121)),
+        (RadiusLaw(2, 1.0), RadiusLaw(2, 2.0), np.linspace(-0.5, 1.5, 81)),
+        # beyond |x| = 38 the target density at T(x) underflows to 0, so T'
+        # takes the finite difference fallback
+        (Gaussian(0.0, 1.0), Gaussian(0.0, 1e30), np.linspace(-45.0, 45.0, 91)),
+    ], ids=["gaussian", "affine", "radius", "underflow"])
+    def test_analytic_pairs(self, m0, m1, xs):
+        _assert_jet_is_reference(m0, m1, xs)
+
+
 class TestMapFromCallables:
     """Wrapping closed-form callables with numeric fallbacks."""
 
@@ -74,6 +138,26 @@ class TestMapFromCallables:
         ys = np.asarray(T.forward(np.linspace(0.6, 1.9, 13)))
         xs = np.asarray(T.inverse(ys))
         assert np.max(np.abs(xs ** 3 + xs - ys)) <= 1e-10
+
+    def test_numeric_second_derivative(self):
+        T = map_from_callables(lambda x: np.asarray(x) ** 3 + np.asarray(x),
+                               domain=(0.5, 2.0))
+        xs = np.linspace(0.5, 2.0, 31)
+        y, tp, tpp = T.jet(xs)
+        assert y.tobytes() == np.asarray(T.forward(xs), dtype=float).tobytes()
+        assert np.max(np.abs(tpp - 6.0 * xs) / (6.0 * xs)) <= 1e-6
+
+    def test_given_jet_is_used_as_is(self):
+        def jet(x):
+            x = np.asarray(x, dtype=float)
+            return 2.0 * x, np.full_like(x, 2.0), np.zeros_like(x)
+
+        T = map_from_callables(lambda x: 2.0 * np.asarray(x, dtype=float),
+                               jet=jet, domain=(-1.0, 1.0))
+        assert T.jet is jet
+        assert float(T.derivative(0.3)) == 2.0
+        assert np.max(np.abs(T.inverse(np.array([-1.5, 0.2, 1.9]))
+                             - np.array([-0.75, 0.1, 0.95]))) <= 1e-15
 
     def test_decreasing_callable_rejected_at_build(self):
         from otflow.errors import TransportError

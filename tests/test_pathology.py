@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import otflow.pathology
 from otflow.errors import InputError
@@ -64,7 +65,7 @@ class TestQuadraticMap:
     def test_derivative_range(self, quadratic_probe):
         cmap, _ = quadratic_probe
         xs = np.linspace(cmap.table_floor, 1.0, 40001)
-        tp = cmap.derivative(xs)
+        tp = cmap.jet(xs)[1]
         assert tp.min() >= 0.5 and tp.max() <= 1.5
 
     def test_derivative_vs_finite_difference(self, quadratic_probe):
@@ -73,7 +74,7 @@ class TestQuadraticMap:
         xs = rng.uniform(0.05, 0.45, 200)
         h = 1e-7
         fd = (cmap.forward(xs + h) - cmap.forward(xs - h)) / (2 * h)
-        assert np.max(np.abs(fd - cmap.derivative(xs))) <= 1e-5
+        assert np.max(np.abs(fd - cmap.jet(xs)[1])) <= 1e-5
 
     def test_map_strictly_below_identity(self, quadratic_probe):
         cmap, _ = quadratic_probe
@@ -212,37 +213,130 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _jet_points(cmap):
+    """Both ends, the floor, every anchor, three points inside four gaps
+    and three points above 1/2."""
+    a, b = cmap.anchors, cmap.gaps
+    inside = [a[j + 1] + u * b[j] for j in (0, 7, 300, cmap.n_anchors - 1)
+              for u in (0.15, 0.75, 0.9)]
+    return np.concatenate(([0.0, 0.5 * cmap.table_floor, cmap.table_floor],
+                           a, inside, [0.5 + 1e-9, 0.75, 1.0]))
+
+
+def _difference(g, xs, h, side):
+    """Second-order difference of g at xs with steps h: central where side
+    is 0, else one-sided toward side (+1 or -1)."""
+    out = np.empty_like(xs)
+    c = side == 0
+    out[c] = (g(xs[c] + h[c]) - g(xs[c] - h[c])) / (2.0 * h[c])
+    s, x, k = side[~c], xs[~c], h[~c]
+    out[~c] = s * (4.0 * g(x + s * k) - 3.0 * g(x) - g(x + 2.0 * s * k)) / (2.0 * k)
+    return out
+
+
+def _differences(cmap, xs, rel_step):
+    """Differences of forward and of the jet's T' at xs, with the step
+    rel_step times the width of the region holding x.  One-sided where T'
+    (the floor) or T'' (1/2) jumps, and at 1, toward the side the jet
+    reads; central elsewhere."""
+    b = cmap.gaps
+    j = cmap._locate(xs)
+    tabulated = (xs >= cmap.table_floor) & (xs <= 0.5)
+    h = rel_step * np.where(tabulated, b[j],
+                            np.where(xs > 0.5, 0.5, cmap.table_floor))
+    side = np.where((xs == cmap.table_floor) | ((xs > 0.5) & (xs < 0.5 + 2.0 * h)),
+                    1.0, np.where((xs == 0.5) | (xs == 1.0), -1.0, 0.0))
+    d1 = _difference(cmap.forward, xs, h, side)
+    d2 = _difference(lambda x: cmap.jet(x)[1], xs, h, side)
+    # the scale of T'' on each gap: D'' = (b_j - b_(j+1)) / b_j^2 q''(u)
+    scale = np.where(tabulated, (b[j] - b[j + 1]) / b[j] ** 2, 1.0)
+    return d1, d2, scale
+
+
 class TestFusedJet:
-    """The fused (T, T', T'') equals the three separate callables bitwise."""
+    """The fused (T, T', T''): T bitwise forward, T' and T'' matching
+    differences of forward and of T'."""
 
     @pytest.mark.parametrize("variant", ["quadratic", "log_squared"])
     def test_jet_matches_callables(self, variant):
         cmap = build_counterexample(variant)
-        a, b = cmap.anchors, cmap.gaps
-        inside = [a[j + 1] + u * b[j] for j in (0, 7, 300, cmap.n_anchors - 1)
-                  for u in (0.15, 0.75, 0.9)]
-        xs = np.concatenate(([0.0, 0.5 * cmap.table_floor, cmap.table_floor],
-                             a, inside, [0.5 + 1e-9, 0.75, 1.0]))
-        got = cmap.jet(xs)
-        want = (cmap.forward(xs), cmap.derivative(xs), cmap.second_derivative(xs))
-        for g, w in zip(got, want):
-            assert _same_bits(g, w)
+        xs = _jet_points(cmap)
+        y, tp, tpp = cmap.jet(xs)
+        assert _same_bits(y, cmap.forward(xs))
+        # at 0 the jet reads the slope 1 of the fixed point, not the
+        # pinch's slope 1 - b_n/a_n on (0, floor)
+        x, tp, tpp = xs[1:], tp[1:], tpp[1:]
+        d1, _, _ = _differences(cmap, x, 1e-4)
+        _, d2, scale = _differences(cmap, x, 1e-6)
+        assert np.max(np.abs(d1 - tp)) <= 1e-6
+        assert np.max(np.abs(d2 - tpp) / scale) <= 1e-3
         # elementwise: a slice of the points gets the same bits on its own,
         # which is what lets orbit marches share one call
-        for g, w in zip(cmap.jet(xs[5:40]), got):
+        for g, w in zip(cmap.jet(xs[5:40]), cmap.jet(xs)):
             assert _same_bits(g, w[5:40])
 
     def test_scalar_jet(self):
         cmap = build_counterexample("quadratic")
-        for x in (0.0, cmap.table_floor, 0.3, 0.5, 0.9):
-            got = cmap.jet(x)
-            want = (cmap.forward(x), cmap.derivative(x), cmap.second_derivative(x))
-            assert all(_same_bits(g, w) for g, w in zip(got, want)), x
+        xs = np.array([0.0, cmap.table_floor, 0.3, 0.5, 0.9])
+        arrays = cmap.jet(xs)
+        for k, x in enumerate(xs):
+            got = cmap.jet(float(x))
+            assert _same_bits(got[0], cmap.forward(float(x))), x
+            assert all(_same_bits(g, w[k]) for g, w in zip(got, arrays)), x
 
     def test_jet_refuses_outside_domain(self):
         cmap = build_counterexample("quadratic")
         with pytest.raises(InputError):
             cmap.jet(np.array([0.2, 1.5]))
+
+
+def _brentq_inverse(cmap, y):
+    """The per-point bracketed root solve the map's inverse once was."""
+    flat = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.empty_like(flat)
+    top = float(cmap.forward(np.array(1.0)))
+    pinch = float(cmap.gaps[cmap.n_anchors] / cmap.anchors[cmap.n_anchors])
+    floor_img = cmap.table_floor * (1.0 - pinch)
+    n = cmap.n_anchors
+    asc = cmap.anchors[::-1]
+    for k, yv in enumerate(flat):
+        assert 0.0 < yv <= top
+        if yv <= floor_img:
+            out[k] = yv / (1.0 - pinch)
+            continue
+        j = n - int(np.searchsorted(asc, yv, side="left"))
+        if j <= 0:
+            lo, hi = 0.5, 1.0
+        else:
+            j = min(j, n)
+            lo, hi = float(cmap.anchors[j]), float(cmap.anchors[j - 1])
+        out[k] = brentq(lambda t: float(cmap.forward(np.array(t))) - yv,
+                        lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return out
+
+
+class TestInverse:
+    """The vectorised inverse against the per-point brentq solve."""
+
+    @pytest.mark.parametrize("variant", ["quadratic", "log_squared"])
+    def test_matches_brentq(self, variant):
+        cmap = build_counterexample(variant)
+        a, b, f = cmap.anchors, cmap.gaps, cmap.table_floor
+        gaps = [a[j + 1] + u * b[j] for j in (0, 1, 7, 300, 5000, cmap.n_anchors - 1)
+                for u in (0.05, 0.15, 0.5, 0.75, 0.9, 0.99)]
+        xs = np.concatenate((a[::397], a[-3:], gaps, f * np.array([1e-6, 0.3, 0.999]),
+                             [0.5 + 1e-9, 0.6, 0.75, 0.9, 1.0]))
+        ys = cmap.forward(xs)
+        got = cmap.inverse(ys)
+        assert np.max(np.abs(got - _brentq_inverse(cmap, ys))) <= 1e-15
+        assert np.max(np.abs(got - xs)) <= 1e-15
+        assert cmap.inverse(float(ys[7])) == got[7]
+
+    def test_refuses_outside_image(self):
+        cmap = build_counterexample("quadratic")
+        for y in (0.0, -0.1, float(cmap.forward(1.0)) + 1e-9):
+            with pytest.raises(InputError):
+                cmap.inverse(np.array([0.3, y]))
 
 
 class TestValidation:

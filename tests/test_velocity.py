@@ -7,6 +7,7 @@ library's own residual report, so the two routes stay independent.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,10 +287,7 @@ class TestLockstepMarching:
             assert f.depth_forward > 0 and f.depth_backward > 0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                alone = build_velocity(ex.m0, ex.m1,
-                                       transport_map=ex.transport_map,
-                                       partition=_solo(partition, itv),
-                                       max_steps=ex.default_max_steps)
+                alone = replace(ex, partition=_solo(partition, itv)).build()
             (g,) = alone.intervals
             assert _table_bits(g) == _table_bits(f)
             assert (g.zone_trail, g.zone_lead) == (f.zone_trail, f.zone_lead)
