@@ -12,14 +12,17 @@ Two gap sequences:
   quadratic    b_i ~ 1/(i+10)^2     (velocity unbounded near 0)
   log_squared  b_i ~ 1/((i+6) log^2(i+6))   (velocity not L1 near 0)
 
-The profile is one C^2 family: quintic-smoothstep ramps onto a plateau, then
-an exactly linear tail of slope -1/4 on [9/10, 1].  The linear tail keeps
-preimages of anchor neighborhoods uniformly deep inside the previous gap, and
+The profile is one C^2 family: ramps whose slope follows a cubic smoothstep
+onto a plateau, then an exactly linear tail of slope -1/4 on [9/10, 1].  The
+linear tail keeps preimages of anchor neighborhoods uniformly deep inside the previous gap, and
 the C^2 joins make the glued map twice differentiable across anchors, so
 propagated derivative tables never mix one-sided values.  Closed-form bounds:
 the slope stays in [-1/2, plateau height], the plateau height stays below 3/2
 whenever the left-end slope parameter is below 1/2, and the whole map keeps
 T' within [1/2, 3/2] whenever consecutive gaps shrink by at most 1/3.
+
+The glued displacement is tabulated once per map as piecewise polynomials, so
+a map evaluation costs the same few array operations at every orbit depth.
 """
 
 from __future__ import annotations
@@ -52,66 +55,44 @@ _R1, _R2, _R3 = 0.15, 0.75, 0.9
 _TAIL_SLOPE = -0.25
 
 
-def _sstep(w):
-    """Cubic smoothstep: 0 -> 1 with zero slope at both ends.
-
-    Used to ramp the profile slope, so the profile curvature vanishes at
-    region joins; the low polynomial degree keeps propagated fields easy to
-    interpolate at fixed node counts.
-    """
-    return w * w * (3.0 - 2.0 * w)
-
-
-def _sstep_d(w):
-    return 6.0 * w * (1.0 - w)
-
-
-def _sstep_anti(w):
-    return w * w * w * (1.0 - 0.5 * w)
-
-
 class BumpProfile:
     """One-parameter family q(u; g) of gap profiles on [0, 1].
 
     q(0) = 0, q(1) = 1; left-end slope q'(0) = -g, right-end slope -1/4 with
     q' exactly -1/4 on [9/10, 1]; the interior plateau height balances the
-    integral to 1.  All evaluations are vectorized and broadcast over (u, g).
+    integral to 1.  Evaluations are vectorized over g.
     """
 
     @staticmethod
     def plateau(g):
         return (1.04375 + 0.075 * np.asarray(g, dtype=float)) / 0.75
 
-    def jet(self, u, g):
-        """(q, q', q'') at (u, g), one region split for all three."""
-        u = np.asarray(u, dtype=float)
+    def coefficients(self, g):
+        """Per-region Taylor coefficients of q, shape (4, 5) + shape of g.
+
+        Entry [r, i] multiplies (u - u_r)^i on region r, where u_r is the
+        region's left end, except for the tail, which is expanded about its
+        right end u = 1 so that q(1) = 1 holds exactly (the plateau height
+        makes the two agree in exact arithmetic).  Each ramp moves the slope
+        s0 -> s1 across its width by a cubic smoothstep, 3 w^2 - 2 w^3 in the
+        region's own coordinate w, so q'' vanishes at every region join and
+        q is C^2; the low degree keeps propagated fields easy to interpolate.
+        Plateau and tail are linear.  All coefficients are affine in g.
+        """
         a = -np.asarray(g, dtype=float)
         h = self.plateau(g)
-        u, a, h = np.broadcast_arrays(u, a, h)
-        val, slope, curv = np.empty_like(u), np.empty_like(u), np.zeros_like(u)
         w3 = _R3 - _R2
         q1 = _R1 * (a + h) / 2.0                      # value at _R1
         q2 = q1 + h * (_R2 - _R1)                     # value at _R2
-        q3 = q2 + h * w3 + (_TAIL_SLOPE - h) * w3 * 0.5   # value at _R3
-        m1 = u < _R1
-        m2 = (u >= _R1) & (u < _R2)
-        m3 = (u >= _R2) & (u < _R3)
-        m4 = u >= _R3
-        u1, a1, h1 = u[m1], a[m1], h[m1]
-        w = u1 / _R1
-        val[m1] = a1 * u1 + (h1 - a1) * _R1 * _sstep_anti(w)
-        slope[m1] = a1 + (h1 - a1) * _sstep(w)
-        curv[m1] = (h1 - a1) * _sstep_d(w) / _R1
-        val[m2] = q1[m2] + h[m2] * (u[m2] - _R1)
-        slope[m2] = h[m2]
-        u3, h3 = u[m3], h[m3]
-        w = (u3 - _R2) / w3
-        val[m3] = q2[m3] + h3 * (u3 - _R2) + (_TAIL_SLOPE - h3) * w3 * _sstep_anti(w)
-        slope[m3] = h3 + (_TAIL_SLOPE - h3) * _sstep(w)
-        curv[m3] = (_TAIL_SLOPE - h3) * _sstep_d(w) / w3
-        val[m4] = q3[m4] + _TAIL_SLOPE * (u[m4] - _R3)
-        slope[m4] = _TAIL_SLOPE
-        return val, slope, curv
+        zero, one = np.zeros_like(a), np.ones_like(a)
+
+        def ramp(v0, s0, s1, w):
+            return (v0, s0, zero, (s1 - s0) / (w * w), -(s1 - s0) / (2.0 * w ** 3))
+
+        return np.array([ramp(zero, a, h, _R1),
+                         (q1, h, zero, zero, zero),
+                         ramp(q2, h, _TAIL_SLOPE, w3),
+                         (one, _TAIL_SLOPE * one, zero, zero, zero)])
 
     def certify(self, g_max: float):
         """Closed-form range checks for all parameters up to g_max."""
@@ -156,6 +137,10 @@ class _QuadraticSeq:
         o = self.offset
         return (2.0 * i + 2 * o + 1) / (i + o + 1) ** 2
 
+    def drops(self, start: int, n: int):
+        """The drops of the n indices from start."""
+        return self.drop(np.arange(start, start + n, dtype=float))
+
 
 class _LogSquaredSeq:
     """b_i = gamma/((i+k) log^2(i+k)); k keeps consecutive-gap ratios >= 2/3."""
@@ -189,8 +174,11 @@ class _LogSquaredSeq:
         out = np.array([self.gamma * self._tail(int(k)) for k in np.atleast_1d(i)])
         return out if i.ndim else float(out[0])
 
-    def drop(self, i):
-        return 1.0 - self._f(np.asarray(i, dtype=float) + 1.0) / self._f(i)
+    def drops(self, start: int, n: int):
+        """The drops 1 - b_(i+1)/b_i of the n indices from start, from one
+        evaluation of the sequence on its n + 1 terms."""
+        f = self._f(np.arange(start, start + n + 1, dtype=float))
+        return 1.0 - f[1:] / f[:-1]
 
 
 _SEQUENCES = {"quadratic": _QuadraticSeq, "log_squared": _LogSquaredSeq}
@@ -207,6 +195,18 @@ class CounterexampleMap:
     starting from 1/2, so T(anchors[i]) == anchors[i+1] holds bitwise.  Above
     1/2 the displacement continues by a cubic tail; below the tabulated range
     it pinches linearly to 0 (marked by table_floor).
+
+    The displacement D is one piecewise-polynomial table, built once here:
+    the pinch on [0, floor), the four profile regions of every gap, and the
+    cubic on (1/2, 1], each piece a quartic in x minus the piece's origin.
+    (D, D', D'') at any number of points is then one search, one gather and
+    three Horner sums.  Each gap's first piece is expanded about its lower
+    anchor and its tail about its upper anchor, so D is exactly b_j at every
+    anchor.  1/2 and the floor are orbit points, and 1/2 seeds the probes'
+    orbit, whose T'' there enters every anchor's node data; so both read
+    their gap's profile, not the continuation or the pinch.  The table is
+    right-continuous, which gives the floor to the deepest gap, and the
+    continuation starts one ulp above 1/2.
     """
 
     def __init__(self, variant: str, sequence, bump: BumpProfile, n_anchors: int):
@@ -233,112 +233,95 @@ class CounterexampleMap:
         # left-end slope parameter of the profile on gap j (C^1 junction match)
         self.gbar = b[:-2] * (b[1:-1] - b[2:]) / (4.0 * b[1:-1] * (b[:-2] - b[1:-1]))
         self.drop_table = 1.0 - b[1:-1] / b[:-2]
+        self._pinch_slope = float(b[n] / anchors[n])
 
-        # cubic continuation of the displacement on [1/2, 1]
+        # gap j: D = b_(j+1) + (b_j - b_(j+1)) q((x - anchors[j+1]) / b_j);
+        # rows are the regions, columns the gaps from the deepest up
+        lower, bj, bj1 = anchors[:0:-1], b[n - 1::-1], b[n:0:-1]
+        starts = lower + np.multiply.outer((0.0, _R1, _R2, _R3), bj)
+        origins = np.vstack((starts[:3], anchors[n - 1::-1]))
+        coef = bump.coefficients(self.gbar[::-1]) * (
+            (bj - bj1) / bj ** np.arange(5)[:, None])
+        coef[:, 0] += bj1
+
+        # cubic continuation of the displacement on (1/2, 1]
         b0, b1 = float(b[0]), float(b[1])
         s0 = -(b0 - b1) / (4.0 * b0)
         w = 0.5
         delta = -b0 / 2.0
-        self._ext = (b0, s0, (3.0 * delta / w - 2.0 * s0) / w,
-                     (-2.0 * delta / w + s0) / (w * w))
-        self._pinch_slope = float(b[n] / anchors[n])
+        ext = (b0, s0, (3.0 * delta / w - 2.0 * s0) / w,
+               (-2.0 * delta / w + s0) / (w * w), 0.0)
+
+        self._breaks = np.concatenate(
+            ([0.0], starts.T.ravel(), [np.nextafter(0.5, 1.0)]))
+        c = np.column_stack(([0.0, self._pinch_slope, 0.0, 0.0, 0.0],
+                             coef.transpose(1, 2, 0).reshape(5, -1), ext))
+        i = np.arange(5)[:, None]
+        # rows: origin, D coefficients, then those of D' and of D''
+        self._table = np.vstack((
+            np.concatenate(([0.0], origins.T.ravel(), [0.5])),
+            c, i[1:] * c[1:], (i[2:] * (i[2:] - 1)) * c[2:]))
+        # T at every break and at 1: the brackets of the inverse
+        self._edges = np.append(self._breaks, 1.0)
+        self._edge_images = self._edges - self._displacement(self._edges, 0)[0]
 
     # ------------------------------------------------------------------
-    def _locate(self, x):
-        """Gap index j with anchors[j+1] < x <= anchors[j], vectorized.
-
-        The bottom anchor belongs to the deepest tabulated gap.
-        """
-        asc = self.anchors[::-1]
-        pos = np.searchsorted(asc, x, side="left")
-        return np.minimum(self.n_anchors - pos, self.n_anchors - 1)
-
-    def _parts(self, x):
-        """(D, D', D'') of the displacement on [0, 1], one region split for
-        all three: the cubic continuation for x > 1/2, the linear pinch below
-        the table floor, and the gap profiles in between."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        mid = (x >= self.table_floor) & (x <= 0.5)
-        if mid.all():
-            parts = self._gap_parts(x)
-        else:
-            parts = np.zeros((3,) + x.shape)
-            disp, slope, curv = parts
-            ext = x > 0.5
-            if np.any(ext):
-                c0, c1, c2, c3 = self._ext
-                t = x[ext] - 0.5
-                disp[ext] = ((c3 * t + c2) * t + c1) * t + c0
-                slope[ext] = (3.0 * c3 * t + 2.0 * c2) * t + c1
-                curv[ext] = 6.0 * c3 * t + 2.0 * c2
-            low = (x > 0.0) & (x < self.table_floor)
-            disp[low] = x[low] * self._pinch_slope
-            slope[low] = self._pinch_slope
-            if np.any(mid):
-                for out, part in zip(parts, self._gap_parts(x[mid])):
-                    out[mid] = part
-        if scalar:
-            return tuple(float(p[0]) for p in parts)
-        return tuple(parts)
-
-    def _gap_parts(self, xm):
-        """(D, D', D'') on the tabulated gaps: one gap lookup and one bump
-        evaluation at the position u inside gap j; D is exactly b_j at each
-        anchor."""
-        j = self._locate(xm)
-        bj, bj1 = self.gaps[j], self.gaps[j + 1]
-        u = np.clip((xm - self.anchors[j + 1]) / bj, 0.0, 1.0)
-        q, dq, ddq = self.bump.jet(u, self.gbar[j])
-        disp = bj1 + (bj - bj1) * q
-        exact = xm == self.anchors[j]
-        disp[exact] = bj[exact]
-        return disp, (bj - bj1) / bj * dq, (bj - bj1) / (bj * bj) * ddq
+    def _displacement(self, x, order: int):
+        """(D, D', ..., D^(order)) at x in [0, 1] from the table."""
+        k = np.searchsorted(self._breaks, x, side="right") - 1
+        rows = np.take(self._table, k, axis=-1)
+        t = x - rows[0]
+        out = []
+        for c in (rows[1:6], rows[6:10], rows[10:13])[:order + 1]:
+            acc = c[-1]
+            for ci in c[-2::-1]:
+                acc = acc * t + ci
+            out.append(acc)
+        return out
 
     @staticmethod
     def _on_domain(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if (x < 0.0).any() or (x > 1.0).any():
             raise InputError("counterexample map is defined on [0, 1]")
         return x
 
     def displacement(self, x):
-        return self._parts(self._on_domain(x))[0]
+        return self._displacement(self._on_domain(x), 0)[0]
 
     # map callables ----------------------------------------------------
     def forward(self, x):
-        return np.asarray(x, dtype=float) - self.displacement(x)
+        x = self._on_domain(x)
+        return x - self._displacement(x, 0)[0]
 
     def jet(self, x):
-        """(T, T', T'') at x in one pass over the regions."""
+        """(T, T', T'') at x from one table lookup."""
         x = self._on_domain(x)
-        disp, slope, curv = self._parts(x)
+        disp, slope, curv = self._displacement(x, 2)
         return x - disp, 1.0 - slope, -curv
 
+    def _value_slope(self, x):
+        disp, slope = self._displacement(x, 1)
+        return x - disp, 1.0 - slope
+
     def inverse(self, y):
-        """T^(-1) on the image (0, T(1)]: the linear pinch in closed form
-        below the floor's image, else the shared Newton inverse inside the
-        gap that T maps onto y's gap ([1/2, 1] above the anchors)."""
+        """T^(-1) on the image (0, T(1)]: the linear pinch in closed form,
+        else the shared Newton inverse inside the table piece whose image
+        holds y."""
         y = np.asarray(y, dtype=float)
         flat = np.atleast_1d(y)
-        top = float(self.forward(1.0))
+        top = float(self._edge_images[-1])
         outside = ~((flat > 0.0) & (flat <= top))
         if np.any(outside):
             raise InputError(f"inverse: {flat[outside][0]:g} outside the "
                              f"image (0, {top:g}]")
+        k = np.minimum(np.searchsorted(self._edge_images, flat, side="right") - 1,
+                       self._breaks.size - 1)
         out = flat / (1.0 - self._pinch_slope)
-        solve = flat > self.table_floor * (1.0 - self._pinch_slope)
-        ys = flat[solve]
-        # T maps gap j onto gap j + 1; the deepest gap's image ends below
-        # the floor, where _locate clips to that same gap
-        j = np.where(ys > self.table_floor, self._locate(ys) - 1, self.n_anchors - 1)
-        above = j < 0
-        j = np.maximum(j, 0)
-        lo = np.where(above, 0.5, self.anchors[j + 1])
-        hi = np.where(above, 1.0, self.anchors[j])
-        out[solve] = _newton_inverse(self.forward, lambda x: self.jet(x)[:2],
-                                     ys, lo, hi)
+        solve = k > 0
+        ks = k[solve]
+        out[solve] = _newton_inverse(self.forward, self._value_slope, flat[solve],
+                                     self._edges[ks], self._edges[ks + 1])
         return float(out[0]) if y.ndim == 0 else out
 
     def anchor_derivative(self, i):
@@ -441,8 +424,7 @@ def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
     start = 0
     while start < i_max:
         n = min(_GROWTH_BLOCK, i_max - start)
-        drops = np.asarray(seq.drop(np.arange(start, start + n, dtype=float)),
-                           dtype=float)
+        drops = seq.drops(start, n)
         if drops.min() <= 0.0:
             res.product_monotone = False
         # entry k is the sum over factors j < start + k, the previous block's
@@ -553,7 +535,7 @@ def probe_non_integrability(cmap: CounterexampleMap,
     b0 = float(cmap.gaps[0])
     xs = np.linspace(0.5 - b0 / 10.0, 0.5, 513)
     seed_floor = float(np.min(np.abs(itf.v_spline(xs))))
-    drops = np.asarray(cmap.sequence.drop(np.arange(depth, dtype=float)))
+    drops = cmap.sequence.drops(0, depth)
     products = np.exp(np.concatenate(([0.0], np.cumsum(np.log1p(drops / 4.0)))))
     bound_terms = 0.1 * np.asarray(cmap.gaps[:depth]) * products[:depth] * seed_floor
     cum_bound = np.cumsum(bound_terms)

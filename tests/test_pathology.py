@@ -1,8 +1,9 @@
 """Counterexample construction and its two probes.
 
 Independent oracles: the consecutive-gap drop for the quadratic sequence in
-exact rational arithmetic, integral brackets for the gap sum, and the identity
-tying the anchor derivative to the drop.  Scan landmarks (crossing index,
+exact rational arithmetic, integral brackets for the gap sum, the identity
+tying the anchor derivative to the drop, and the region-split jet that the
+map's displacement table replaced.  Scan landmarks (crossing index,
 partial integrals) were computed once with this module's probes and are frozen
 here so regressions surface as value changes, not just flag flips.
 """
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import otflow.pathology
@@ -234,23 +237,174 @@ def _difference(g, xs, h, side):
     return out
 
 
+def _gap_index(cmap, xs):
+    """Gap j with anchors[j+1] < x <= anchors[j]; the floor belongs to the
+    deepest gap."""
+    n = cmap.n_anchors
+    return np.minimum(n - np.searchsorted(cmap.anchors[::-1], xs, side="left"), n - 1)
+
+
+def _gap_scale(cmap, xs):
+    """The scale of T'' where x lies: D'' = (b_j - b_(j+1)) / b_j^2 q''(u)
+    on gap j, and 1 on the pinch and the continuation."""
+    b, j = cmap.gaps, _gap_index(cmap, xs)
+    tabulated = (xs >= cmap.table_floor) & (xs <= 0.5)
+    return np.where(tabulated, (b[j] - b[j + 1]) / b[j] ** 2, 1.0)
+
+
 def _differences(cmap, xs, rel_step):
     """Differences of forward and of the jet's T' at xs, with the step
     rel_step times the width of the region holding x.  One-sided where T'
-    (the floor) or T'' (1/2) jumps, and at 1, toward the side the jet
+    (the floor) or T'' (1/2) jumps, and at 0 and 1, toward the side the jet
     reads; central elsewhere."""
     b = cmap.gaps
-    j = cmap._locate(xs)
+    j = _gap_index(cmap, xs)
     tabulated = (xs >= cmap.table_floor) & (xs <= 0.5)
     h = rel_step * np.where(tabulated, b[j],
                             np.where(xs > 0.5, 0.5, cmap.table_floor))
-    side = np.where((xs == cmap.table_floor) | ((xs > 0.5) & (xs < 0.5 + 2.0 * h)),
+    side = np.where((xs == 0.0) | (xs == cmap.table_floor)
+                    | ((xs > 0.5) & (xs < 0.5 + 2.0 * h)),
                     1.0, np.where((xs == 0.5) | (xs == 1.0), -1.0, 0.0))
     d1 = _difference(cmap.forward, xs, h, side)
     d2 = _difference(lambda x: cmap.jet(x)[1], xs, h, side)
-    # the scale of T'' on each gap: D'' = (b_j - b_(j+1)) / b_j^2 q''(u)
-    scale = np.where(tabulated, (b[j] - b[j + 1]) / b[j] ** 2, 1.0)
-    return d1, d2, scale
+    return d1, d2, _gap_scale(cmap, xs)
+
+
+# The region-split jet the map's piecewise-polynomial table replaced, kept
+# as the reference the table is checked against.
+_R1, _R2, _R3 = 0.15, 0.75, 0.9
+_TAIL_SLOPE = -0.25
+
+
+def _sstep(w):
+    return w * w * (3.0 - 2.0 * w)
+
+
+def _sstep_d(w):
+    return 6.0 * w * (1.0 - w)
+
+
+def _sstep_anti(w):
+    return w * w * w * (1.0 - 0.5 * w)
+
+
+def _bump_jet(u, g):
+    """(q, q', q'') of the gap profile, one region split for all three."""
+    u = np.asarray(u, dtype=float)
+    a = -np.asarray(g, dtype=float)
+    h = (1.04375 + 0.075 * np.asarray(g, dtype=float)) / 0.75
+    u, a, h = np.broadcast_arrays(u, a, h)
+    val, slope, curv = np.empty_like(u), np.empty_like(u), np.zeros_like(u)
+    w3 = _R3 - _R2
+    q1 = _R1 * (a + h) / 2.0
+    q2 = q1 + h * (_R2 - _R1)
+    q3 = q2 + h * w3 + (_TAIL_SLOPE - h) * w3 * 0.5
+    m1 = u < _R1
+    m2 = (u >= _R1) & (u < _R2)
+    m3 = (u >= _R2) & (u < _R3)
+    m4 = u >= _R3
+    u1, a1, h1 = u[m1], a[m1], h[m1]
+    w = u1 / _R1
+    val[m1] = a1 * u1 + (h1 - a1) * _R1 * _sstep_anti(w)
+    slope[m1] = a1 + (h1 - a1) * _sstep(w)
+    curv[m1] = (h1 - a1) * _sstep_d(w) / _R1
+    val[m2] = q1[m2] + h[m2] * (u[m2] - _R1)
+    slope[m2] = h[m2]
+    u3, h3 = u[m3], h[m3]
+    w = (u3 - _R2) / w3
+    val[m3] = q2[m3] + h3 * (u3 - _R2) + (_TAIL_SLOPE - h3) * w3 * _sstep_anti(w)
+    slope[m3] = h3 + (_TAIL_SLOPE - h3) * _sstep(w)
+    curv[m3] = (_TAIL_SLOPE - h3) * _sstep_d(w) / w3
+    val[m4] = q3[m4] + _TAIL_SLOPE * (u[m4] - _R3)
+    slope[m4] = _TAIL_SLOPE
+    return val, slope, curv
+
+
+def _reference_jet(cmap, x):
+    """(T, T', T'') by the region split the map's table replaced: the cubic
+    continuation for x > 1/2, the linear pinch on [0, floor), and the gap
+    profile at the position u inside gap j in between, with D exactly b_j
+    at each anchor.  The pinch includes 0, whose one-sided slope the jet
+    reports."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    a, b, n = cmap.anchors, cmap.gaps, cmap.n_anchors
+    disp, slope, curv = np.zeros((3,) + x.shape)
+    ext = x > 0.5
+    b0, b1 = float(b[0]), float(b[1])
+    c0, c1 = b0, -(b0 - b1) / (4.0 * b0)
+    w, delta = 0.5, -b0 / 2.0
+    c2 = (3.0 * delta / w - 2.0 * c1) / w
+    c3 = (-2.0 * delta / w + c1) / (w * w)
+    t = x[ext] - 0.5
+    disp[ext] = ((c3 * t + c2) * t + c1) * t + c0
+    slope[ext] = (3.0 * c3 * t + 2.0 * c2) * t + c1
+    curv[ext] = 6.0 * c3 * t + 2.0 * c2
+    low = x < cmap.table_floor
+    disp[low] = x[low] * (b[n] / a[n])
+    slope[low] = b[n] / a[n]
+    mid = ~ext & ~low
+    xm = x[mid]
+    j = _gap_index(cmap, xm)
+    bj, bj1 = b[j], b[j + 1]
+    u = np.clip((xm - a[j + 1]) / bj, 0.0, 1.0)
+    q, dq, ddq = _bump_jet(u, cmap.gbar[j])
+    disp[mid] = np.where(xm == a[j], bj, bj1 + (bj - bj1) * q)
+    slope[mid] = (bj - bj1) / bj * dq
+    curv[mid] = (bj - bj1) / (bj * bj) * ddq
+    return x - disp, 1.0 - slope, -curv
+
+
+def _assert_matches_reference(cmap, xs):
+    """T within 2 ulp of x, T' within 1e-13, and T'' within 1e-7 of the
+    gap scale of the reference jet."""
+    got, want = cmap.jet(xs), _reference_jet(cmap, xs)
+    assert np.all(np.abs(got[0] - want[0]) <= 2.0 * np.spacing(xs)), xs
+    assert np.all(np.abs(got[1] - want[1]) <= 1e-13), xs
+    assert np.all(np.abs(got[2] - want[2]) <= 1e-7 * _gap_scale(cmap, xs)), xs
+
+
+VARIANTS = ("quadratic", "log_squared")
+_N_ANCHORS = 12000
+
+
+@pytest.fixture(scope="module")
+def cmaps():
+    return {v: build_counterexample(v, n_anchors=_N_ANCHORS) for v in VARIANTS}
+
+
+class TestTableAgainstReference:
+    """The piecewise-polynomial table against the region-split jet it
+    replaced, at every anchor and on random gap positions, in the pinch and
+    on the continuation."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_jet_points(self, cmaps, variant):
+        cmap = cmaps[variant]
+        _assert_matches_reference(cmap, _jet_points(cmap))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(j=st.integers(0, _N_ANCHORS - 1), u=st.floats(0.0, 1.0),
+           s=st.floats(0.0, 1.0, exclude_max=True),
+           c=st.floats(0.0, 1.0, exclude_min=True))
+    @example(j=0, u=1.0, s=0.0, c=1.0)
+    @example(j=_N_ANCHORS - 1, u=0.0, s=0.5, c=1e-9)
+    def test_random_positions(self, cmaps, variant, j, u, s, c):
+        cmap = cmaps[variant]
+        # x runs from anchors[j+1] (u = 0) to anchors[j] (u = 1), both exact
+        xs = np.array([cmap.anchors[j] - (1.0 - u) * cmap.gaps[j],
+                       s * cmap.table_floor, 0.5 + 0.5 * c])
+        _assert_matches_reference(cmap, xs)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gap_ends_read_the_gap_side(self, cmaps, variant):
+        # 1/2 seeds the probes' orbit and the floor ends the table: both
+        # read the gap profile, not the continuation or the pinch
+        cmap = cmaps[variant]
+        xs = np.array([0.5, cmap.table_floor])
+        (_, _, tpp), (_, tp, _) = [cmap.jet(x) for x in xs]
+        want = _reference_jet(cmap, xs)
+        assert tpp == want[2][0]
+        assert tp == want[1][1]
 
 
 class TestFusedJet:
@@ -263,11 +417,10 @@ class TestFusedJet:
         xs = _jet_points(cmap)
         y, tp, tpp = cmap.jet(xs)
         assert _same_bits(y, cmap.forward(xs))
-        # at 0 the jet reads the slope 1 of the fixed point, not the
-        # pinch's slope 1 - b_n/a_n on (0, floor)
-        x, tp, tpp = xs[1:], tp[1:], tpp[1:]
-        d1, _, _ = _differences(cmap, x, 1e-4)
-        _, d2, scale = _differences(cmap, x, 1e-6)
+        # at 0 the jet reads the pinch's slope 1 - b_n/a_n, the one-sided
+        # slope of forward on (0, floor)
+        d1, _, _ = _differences(cmap, xs, 1e-4)
+        _, d2, scale = _differences(cmap, xs, 1e-6)
         assert np.max(np.abs(d1 - tp)) <= 1e-6
         assert np.max(np.abs(d2 - tpp) / scale) <= 1e-3
         # elementwise: a slice of the points gets the same bits on its own,
