@@ -66,9 +66,10 @@ def push_measure(field: VelocityField1D, m: Measure1D, t: float = 1.0, *,
     """Push m forward by the time-t flow and return the image density.
 
     The density rides the exact change of variables rho_t(y) = rho(x) v(x)/v(y)
-    with x = phi(-t, y).  Where v vanishes (fixed points) the ratio is replaced
-    by its limit T'(y)^(-t).  The grid density is renormalized to unit mass and
-    the defect recorded.
+    with x = phi(-t, y).  Where the flow leaves y in place (v vanishes at
+    fixed points, or the backward step rounds away next to one) the ratio is
+    replaced by its limit T'(y)^(-t).  The grid density is renormalized to
+    unit mass and the defect recorded.
     """
     t = float(t)
     lo, hi = m.window(field.config.eps_tail)
@@ -92,7 +93,7 @@ def push_measure(field: VelocityField1D, m: Measure1D, t: float = 1.0, *,
         vx = field.evaluate(np.where(np.isfinite(xs), xs, ys))
         dens = m.pdf(np.where(np.isfinite(xs), xs, ys)) * (vx / vy)
 
-    good = np.isfinite(dens) & np.isfinite(xs) & (vy != 0.0)
+    good = np.isfinite(dens) & np.isfinite(xs) & (vy != 0.0) & (xs != ys)
     fallback = ~good & np.isfinite(xs)
     n_fallback = int(np.count_nonzero(fallback))
     if n_fallback:

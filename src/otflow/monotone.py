@@ -13,11 +13,13 @@ ratio degenerates, and T'' from the density derivatives.  map_from_callables
 wraps closed-form maps, filling a missing T' or T'' by central differences
 and a missing inverse by the shared Newton inverse, once, at construction.
 
-Fixed point detection scans T(x) - x on a dyadic grid, refines isolated sign
-changes with a bracketing root solve, refines tangential touches through local
-minima of |T(x) - x|, and merges plateau runs into fixed intervals.  The
-complement decomposes into open intervals on which x and T(x) move the same
-direction; each carries that direction sign.
+find_fixed_points scans g = T(x) - x on a dyadic grid in array passes: a run
+of two or more points with |g| <= tol is a plateau; a lone such point, or a
+sign change, is a root of g; a lone point without a sign change, or a small
+local minimum of |g|, is a touch, a root of g' = T' - 1.  One bracketed Newton
+pass on the map's jet refines them all to roundoff.  The complement
+decomposes into open intervals on which x and T(x) move the same direction;
+each carries that direction sign.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .config import DEFAULT_CONFIG, BuildConfig
-from .errors import InputError, InvalidMapError, TransportError
+from .errors import InputError, InvalidMapError
 from .measures import Measure1D
 
 __all__ = [
@@ -197,16 +198,17 @@ def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
     return 0.5 * (a + b)
 
 
-def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6):
+def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6, start=None):
     """Vectorized Newton inverse with a bisection fallback per entry.
 
-    value_slope(x) returns (T(x), T'(x)).  Seeds at y clipped into [lo, hi]
-    (lo, hi scalars or arrays shaped like y), which suits maps near the
-    identity, clips iterates into [lo, hi], and hands any entry that has not
-    converged to 1e-14 relative residual over to plain bisection on forward.
+    value_slope(x) returns (T(x), T'(x)).  Seeds at start, by default at y,
+    clipped into [lo, hi] (lo, hi, start scalars or arrays shaped like y);
+    the default suits maps near the identity.  Clips iterates into [lo, hi],
+    and hands any entry that has not converged to 1e-14 relative residual
+    over to plain bisection on forward.
     """
     y = np.asarray(y, dtype=float)
-    x = np.clip(y, lo, hi)
+    x = np.clip(y if start is None else start, lo, hi)
     for _ in range(iters):
         fx, d = value_slope(x)
         r = fx - y
@@ -272,6 +274,16 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
     domain is the working interval the partition should cover (defaults to the
     convex hull of the source and target windows); search restricts where fixed
     points may occur (defaults to the source window, where the map is defined).
+
+    g = T(x) - x is sampled on the search grid; a grid point is near when
+    |g| <= tol.  A run of two or more near points is a plateau with edges
+    where |g| = tol.  A lone near point is a root of g when its neighbours'
+    signs differ or it ends the grid, and a touch, a root of g' = T' - 1,
+    otherwise.  A sign change between points that are not near is a root of
+    g.  A local minimum of |g| under max(1e6 tol, (4 h)^2), h the grid step,
+    without a sign change is a touch, kept when |g| <= tol there.  One
+    bracketed Newton pass refines them all.  Fixed ends with
+    |T' - 1| <= indeterminate_slope_tol are flagged indeterminate.
     """
     if domain is None:
         if T.source is None or T.target is None:
@@ -280,10 +292,7 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
         w1 = T.target.window(config.eps_tail)
         domain = (min(w0[0], w1[0]), max(w0[1], w1[1]))
     if search is None:
-        if T.source is not None:
-            search = T.source.window(config.eps_tail)
-        else:
-            search = domain
+        search = domain if T.source is None else T.source.window(config.eps_tail)
     lo, hi = float(domain[0]), float(domain[1])
     slo, shi = max(float(search[0]), lo), min(float(search[1]), hi)
     if not shi > slo:
@@ -296,60 +305,63 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
     g = np.asarray(T.forward(xs), dtype=float) - xs
     if not np.all(np.isfinite(g)):
         raise InvalidMapError("find_fixed_points: map returned non-finite values on the grid")
+    ag, sgn = np.abs(g), np.sign(g)
+    near = ag <= tol
 
-    fixed: list[tuple[float, float]] = []
-    near = np.abs(g) <= tol
-
-    # --- plateau runs of near-zero displacement -------------------------------
-    i = 0
-    while i <= n:
-        if near[i]:
-            j = i
-            while j + 1 <= n and near[j + 1]:
-                j += 1
-            a = _refine_plateau_edge(T, xs, g, i, tol, left=True)
-            b = _refine_plateau_edge(T, xs, g, j, tol, left=False)
-            fixed.append((a, b))
-            i = j + 1
-        else:
-            i += 1
-
-    # --- isolated sign changes ------------------------------------------------
-    sgn = np.sign(g)
-    for k in range(n):
-        if near[k] or near[k + 1]:
-            continue
-        if sgn[k] * sgn[k + 1] < 0:
-            r = brentq(lambda t: float(T.forward(t)) - t, xs[k], xs[k + 1],
-                       xtol=max(tol, 1e-15))
-            fixed.append((r, r))
-
-    # --- tangential touches: local minima of |g| dipping well below scale -----
-    ag = np.abs(g)
+    # runs of near points by first and last index; a lone point is a run of one
+    step = np.diff(near.astype(np.int8), prepend=0, append=0)
+    first, last = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1
+    run = first < last
+    lone, first, last = first[~run], first[run], last[run]
+    inner = lone[(lone > 0) & (lone < n)]
+    touch = inner[sgn[inner - 1] * sgn[inner + 1] > 0]
+    crossing = np.setdiff1d(lone, touch)
+    n_lone_touch = touch.size       # kept whatever |g| reads at their root
+    cell = np.flatnonzero(~near[:-1] & ~near[1:] & (sgn[:-1] * sgn[1:] < 0))
     cand_tol = max(tol * 1e6, (4.0 * (shi - slo) / n) ** 2)
-    for k in range(1, n):
-        if near[k] or sgn[k - 1] * sgn[k + 1] < 0:
-            continue
-        if ag[k] < ag[k - 1] and ag[k] < ag[k + 1] and ag[k] <= cand_tol:
-            res = minimize_scalar(lambda t: abs(float(T.forward(t)) - t),
-                                  bounds=(xs[k - 1], xs[k + 1]), method="bounded",
-                                  options={"xatol": max(tol * 1e-3, 1e-15)})
-            if abs(res.fun) <= tol:
-                r = float(res.x)
-                fixed.append((r, r))
+    minimum = (~near[1:-1] & (sgn[:-2] * sgn[2:] >= 0) & (ag[1:-1] <= cand_tol)
+               & (ag[1:-1] < ag[:-2]) & (ag[1:-1] < ag[2:]))
+    touch = np.concatenate((touch, 1 + np.flatnonzero(minimum)))
 
-    fixed = _merge_intervals(fixed, gap=max(tol, 4.0 * (shi - slo) / n * 1e-6))
+    # brackets [xs[ia], xs[ib]] seeded at xs[seed]: plateau edges solve
+    # g = +-tol, crossings g = 0, touches g' = 0 (slope T'')
+    left, right = first[first > 0], last[last < n]
+    ia = np.concatenate((left - 1, right, np.maximum(crossing - 1, 0), cell, touch - 1))
+    ib = np.concatenate((left, right + 1, np.minimum(crossing + 1, n), cell + 1, touch + 1))
+    seed = np.concatenate((left, right, crossing,
+                           np.where(ag[cell] <= ag[cell + 1], cell, cell + 1), touch))
+    c = np.concatenate((sgn[left - 1] * tol, sgn[right + 1] * tol,
+                        np.zeros(crossing.size + cell.size + touch.size)))
+    turn = np.arange(ia.size) >= ia.size - touch.size
+    # orient each bracket so that the bisection fallback sees an increasing function
+    sigma = np.where(turn, sgn[ia], np.where(g[ib] >= g[ia], 1.0, -1.0))
 
-    # --- flag fixed boundaries with slope numerically 1 -----------------------
-    indeterminate: list[float] = []
-    for a, b in fixed:
-        for e in {a, b}:
-            try:
-                de = float(np.asarray(T.derivative(e), dtype=float))
-            except TransportError:
-                de = np.nan
-            if not np.isfinite(de) or abs(de - 1.0) <= config.indeterminate_slope_tol:
-                indeterminate.append(e)
+    def value_slope(x):
+        y, tp, tpp = (np.asarray(a, dtype=float) for a in T.jet(x))
+        return (sigma * np.where(turn, tp - 1.0, y - x),
+                sigma * np.where(turn, tpp, tp - 1.0))
+
+    r = np.empty(0)
+    if ia.size:
+        r = _newton_inverse(lambda x: value_slope(x)[0], value_slope, sigma * c,
+                            xs[ia], xs[ib], start=xs[seed])
+    r_lo, r_hi, points, r_touch = np.split(r, np.cumsum(
+        (left.size, right.size, crossing.size + cell.size)))
+    p_lo, p_hi = xs[first], xs[last]
+    p_lo[first > 0], p_hi[last < n] = r_lo, r_hi
+    if r_touch.size:
+        keep = np.abs(np.asarray(T.forward(r_touch), dtype=float) - r_touch) <= tol
+        keep[:n_lone_touch] = True
+        points = np.concatenate((points, r_touch[keep]))
+    fixed = _merge_intervals(list(zip(p_lo, p_hi)) + [(p, p) for p in points],
+                             gap=max(tol, 4.0 * (shi - slo) / n * 1e-6))
+
+    # fixed ends whose slope is numerically 1, or not finite
+    ends = np.unique(np.asarray(fixed, dtype=float))
+    indeterminate = ()
+    if ends.size:
+        off = np.abs(np.asarray(T.jet(ends)[1], dtype=float) - 1.0)
+        indeterminate = tuple(map(float, ends[~(off > config.indeterminate_slope_tol)]))
 
     # --- moving complement ----------------------------------------------------
     moving: list[MovingInterval] = []
@@ -366,7 +378,7 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
     return FixedPointPartition(domain=(lo, hi),
                                fixed_intervals=tuple(fixed),
                                moving_intervals=tuple(moving),
-                               indeterminate=tuple(sorted(set(indeterminate))))
+                               indeterminate=indeterminate)
 
 
 def _is_fixed_at(fixed, x):
@@ -378,50 +390,20 @@ def _make_moving(T, a, b, lo_fixed, hi_fixed, slo, shi, tol):
     pa, pb = max(a, slo), min(b, shi)
     if pb <= pa:
         # interval lies outside where T is defined; direction from the nearer side
-        mid = 0.5 * (a + b)
-        probe = np.clip(mid, slo, shi)
-        probes = np.array([probe])
+        probes = np.array([np.clip(0.5 * (a + b), slo, shi)])
     else:
         probes = pa + (pb - pa) * np.array([0.25, 0.5, 0.75])
     gv = np.asarray(T.forward(probes), dtype=float) - probes
-    gv = gv[np.abs(gv) > tol]
-    if gv.size == 0:
-        direction = 0
-    else:
-        s = np.sign(gv)
-        if not np.all(s == s[0]):
-            raise InvalidMapError(
-                f"moving interval ({a:.6g}, {b:.6g}): displacement changes sign "
-                "away from the detected fixed set; refine the fixed point grid")
-        direction = int(s[0])
-    if direction == 0:
+    s = np.sign(gv[np.abs(gv) > tol])
+    if s.size == 0:
         raise InvalidMapError(
             f"moving interval ({a:.6g}, {b:.6g}): displacement is numerically zero; "
             "fixed point detection missed a plateau")
-    return MovingInterval(a, b, direction, lo_fixed, hi_fixed)
-
-
-def _refine_plateau_edge(T, xs, g, idx, tol, *, left):
-    """Push a plateau edge to sub-grid accuracy by bisecting |T(x) - x| = tol."""
-    n = len(xs) - 1
-    if left:
-        if idx == 0:
-            return float(xs[0])
-        a, b = xs[idx - 1], xs[idx]
-    else:
-        if idx == n:
-            return float(xs[n])
-        a, b = xs[idx], xs[idx + 1]
-    f = lambda t: abs(float(T.forward(t)) - t) - tol
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    if (fa < 0) == (fb < 0):
-        return float(xs[idx])
-    r = brentq(f, a, b, xtol=1e-15)
-    return float(r)
+    if not np.all(s == s[0]):
+        raise InvalidMapError(
+            f"moving interval ({a:.6g}, {b:.6g}): displacement changes sign "
+            "away from the detected fixed set; refine the fixed point grid")
+    return MovingInterval(a, b, int(s[0]), lo_fixed, hi_fixed)
 
 
 def _merge_intervals(intervals, gap):

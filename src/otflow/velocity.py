@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicHermiteSpline, PPoly
+from scipy.interpolate import PPoly
 
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import (ConstructionError, DegenerateOrbitError, InputError,
@@ -395,9 +395,16 @@ def _hermite_ppoly(x, y, d, joints) -> PPoly:
 # ======================================================================
 
 def _local_hermite(x, y, dy, xq):
+    """Value and slope at xq of the cubic Hermite interpolant of the nodes (x
+    monotone), from the node pair around xq, in scipy's PPoly arithmetic."""
     xs, ys, dys = (x, y, dy) if x[0] <= x[-1] else (x[::-1], y[::-1], dy[::-1])
-    sp = CubicHermiteSpline(xs, ys, dys)
-    return float(sp(xq)), float(sp.derivative()(xq))
+    i = min(max(int(np.searchsorted(xs, xq, side="right")) - 1, 0), xs.size - 2)
+    h, s = xs[i + 1] - xs[i], xq - xs[i]
+    m = (ys[i + 1] - ys[i]) / h
+    t = (dys[i] + dys[i + 1] - 2 * m) / h
+    c2, c3 = (m - dys[i]) / h - t, t / h
+    return (float(ys[i] + dys[i] * s + c2 * (s * s) + c3 * (s * s * s)),
+            float(dys[i] + 2.0 * c2 * s + 3.0 * c3 * (s * s)))
 
 
 class _March:
@@ -616,8 +623,8 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
     fwd, bwd = s.forward, s.backward
     zone_lead = None
     if s.lead_fixed:
-        zone_lead = _truncation_zone("lead", s.lead, fwd.edge, fwd.reason,
-                                     indeterminate, width, warnings)
+        zone_lead = _truncation_zone("lead", s.lead, fwd, s.itv, indeterminate,
+                                     width, warnings)
     elif fwd.reason == "max-steps":
         warnings.append("forward march hit the step cap before the free end")
     elif abs(fwd.edge[0] - s.lead) > 1e-6 * width:
@@ -629,8 +636,8 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
     zone_trail = None
     if bwd is not None:
         pieces_b = bwd.pieces[::-1]
-        zone_trail = _truncation_zone("trail", s.trail, bwd.edge, bwd.reason,
-                                      indeterminate, width, warnings)
+        zone_trail = _truncation_zone("trail", s.trail, bwd, s.itv, indeterminate,
+                                      width, warnings)
 
     # motion order: backward pieces deepest first, the seed, forward pieces
     pieces = pieces_b + [s.seed_piece] + fwd.pieces
@@ -645,13 +652,18 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
                          warnings=warnings)
 
 
-def _truncation_zone(side, fp, edge, reason, indeterminate, width, warnings):
-    """Zone from the march's last node (x, v, F) to the fixed end fp.
+def _truncation_zone(side, fp, march, itv, indeterminate, width, warnings):
+    """Zone from the march's last node (x, v, F) to the fixed end fp of itv.
 
     The pinch rate continues the last node's value linearly to zero at fp.
     At an indeterminate fixed point the zone is flagged and a warning added.
+    A last node outside the open interval means the march passed fp, which
+    then is no fixed point of the map: ConstructionError.
     """
-    e_x, e_v, e_F = edge
+    e_x, e_v, e_F = march.edge
+    if not itv.lo < e_x < itv.hi:
+        raise ConstructionError(
+            f"{march.name} passed its fixed end {fp!r}: last node {e_x!r}")
     flagged = any(abs(fp - p) <= 1e-9 * width for p in indeterminate)
     if flagged:
         end = "leading" if side == "lead" else "trailing"
@@ -659,7 +671,7 @@ def _truncation_zone(side, fp, edge, reason, indeterminate, width, warnings):
             f"{end} fixed point {fp:.6g} has map slope 1; truncation at "
             f"{e_x:.6g} after harmonic orbit steps is unverified beyond the zone")
     return TruncationZone(side=side, fp=fp, edge=e_x, edge_F=e_F,
-                          rate=e_v / (e_x - fp), flagged=flagged, reason=reason)
+                          rate=e_v / (e_x - fp), flagged=flagged, reason=march.reason)
 
 
 # ======================================================================

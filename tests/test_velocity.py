@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import otflow.velocity
 from otflow.errors import (ConstructionError, InputError, InvalidMapError,
@@ -22,6 +23,7 @@ from otflow.monotone import (FixedPointPartition, MovingInterval,
 from otflow.registry import get_example
 from otflow.velocity import (SeedSpec, approximate_lipschitz, build_velocity,
                              julia_residual)
+from test_distances import pl_densities
 
 TOL_RESIDUAL = 1e-8
 TOL_FLOW = 1e-6
@@ -256,6 +258,65 @@ class TestTruncationZones:
         assert "slope 1" in text and "truncation" in text
 
 
+class TestFixedEnds:
+    """Detected fixed ends are the map's roots, so every zone pinches at the
+    rate ln T'(fp) from inside its interval."""
+
+    def test_affine_grid_root_is_one_point(self, affine_built):
+        # the scan grid hits the root 1.5 exactly; it must stay a point
+        _, field = affine_built
+        assert field.partition.fixed_intervals == ((1.5, 1.5),)
+        zones = field.truncation_zones()
+        assert len(zones) == 2
+        for z in zones:
+            assert abs(z.rate - LN3) <= 1e-3
+
+    def test_radius_pair_root_at_the_window_end(self, radial_disks):
+        # T(0) = 2e-150 through the probability floor: a root at the end
+        _, field_nd, _ = radial_disks
+        field = field_nd.field
+        assert field.partition.fixed_intervals == ((0.0, 0.0),)
+        (z,) = field.truncation_zones()
+        assert abs(z.rate - math.log(2.0)) <= 1e-3
+
+    def test_march_past_a_fixed_end_raises(self, affine_built):
+        # fixed ends 1e-10 of the width outside the root, on the moving
+        # side: both backward marches converge to 1.5 and pass them
+        ex, field = affine_built
+        part = field.partition
+        ((fp, _),) = part.fixed_intervals
+        d = 1e-10 * (part.domain[1] - part.domain[0])
+        below, above = part.moving_intervals
+        inflated = replace(part, fixed_intervals=((fp - d, fp + d),),
+                           moving_intervals=(replace(below, hi=fp - d),
+                                             replace(above, lo=fp + d)))
+        with pytest.raises(ConstructionError, match="passed its fixed end"):
+            replace(ex, partition=inflated).build()
+
+    @given(pl_densities(), pl_densities())
+    def test_random_pairs_pinch_inside(self, m0, m1):
+        T = compute_monotone_map(m0, m1)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                field = build_velocity(m0, m1, transport_map=T)
+        except TransportError:
+            return
+        # a root one ulp off leaves |T(p) - p| of about T'(p) ulps
+        scale = np.spacing(max(abs(e) for e in m0.window(1e-10)))
+        for a, b in field.partition.fixed_intervals:
+            if a == b:
+                gap = abs(float(T.forward(a)) - a)
+                assert gap <= 4.0 * scale * max(1.0, float(T.derivative(a)))
+        for f in field.built_intervals:
+            for z in (f.zone_trail, f.zone_lead):
+                if z is None:
+                    continue
+                assert f.lo < z.edge < f.hi
+                if not z.flagged:
+                    assert z.rate * math.log(float(T.derivative(z.fp))) > 0.0
+
+
 def _solo(partition, itv):
     return FixedPointPartition(domain=partition.domain,
                                fixed_intervals=partition.fixed_intervals,
@@ -351,6 +412,21 @@ def test_hermite_assembly_matches_segment_loop():
     x[joints[4]:joints[5]] += 1e-3      # the sixth segment moves off its joint
     with pytest.raises(ConstructionError, match="junction mismatch"):
         _hermite_ppoly(x, *flat[1:], joints)
+
+
+def test_boundary_hermite_matches_scipy_spline():
+    # the clip boundary's value and slope, bitwise those of scipy's spline
+    from scipy.interpolate import CubicHermiteSpline
+    from otflow.velocity import _local_hermite
+    rng = np.random.default_rng(5)
+    for n in rng.integers(2, 65, 200):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) * 10.0 ** rng.integers(-6, 3)
+        y, d = rng.normal(size=n), rng.normal(size=n)
+        sp = CubicHermiteSpline(x, y, d)
+        for xq in (x[0], x[-1], x[rng.integers(n)], rng.uniform(x[0], x[-1])):
+            want = (float(sp(xq)), float(sp.derivative()(xq)))
+            assert _local_hermite(x, y, d, xq) == want
+            assert _local_hermite(x[::-1], y[::-1], d[::-1], xq) == want
 
 
 def _argsort_dispatch(field, x, per_interval, fill=0.0, unbuilt=None):
