@@ -202,10 +202,12 @@ def _pair_report(command: str, m0, m1, **extra) -> dict:
 
 def _verify_and_report(rc: RunConfig, field, m0, m1, report: dict) -> int:
     """Verify field against (m0, m1), write report.json with the outcome
-    under "ok" and "verification", and return the exit status."""
+    under "ok" and "verification" and the field's partition, per-interval
+    depths and zones under "field", and return the exit status."""
     rep = verify_transport(field, m0, m1, n_push=rc.n + 1)
     write_report(rc.out, {**report, "ok": rep.passed,
-                          "verification": rep.to_dict()})
+                          "verification": rep.to_dict(),
+                          "field": field.describe()})
     return 0 if rep.passed else 1
 
 

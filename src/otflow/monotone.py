@@ -201,21 +201,42 @@ def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
 def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6, start=None):
     """Vectorized Newton inverse with a bisection fallback per entry.
 
-    value_slope(x) returns (T(x), T'(x)).  Seeds at start, by default at y,
-    clipped into [lo, hi] (lo, hi, start scalars or arrays shaped like y);
-    the default suits maps near the identity.  Clips iterates into [lo, hi],
-    and hands any entry that has not converged to 1e-14 relative residual
-    over to plain bisection on forward.
+    value_slope(x) returns (T(x), T'(x)), its first entry bitwise forward(x).
+    Seeds at start, by default at y, clipped into [lo, hi] (lo, hi, start
+    scalars or arrays shaped like y); the default suits maps near the
+    identity.  Clips iterates into [lo, hi], and hands any entry that has not
+    converged to 1e-14 relative residual after iters steps over to plain
+    bisection on forward.
+
+    The steps stop early, with the result of all iters steps, once every
+    entry's iterate repeats: each new iterate has the bits of the current one
+    (a fixed point) or of the previous one (a 2-cycle).  A step depends on
+    its own entry's bits alone, so from then on each entry alternates between
+    its last two iterates, and the parity of the steps left picks the one
+    iters steps end on.  That iterate's residual is read from the value_slope
+    calls already made, so no forward call follows.  An entry that never
+    repeats takes all iters steps.
     """
     y = np.asarray(y, dtype=float)
     x = np.clip(y if start is None else start, lo, hi)
-    for _ in range(iters):
+    x_prev = fx_prev = None
+    for k in range(iters):
         fx, d = value_slope(x)
-        r = fx - y
-        step = r / np.where(np.abs(d) > 1e-30, d, 1.0)
-        x = np.clip(x - step, lo, hi)
-    resid = np.abs(np.asarray(forward(x), dtype=float) - y)
-    bad = resid > 1e-14 * np.maximum(np.abs(y), 1.0)
+        step = (fx - y) / np.where(np.abs(d) > 1e-30, d, 1.0)
+        x_next = np.clip(x - step, lo, hi)
+        bits = x_next.view(np.int64)
+        fixed = bits == x.view(np.int64)
+        if (fixed if x_prev is None else fixed | (bits == x_prev.view(np.int64))).all():
+            if (iters - 1 - k) % 2:
+                # an odd number of steps left ends on the current iterate
+                f_end = fx
+            else:
+                x, f_end = x_next, fx if x_prev is None else np.where(fixed, fx, fx_prev)
+            break
+        x_prev, fx_prev, x = x, fx, x_next
+    else:
+        f_end = np.asarray(forward(x), dtype=float)
+    bad = np.abs(f_end - y) > 1e-14 * np.maximum(np.abs(y), 1.0)
     if np.any(bad):
         x = np.where(bad, _bisect_inverse(forward, y, lo, hi), x)
     return x

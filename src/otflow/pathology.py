@@ -588,10 +588,11 @@ def _orbit_mass_cascade(cmap, itf, depth: int, octaves: int = 44):
 
     v0 = np.abs(itf.v_spline(x0))
     mass = np.empty(depth)
-    cur = x0.copy()
+    # the map sends (0, 1] into itself, so one domain check covers every depth
+    cur = cmap._on_domain(x0)
     g = np.ones_like(x0)
     for d in range(depth):
         mass[d] = float(np.sum(weights * v0 * g * g))
-        cur, tp, _ = cmap.jet(cur)
+        cur, tp = cmap._value_slope(cur)
         g = g * tp
     return mass

@@ -26,9 +26,13 @@ Construction, per moving interval of the map's fixed point partition:
 
 Marching is lockstep: the build seeds every moving interval first, then
 advances all of their marches (forward, and backward toward a fixed trailing
-end) one orbit depth per round.  A round makes one T.inverse call on the
-concatenated backward sources and one map jet call, (T, T', T'') at once, on
-the forward sources followed by the backward images.  The map callables act
+end) one orbit depth per round.  The live marches are one struct of arrays,
+forward segments first, with per-node index data that changes only when the
+layout does (a clip, a thinning, a stop); so a round is a fixed handful of
+array operations: one T.inverse call on the backward sources, one map jet
+call, (T, T', T'') at once, on the forward sources followed by the backward
+images, and vectorised stop tests.  Each round's tables are recorded whole
+and every march gathers its pieces once at the end.  The map callables act
 elementwise, so every interval gets bitwise the tables it would get alone.
 Each march stops on its own: at its free end ("complete"), below the step
 floor ("min-step"), at the step cap ("max-steps"), or where the applied map's
@@ -49,8 +53,6 @@ forward pieces) and flips the result once when it moves down.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -411,133 +413,234 @@ class _March:
     """One orbit march: the node tables of one interval, propagated in one
     direction a depth at a time by _march_lockstep.
 
-    Arrays (x, v, dv, F) are in motion order.  forward=True applies the map,
-    False its inverse; clip = (lo, hi) bounds where the applied map is
-    defined; stop_at is the free end that completes the march (None toward a
-    fixed end).  After marching, pieces holds one node table (x, v, dv, F)
-    per depth, reason the stop reason and edge = (x, v, F) at the far end.
+    seed is the seed piece (x, v, dv, F) in motion order.  forward=True
+    applies the map, False its inverse; clip = (lo, hi) bounds where the
+    applied map is defined; stop_at is the free end that completes the march
+    (None toward a fixed end).  After marching, nodes holds the node tables
+    of its pieces concatenated in motion order (the deepest piece first when
+    backward), sizes their node counts, one piece per depth, and reason the
+    stop reason.
     """
 
     def __init__(self, seed_arrays, *, forward, clip, stop_at, motion_sign,
                  min_step, width, interval):
-        self.x, self.v, self.dv, self.F = seed_arrays
+        self.seed = seed_arrays
         self.forward = forward
         self.clip = clip
         self.stop_at = stop_at
         self.reach_sign = motion_sign if forward else -motion_sign
         self.min_step = min_step
         self.tol_reach = 1e-12 * width
-        self.far = -1 if forward else 0
         self.name = (f"interval ({interval[0]:.6g}, {interval[1]:.6g}), "
                      f"{'forward' if forward else 'backward'} march")
-        self.pieces = []
         self.reason = "max-steps"
-        self.edge = self._node(self.x, self.v, self.F)
+        self.nodes = tuple(np.empty(0) for _ in range(4))
+        self.sizes = np.empty(0, dtype=int)
 
-    def _node(self, x, v, F):
-        i = self.far
+    @property
+    def edge(self):
+        """(x, v, F) at the far end of the last piece, or of the seed."""
+        x, v, _, F = self.nodes if self.sizes.size else self.seed
+        i = -1 if self.forward else 0
         return float(x[i]), float(v[i]), float(F[i])
 
-    def clip_and_thin(self, depth, thin_depth, thin_nodes) -> bool:
-        """Restrict the sources to the clip window, appending the exact
-        boundary point, and thin deep tables.  False when under two nodes
-        stay inside (the march stops at the boundary)."""
-        clip_lo, clip_hi = self.clip
-        x, v, dv, F = self.x, self.v, self.dv, self.F
-        keep = (x >= clip_lo) & (x <= clip_hi)
-        n_keep = int(np.count_nonzero(keep))
-        if n_keep < 2:
-            self.reason = "boundary"
-            return False
-        if n_keep < x.size:
-            bound = clip_hi if (x.max() > clip_hi) else clip_lo
-            v_b, dv_b = _local_hermite(x, v, dv, bound)
-            with np.errstate(divide="ignore"):
-                F_b, _ = _local_hermite(x, F, 1.0 / v, bound)
-            x, v, dv, F = (a[keep] for a in (x, v, dv, F))
-            at = x.size if self.forward else 0
-            if x[self.far] != bound:
-                x, v, dv, F = (np.insert(a, at, b) for a, b in
-                               zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
-        if depth >= thin_depth and x.size > thin_nodes:
-            idx = np.unique(np.round(
-                np.linspace(0, x.size - 1, thin_nodes)).astype(int))
-            x, v, dv, F = (a[idx] for a in (x, v, dv, F))
-        self.x, self.v, self.dv, self.F = x, v, dv, F
-        return True
 
-    def advance(self, x, v, dv, F) -> bool:
-        """Record the depth's piece and apply the stop tests; False when the
-        march is finished."""
-        self.pieces.append((x, v, dv, F))
-        far_prev = float(self.x[self.far])
-        self.edge = self._node(x, v, F)
-        far = self.edge[0]
-        if self.stop_at is not None and \
-                self.reach_sign * (far - self.stop_at) >= -self.tol_reach:
-            self.reason = "complete"
-            return False
-        if abs(far - far_prev) <= self.min_step:
-            self.reason = "min-step"
-            return False
-        self.x, self.v, self.dv, self.F = x, v, dv, F
-        return True
+def _clip_and_thin(m: _March, nodes, depth, cfg: BuildConfig):
+    """m's source nodes restricted to its clip window, the exact boundary
+    point inserted at the far end, and thinned when deep; None when under two
+    nodes stay inside (the march stops at the boundary)."""
+    clip_lo, clip_hi = m.clip
+    x, v, dv, F = nodes
+    keep = (x >= clip_lo) & (x <= clip_hi)
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep < 2:
+        m.reason = "boundary"
+        return None
+    if n_keep < x.size:
+        bound = clip_hi if (x.max() > clip_hi) else clip_lo
+        v_b, dv_b = _local_hermite(x, v, dv, bound)
+        with np.errstate(divide="ignore"):
+            F_b, _ = _local_hermite(x, F, 1.0 / v, bound)
+        x, v, dv, F = (a[keep] for a in (x, v, dv, F))
+        at, far = (x.size, -1) if m.forward else (0, 0)
+        if x[far] != bound:
+            x, v, dv, F = (np.insert(a, at, b) for a, b in
+                           zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
+    if depth >= cfg.deep_piece_depth and x.size > cfg.deep_piece_nodes:
+        idx = np.unique(np.round(
+            np.linspace(0, x.size - 1, cfg.deep_piece_nodes)).astype(int))
+        x, v, dv, F = (a[idx] for a in (x, v, dv, F))
+    return x, v, dv, F
+
+
+class _Layout:
+    """The live marches as one struct of arrays.
+
+    nodes are the marches' source tables (x, v, dv, F) concatenated, forward
+    marches first; bounds delimit each march's segment.  The per-node and
+    per-segment data a round needs change only when the layout does, so
+    they are computed here once: clip windows, value signs and step signs
+    (+1 forward, -1 backward) repeated per node, the far node of each
+    segment, the backward junctions to pin, and the stop constants.
+    """
+
+    def __init__(self, marches, ids, tables):
+        live = [marches[i] for i in ids]
+        self.live, self.ids, self.nodes = live, np.asarray(ids), [
+            np.concatenate(a) for a in zip(*tables)]
+        self.sizes = np.array([t[0].size for t in tables])
+        self.bounds = np.concatenate(([0], np.cumsum(self.sizes)))
+        fwd = np.array([m.forward for m in live])
+        n_seg_fwd = int(np.count_nonzero(fwd))
+        self.n_fwd = int(self.bounds[n_seg_fwd])
+
+        def per_node(values):
+            return np.repeat(np.asarray(values, dtype=float), self.sizes)
+
+        self.clip_lo = per_node([m.clip[0] for m in live])
+        self.clip_hi = per_node([m.clip[1] for m in live])
+        self.sign = per_node([math.copysign(1.0, t[1][0]) for t in tables])
+        self.step_sign = per_node(np.where(fwd, 1.0, -1.0))
+        self.far = np.where(fwd, self.bounds[1:] - 1, self.bounds[:-1])
+        # a backward piece's last node is its source's first node
+        self.pin_to = self.bounds[n_seg_fwd + 1:] - 1
+        self.pin_from = self.bounds[n_seg_fwd:-1]
+        # NaN where no free end completes the march: it compares false
+        self.stop_at = np.array([np.nan if m.stop_at is None else m.stop_at
+                                 for m in live])
+        self.reach_sign = np.array([m.reach_sign for m in live], dtype=float)
+        self.tol_reach = np.array([m.tol_reach for m in live])
+        self.min_step = np.array([m.min_step for m in live])
+        self.max_size = int(self.sizes.max())
+
+    def needs_clip(self, depth, cfg: BuildConfig) -> bool:
+        """Whether a node left its window or a segment is due for thinning."""
+        x = self.nodes[0]
+        return (not ((x >= self.clip_lo) & (x <= self.clip_hi)).all()
+                or (depth >= cfg.deep_piece_depth
+                    and self.max_size > cfg.deep_piece_nodes))
+
+    def split(self, nodes, keep=None) -> dict:
+        """Per-march tables of the kept segments (all by default), by march
+        index."""
+        b = self.bounds
+        kept = range(self.ids.size) if keep is None else np.flatnonzero(keep)
+        return {int(self.ids[k]): tuple(a[b[k]:b[k + 1]] for a in nodes)
+                for k in kept}
+
+    def advance(self, T, depth):
+        """The next depth's node tables of every segment.
+
+        One T.inverse call on the backward sources and one T.jet call on the
+        forward sources followed by the backward images.  Forward nodes map
+        by v(T(x)) = T'(x) v(x), backward ones by its inverse, and the
+        derivative recursion and unit clock shift take the step sign.
+        """
+        x, v, dv, F = self.nodes
+        nf = self.n_fwd
+        at = x
+        if nf < x.size:
+            at = np.concatenate((x[:nf], np.asarray(T.inverse(x[nf:]), dtype=float)))
+        img, tp, tpp = T.jet(at)
+        if nf == x.size:
+            new_x, new_v = img, tp * v
+            new_dv = dv + v * tpp / tp
+            new_F = F + 1.0
+        else:
+            v_b = v[nf:] / tp[nf:]
+            new_x = np.concatenate((img[:nf], at[nf:]))
+            new_v = np.concatenate((tp[:nf] * v[:nf], v_b))
+            v_src = np.concatenate((v[:nf], v_b))
+            new_dv = dv + self.step_sign * (v_src * tpp / tp)
+            new_F = F + self.step_sign
+            # pin each backward junction bitwise: T^(-1)(T(x)) drifts by
+            # roundoff.  dv stays elementwise: with a C^0 seed junction v has
+            # a genuine kink there, and each piece needs its own one-sided
+            # derivative.
+            new_x[self.pin_to] = x[self.pin_from]
+            new_v[self.pin_to] = v[self.pin_from]
+            new_F[self.pin_to] = F[self.pin_from]
+
+        finite = np.isfinite(new_x) & np.isfinite(new_v) & np.isfinite(new_dv)
+        ok = finite & (new_v * self.sign > 0.0)
+        if not ok.all():
+            b = self.bounds
+            k = int(np.searchsorted(b, int(np.argmin(ok)), side="right")) - 1
+            name = self.live[k].name
+            if finite[b[k]:b[k + 1]].all():
+                raise ConstructionError(
+                    f"{name}: propagated field changed sign at depth "
+                    f"{depth}; the map derivative is not positive there")
+            raise ConstructionError(
+                f"{name}: orbit march produced non-finite node data "
+                f"at depth {depth}")
+        return [new_x, new_v, new_dv, new_F]
+
+    def stops(self, new_x):
+        """Per segment: whether the march reached its free end, and whether
+        its far node moved no more than the step floor."""
+        far_prev, far = self.nodes[0][self.far], new_x[self.far]
+        complete = self.reach_sign * (far - self.stop_at) >= -self.tol_reach
+        return complete, np.abs(far - far_prev) <= self.min_step
 
 
 def _march_lockstep(T, marches, cfg: BuildConfig):
     """Advance every march one orbit depth per round until each stops, at
     most cfg.orbit_max_steps rounds.
 
-    A round clips and thins each march, inverts all backward sources in one
-    T.inverse call, and evaluates one T.jet call on the forward sources
-    followed by the backward images.  The map callables act elementwise, so
-    each march's tables are bitwise those it would get marching alone.
+    The live marches form one _Layout, so a round is a fixed handful of
+    array operations whatever their number.  The per-march clip and thinning
+    run only in rounds where a node left its window or a segment is due for
+    thinning, and the layout is rebuilt only then and after a march stops.
+    Each round's tables are recorded whole; every march gathers its pieces
+    once at the end.  The map callables act elementwise, so each march's
+    tables are bitwise those it would get marching alone.
     """
-    live = list(marches)
+    tables = {i: m.seed for i, m in enumerate(marches)}
+    layout = None
+    rounds, layouts = [], []
     for depth in range(1, cfg.orbit_max_steps + 1):
-        live = [m for m in live if m.clip_and_thin(
-            depth, cfg.deep_piece_depth, cfg.deep_piece_nodes)]
-        if not live:
-            break
-        live.sort(key=lambda m: not m.forward)
-        bounds = list(itertools.accumulate((m.x.size for m in live), initial=0))
-        segs = [slice(i, j) for i, j in zip(bounds, bounds[1:])]
-        n_fwd = bounds[sum(m.forward for m in live)]
-        x, v, dv, F = (np.concatenate(a) for a in
-                       zip(*((m.x, m.v, m.dv, m.F) for m in live)))
+        if layout is None or layout.needs_clip(depth, cfg):
+            if layout is not None:
+                tables = layout.split(layout.nodes)
+            tables = {i: t for i, t in ((i, _clip_and_thin(marches[i], t, depth, cfg))
+                                        for i, t in tables.items()) if t is not None}
+            if not tables:
+                break
+            ids = sorted(tables, key=lambda i: not marches[i].forward)
+            layout = _Layout(marches, ids, [tables[i] for i in ids])
+        nodes = layout.advance(T, depth)
+        rounds.append(nodes)
+        layouts.append(layout)
+        complete, stalled = layout.stops(nodes[0])
+        done = complete | stalled
+        if not done.any():
+            layout.nodes = nodes
+            continue
+        for k in np.flatnonzero(done):
+            layout.live[k].reason = "complete" if complete[k] else "min-step"
+        tables, layout = layout.split(nodes, ~done), None
+    _gather_pieces(marches, rounds, layouts)
 
-        at = x
-        if n_fwd < x.size:
-            at = np.concatenate((x[:n_fwd], np.asarray(T.inverse(x[n_fwd:]), dtype=float)))
-        img, tp, tpp = T.jet(at)
-        f, b = slice(None, n_fwd), slice(n_fwd, None)
-        v_b = v[b] / tp[b]
-        new_x, new_v, new_dv, new_F = (np.concatenate(p) for p in zip(
-            (img[f], tp[f] * v[f], dv[f] + v[f] * tpp[f] / tp[f], F[f] + 1.0),
-            (at[b], v_b, dv[b] - v_b * tpp[b] / tp[b], F[b] - 1.0)))
-        # pin each backward junction bitwise: T^(-1)(T(x)) drifts by roundoff.
-        # dv stays elementwise: with a C^0 seed junction v has a genuine kink
-        # there, and each piece needs its own one-sided derivative.
-        for m, seg in zip(live, segs):
-            if not m.forward:
-                i, j = seg.start, seg.stop - 1
-                new_x[j], new_v[j], new_F[j] = x[i], v[i], F[i]
 
-        finite = np.isfinite(new_x) & np.isfinite(new_v) & np.isfinite(new_dv)
-        signs = np.repeat([math.copysign(1.0, m.v[0]) for m in live], np.diff(bounds))
-        ok = finite & (new_v * signs > 0.0)
-        if not ok.all():
-            k = bisect.bisect_right(bounds, int(np.argmin(ok))) - 1
-            if finite[segs[k]].all():
-                raise ConstructionError(
-                    f"{live[k].name}: propagated field changed sign at depth "
-                    f"{depth}; the map derivative is not positive there")
-            raise ConstructionError(
-                f"{live[k].name}: orbit march produced non-finite node data "
-                f"at depth {depth}")
-
-        live = [m for m, seg in zip(live, segs) if m.advance(
-            new_x[seg], new_v[seg], new_dv[seg], new_F[seg])]
+def _gather_pieces(marches, rounds, layouts):
+    """Set each march's nodes and piece sizes from the recorded rounds:
+    its segment of every round it was live in, in motion order."""
+    if not rounds:
+        return
+    table = [np.concatenate(a) for a in zip(*rounds)]
+    ids = np.concatenate([lay.ids for lay in layouts])
+    sizes = np.concatenate([lay.sizes for lay in layouts])
+    starts = np.cumsum(sizes) - sizes
+    for i, m in enumerate(marches):
+        pieces = np.flatnonzero(ids == i)
+        if not m.forward:
+            pieces = pieces[::-1]
+        n = sizes[pieces]
+        offsets = np.cumsum(n) - n
+        idx = np.repeat(starts[pieces] - offsets, n) + np.arange(int(n.sum()))
+        m.nodes = tuple(a[idx] for a in table)
+        m.sizes = n
 
 
 # ======================================================================
@@ -632,22 +735,23 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
             f"forward march stopped at {fwd.edge[0]:.6g}, short of the free end "
             f"{s.lead:.6g}")
 
-    pieces_b: list = []
-    zone_trail = None
+    zone_trail, before = None, []
     if bwd is not None:
-        pieces_b = bwd.pieces[::-1]
+        before = [bwd]
         zone_trail = _truncation_zone("trail", s.trail, bwd, s.itv, indeterminate,
                                       width, warnings)
 
     # motion order: backward pieces deepest first, the seed, forward pieces
-    pieces = pieces_b + [s.seed_piece] + fwd.pieces
-    joints = np.cumsum([pc[0].size for pc in pieces[:-1]], dtype=int)
+    sizes = np.concatenate([m.sizes for m in before]
+                           + [[s.seed_piece[0].size], fwd.sizes])
+    tables = [m.nodes for m in before] + [s.seed_piece, fwd.nodes]
     return IntervalField(lo=s.itv.lo, hi=s.itv.hi, direction=s.itv.direction,
                          x0=s.x0, seed=s.seed, seed_interval=(s.x0, s.x1),
                          time_scale=s.tau,
-                         nodes=[np.concatenate(a) for a in zip(*pieces)],
-                         joints=joints, depth_forward=len(fwd.pieces),
-                         depth_backward=len(pieces_b),
+                         nodes=[np.concatenate(a) for a in zip(*tables)],
+                         joints=np.cumsum(sizes[:-1], dtype=int),
+                         depth_forward=fwd.sizes.size,
+                         depth_backward=0 if bwd is None else bwd.sizes.size,
                          zone_trail=zone_trail, zone_lead=zone_lead,
                          warnings=warnings)
 

@@ -147,6 +147,17 @@ class TestExampleCommand:
         assert header == ["x", "pdf"]
         assert float(rows[len(rows) // 2][1]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_report_carries_the_field(self, tmp_path):
+        out = str(tmp_path)
+        assert run_cli(["example", "affine", "--n", "256", "--out", out]) == 0
+        field = read_report(out)["field"]
+        assert field["fixed_intervals"] == [[1.5, 1.5]]
+        assert [f["direction"] for f in field["intervals"]] == [-1, 1]
+        for f in field["intervals"]:
+            assert f["depth_forward"] >= 1 and f["depth_backward"] >= 1
+            assert f["zone_trail"]["fp"] == 1.5
+            assert f["zone_trail"]["rate"] > 0.0
+
     def test_affine_custom_slope(self, tmp_path):
         out = str(tmp_path)
         code = run_cli(["example", "affine", "--alpha", "2.0", "--beta", "0.5",

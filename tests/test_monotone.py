@@ -243,3 +243,19 @@ class TestFindFixedPoints:
         part = find_fixed_points(T, domain=(0.0, 3.0), config=cfg,
                                  search=(1.0, 2.0))
         assert min(abs(p - 1.5) for p in part.fixed_points) <= 1e-6
+
+
+def test_callable_newton_inverse_matches_fixed_steps():
+    # the filled-in inverse stops once its iterates cycle, with the bits of
+    # the fixed six steps: on the image, past both ends (bisection) and NaN
+    from test_registry import _reference_newton
+    T = map_from_callables(lambda x: x + 0.4 * np.sin(x),
+                           derivative=lambda x: 1.0 + 0.4 * np.cos(x),
+                           domain=(-4.0, 4.0))
+    ys = np.concatenate((T.forward(np.linspace(-4.0, 4.0, 2001)),
+                         [-5.0, 5.0, np.nan]))
+    got = T.inverse(ys)
+    want = _reference_newton(T.forward, T.derivative, ys, -4.0, 4.0)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[-1]) and np.max(np.abs(T.forward(got[:-3]) - ys[:-3])) <= 1e-15
+    assert float(T.inverse(float(ys[7]))) == got[7]

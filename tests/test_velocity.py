@@ -378,6 +378,187 @@ class TestLockstepMarching:
         assert "backward march" in msg and "depth 2" in msg
         assert "changed sign" in msg
 
+    def test_cinf_build_work_counts(self):
+        # one T.jet call per round, and an inverse that stops once its
+        # iterates cycle: no forward call, under 7 jet calls per inverse.
+        # The callables are wrapped, since the registry map's own inverse
+        # closes over its forward and jet
+        ex = get_example("accumulating-cinf", n_tiers=5)
+        tm = ex.transport_map
+        calls = {key: 0 for key in ("forward", "jet", "inverse",
+                                    "inverse forward", "inverse jet")}
+        inside = []
+
+        def count(name):
+            calls[("inverse " if inside else "") + name] += 1
+
+        def forward(x):
+            count("forward")
+            return tm.forward(x)
+
+        def jet(x):
+            count("jet")
+            return tm.jet(x)
+
+        T = map_from_callables(forward, jet=jet, domain=(0.0, 1.0),
+                               source=tm.source, target=tm.target)
+
+        def inverse(y):
+            calls["inverse"] += 1
+            inside.append(y)
+            try:
+                return T.inverse(y)
+            finally:
+                inside.pop()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = replace(ex, transport_map=replace(T, inverse=inverse)).build()
+        built = field.built_intervals
+        rounds = max(max(f.depth_forward, f.depth_backward) for f in built)
+        # the deepest march is a backward one, toward a fixed trailing end,
+        # so every round inverts; each seed adds one T.derivative call
+        assert calls["inverse"] == rounds
+        assert calls["jet"] == rounds + len(built)
+        assert calls["inverse forward"] == 0
+        assert calls["inverse"] <= calls["inverse jet"] < 7 * calls["inverse"]
+
+
+class _ReferenceMarch:
+    """One march advanced on its own arrays: the per-march form of the
+    lockstep loop, kept as the reference of the struct-of-arrays march.
+    inserts and thinnings count its clip-boundary inserts and thinnings."""
+
+    def __init__(self, m):
+        self.x, self.v, self.dv, self.F = m.seed
+        self.forward, self.clip, self.stop_at = m.forward, m.clip, m.stop_at
+        self.reach_sign, self.min_step = m.reach_sign, m.min_step
+        self.tol_reach, self.name = m.tol_reach, m.name
+        self.far = -1 if m.forward else 0
+        self.pieces = []
+        self.reason = "max-steps"
+        self.edge = self._node(self.x, self.v, self.F)
+        self.inserts = self.thinnings = 0
+
+    def _node(self, x, v, F):
+        i = self.far
+        return float(x[i]), float(v[i]), float(F[i])
+
+    def clip_and_thin(self, depth, thin_depth, thin_nodes) -> bool:
+        from otflow.velocity import _local_hermite
+        clip_lo, clip_hi = self.clip
+        x, v, dv, F = self.x, self.v, self.dv, self.F
+        keep = (x >= clip_lo) & (x <= clip_hi)
+        n_keep = int(np.count_nonzero(keep))
+        if n_keep < 2:
+            self.reason = "boundary"
+            return False
+        if n_keep < x.size:
+            bound = clip_hi if (x.max() > clip_hi) else clip_lo
+            v_b, dv_b = _local_hermite(x, v, dv, bound)
+            with np.errstate(divide="ignore"):
+                F_b, _ = _local_hermite(x, F, 1.0 / v, bound)
+            x, v, dv, F = (a[keep] for a in (x, v, dv, F))
+            at = x.size if self.forward else 0
+            if x[self.far] != bound:
+                self.inserts += 1
+                x, v, dv, F = (np.insert(a, at, b) for a, b in
+                               zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
+        if depth >= thin_depth and x.size > thin_nodes:
+            self.thinnings += 1
+            idx = np.unique(np.round(
+                np.linspace(0, x.size - 1, thin_nodes)).astype(int))
+            x, v, dv, F = (a[idx] for a in (x, v, dv, F))
+        self.x, self.v, self.dv, self.F = x, v, dv, F
+        return True
+
+    def advance(self, x, v, dv, F) -> bool:
+        self.pieces.append((x, v, dv, F))
+        far_prev = float(self.x[self.far])
+        self.edge = self._node(x, v, F)
+        far = self.edge[0]
+        if self.stop_at is not None and \
+                self.reach_sign * (far - self.stop_at) >= -self.tol_reach:
+            self.reason = "complete"
+            return False
+        if abs(far - far_prev) <= self.min_step:
+            self.reason = "min-step"
+            return False
+        self.x, self.v, self.dv, self.F = x, v, dv, F
+        return True
+
+
+def _reference_lockstep(T, marches, cfg):
+    """Every round: clip and thin each march, concatenate all sources, one
+    T.inverse and one T.jet call, then split the results per march."""
+    import bisect
+    import itertools
+    live = list(marches)
+    for depth in range(1, cfg.orbit_max_steps + 1):
+        live = [m for m in live if m.clip_and_thin(
+            depth, cfg.deep_piece_depth, cfg.deep_piece_nodes)]
+        if not live:
+            break
+        live.sort(key=lambda m: not m.forward)
+        bounds = list(itertools.accumulate((m.x.size for m in live), initial=0))
+        segs = [slice(i, j) for i, j in zip(bounds, bounds[1:])]
+        n_fwd = bounds[sum(m.forward for m in live)]
+        x, v, dv, F = (np.concatenate(a) for a in
+                       zip(*((m.x, m.v, m.dv, m.F) for m in live)))
+        at = x
+        if n_fwd < x.size:
+            at = np.concatenate((x[:n_fwd], np.asarray(T.inverse(x[n_fwd:]), dtype=float)))
+        img, tp, tpp = T.jet(at)
+        f, b = slice(None, n_fwd), slice(n_fwd, None)
+        v_b = v[b] / tp[b]
+        new_x, new_v, new_dv, new_F = (np.concatenate(p) for p in zip(
+            (img[f], tp[f] * v[f], dv[f] + v[f] * tpp[f] / tp[f], F[f] + 1.0),
+            (at[b], v_b, dv[b] - v_b * tpp[b] / tp[b], F[b] - 1.0)))
+        for m, seg in zip(live, segs):
+            if not m.forward:
+                i, j = seg.start, seg.stop - 1
+                new_x[j], new_v[j], new_F[j] = x[i], v[i], F[i]
+        finite = np.isfinite(new_x) & np.isfinite(new_v) & np.isfinite(new_dv)
+        signs = np.repeat([math.copysign(1.0, m.v[0]) for m in live], np.diff(bounds))
+        ok = finite & (new_v * signs > 0.0)
+        if not ok.all():
+            k = bisect.bisect_right(bounds, int(np.argmin(ok))) - 1
+            raise ConstructionError(f"{live[k].name}: depth {depth}")
+        live = [m for m, seg in zip(live, segs) if m.advance(
+            new_x[seg], new_v[seg], new_dv[seg], new_F[seg])]
+
+
+def test_lockstep_matches_per_march_loop(monkeypatch):
+    """Every registry build marches bitwise as the per-march loop does:
+    nodes, piece sizes, stop reasons and far edges of every march."""
+    from otflow.registry import example_names
+    lockstep = otflow.velocity._march_lockstep
+    pairs = []
+
+    def checked(T, marches, cfg):
+        refs = [_ReferenceMarch(m) for m in marches]
+        _reference_lockstep(T, refs, cfg)
+        lockstep(T, marches, cfg)
+        pairs.extend(zip(marches, refs))
+
+    monkeypatch.setattr(otflow.velocity, "_march_lockstep", checked)
+    for name in example_names():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            get_example(name).build()
+    for m, ref in pairs:
+        pieces = ref.pieces if m.forward else ref.pieces[::-1]
+        assert m.sizes.tolist() == [p[0].size for p in pieces], m.name
+        for got, want in zip(m.nodes, zip(*pieces)):
+            assert got.tobytes() == np.concatenate(want).tobytes(), m.name
+        assert (m.reason, m.edge) == (ref.reason, ref.edge), m.name
+    # the builds reach every layout change: clip-boundary inserts,
+    # thinnings, and marches stopping at different depths for each reason
+    assert sum(r.inserts for _, r in pairs) >= 3
+    assert sum(r.thinnings for _, r in pairs) >= 10
+    assert len({len(r.pieces) for _, r in pairs}) >= 10
+    assert {r.reason for _, r in pairs} >= {"complete", "min-step", "max-steps"}
+
 
 def _reference_hermite_ppoly(segments):
     """Per-segment loop form of the assembled Hermite coefficients."""
