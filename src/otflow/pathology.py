@@ -386,9 +386,9 @@ def build_counterexample(variant: str = "quadratic", *, n_anchors: int = 12000,
 # probes
 # ======================================================================
 
-# indices per block of the growth scan: small enough that the scan's
-# temporaries stay a few MB
-_GROWTH_BLOCK = 2 ** 18
+# indices per block of the growth scan: each temporary is 256 KB, small
+# enough to stay in cache; no result depends on the block size
+_GROWTH_BLOCK = 2 ** 15
 
 
 @dataclass
@@ -523,10 +523,11 @@ def probe_non_integrability(cmap: CounterexampleMap,
     # spline-route per-piece absolute mass, ordered by orbit depth.  The
     # interval moves down from its seed at 1/2, so its anchors in descending
     # order are the orbit, and the piece of depth d spans the d-th gap; each
-    # anchor's node speed is the one its piece recorded when marching from it
-    V = itf.v_spline.antiderivative()
-    orbit = itf.anchors[::-1]
-    cum_field = np.cumsum(np.abs(V(orbit[:depth]) - V(orbit[1:depth + 1])))
+    # anchor's node speed is the one its piece recorded when marching from it.
+    # The anchors are breaks of the table, where its integral is tabulated
+    table = itf.v_spline
+    V = table.cumulative()[np.searchsorted(table.x, itf.anchors)][::-1]
+    cum_field = np.cumsum(np.abs(V[:depth] - V[1:depth + 1]))
     anchor_speed = np.abs(itf.anchor_v[::-1][:depth + 1])
     mass_exact = _orbit_mass_cascade(cmap, itf, depth, octaves)
     cum_exact = np.cumsum(mass_exact)

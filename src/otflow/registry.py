@@ -203,47 +203,55 @@ def _accumulating_example(variant: str = "c1", n_tiers: int = 12) -> ExampleProb
         raise InputError(f"accumulating example: unknown variant {variant!r}")
 
     if variant == "c1":
-        def envelope(x, safe):
+        def envelope(x):
             return x ** 3 / 5.0
 
-        def envelope_d(x, safe, e):
+        def envelope_d(x, e):
             return 3.0 * x * x / 5.0
 
-        def envelope_dd(x, safe, e):
+        def envelope_dd(x, e):
             return 6.0 * x / 5.0
     else:
-        def envelope(x, safe):
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.where(x > 0.0, np.exp(-1.0 / safe), 0.0) / 5.0
+        def envelope(x):
+            # -1/x overflows to -inf below about 5.6e-309, where e is 0
+            with np.errstate(over="ignore"):
+                return np.exp(-1.0 / x) / 5.0
 
-        def envelope_d(x, safe, e):
-            return e / safe ** 2
+        def envelope_d(x, e):
+            return e / x ** 2
 
-        def envelope_dd(x, safe, e):
-            return e * (1.0 - 2.0 * safe) / safe ** 4
+        def envelope_dd(x, e):
+            return e * (1.0 - 2.0 * x) / x ** 4
 
-    def jet(x, order: int = 2):
-        """(T, T', T'') up to the given order (T alone for 0), sharing one
-        evaluation of the envelope and of the phase pi/x."""
-        x = np.asarray(x, dtype=float)
-        positive = x > 0.0
-        safe = np.where(positive, x, 1.0)
-        e = envelope(x, safe)
-        phase = np.where(positive, np.pi / safe, 0.0)
+    def positive_jet(x, order):
+        """The jet of x + envelope(x) sin(pi/x) at points x > 0."""
+        e = envelope(x)
+        phase = np.pi / x
         s = np.sin(phase)
         y = x + e * s
         if order == 0:
             return y
-        e1 = envelope_d(x, safe, e)
+        e1 = envelope_d(x, e)
         c = np.cos(phase)
-        tp = np.where(positive, 1.0 + e1 * s - e * c * np.pi / safe ** 2, 1.0)
+        tp = 1.0 + e1 * s - e * c * np.pi / x ** 2
         if order == 1:
             return y, tp
-        tpp = np.where(positive,
-                       envelope_dd(x, safe, e) * s - 2.0 * e1 * c * np.pi / safe ** 2
-                       + e * (2.0 * c * np.pi / safe ** 3 - s * np.pi ** 2 / safe ** 4),
-                       0.0)
+        tpp = (envelope_dd(x, e) * s - 2.0 * e1 * c * np.pi / x ** 2
+               + e * (2.0 * c * np.pi / x ** 3 - s * np.pi ** 2 / x ** 4))
         return y, tp, tpp
+
+    def jet(x, order: int = 2):
+        """(T, T', T'') up to the given order (T alone for 0), sharing one
+        evaluation of the envelope and of the phase pi/x.  At and below 0,
+        and at NaN, T is the identity: (x, 1, 0)."""
+        x = np.asarray(x, dtype=float)
+        if x.size and x.min() > 0.0:
+            return positive_jet(x, order)
+        positive = x > 0.0
+        out = positive_jet(np.where(positive, x, 1.0), order)
+        if order == 0:
+            return np.where(positive, out, x)
+        return tuple(np.where(positive, a, b) for a, b in zip(out, (x, 1.0, 0.0)))
 
     def forward(x):
         return jet(x, 0)

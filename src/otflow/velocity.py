@@ -14,7 +14,10 @@ Construction, per moving interval of the map's fixed point partition:
      and backward by T^(-1) toward the trailing end.  Each orbit step yields
      one interpolation piece whose node values and node derivatives satisfy
      the functional equation exactly; between nodes the field is a cubic
-     Hermite interpolant.
+     Hermite interpolant.  The assembled tables are CubicTable objects: breaks
+     and coefficient rows in scipy's PPoly layout, evaluated in PPoly's own
+     arithmetic, so values and slopes are bitwise scipy's without importing
+     its interpolation package.
 
   3. Primitive.  Alongside v the primitive F with F' = 1/v is accumulated:
      quadrature on the seed, then exact unit shifts F(T(x)) = F(x) + 1 across
@@ -59,7 +62,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import PPoly
 
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import (ConstructionError, DegenerateOrbitError, InputError,
@@ -230,8 +232,11 @@ class IntervalField:
     """Velocity field and unit-time primitive on one moving interval.
 
     Two cubic Hermite tables over the same breakpoints: v_spline, the field,
-    and F_spline, the clock F with F' = 1/v and F(T(x)) = F(x) + 1.  The flow
-    inverts F_spline piece by piece, so no separate table of F^(-1) exists.
+    and F_spline, the clock F with F' = 1/v and F(T(x)) = F(x) + 1.  Both are
+    CubicTable objects, whose breaks x and coefficient rows c follow scipy's
+    PPoly layout and whose values and slopes are computed in PPoly's
+    arithmetic.  The flow inverts F_spline piece by piece, so no separate
+    table of F^(-1) exists.
     anchors and anchor_v hold x and v at the ends of the orbit pieces.
     """
 
@@ -362,7 +367,68 @@ _NEWTON_MAX_STEPS = 16
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 
 
-def _hermite_ppoly(x, y, d, joints) -> PPoly:
+class CubicTable:
+    """Piecewise cubic over ascending breaks x, in scipy's PPoly layout: c has
+    shape (4, x.size - 1), highest power first, and on [x[i], x[i+1]] the
+    value is sum_k c[k, i] (t - x[i])^(3 - k).
+
+    table(t, nu) repeats PPoly(c, x)(t, nu) operation for operation, so the
+    value (nu = 0) and the slope (nu = 1) are bitwise scipy's.  The cell is
+    the i with x[i] <= t < x[i+1]; t == x[-1] and points beyond either end
+    take the end cells' cubics; NaN gives NaN.  The sum starts from 0.0 at
+    the constant term, with powers of s = t - x[i] built by repeated
+    multiplication and the slope's factors 2 and 3 applied last.  Like
+    PPoly, it raises no floating-point warning (an infinite t gives inf or
+    NaN silently).
+    """
+
+    __slots__ = ("x", "c", "_inner")
+
+    def __init__(self, c, x):
+        self.c = c
+        self.x = x
+        self._inner = x[1:-1]
+
+    def __call__(self, t, nu: int = 0):
+        if nu not in (0, 1):
+            raise InputError(f"CubicTable: derivative order {nu!r} is not 0 or 1")
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self._inner, t, side="right")
+        # fresh rows, so the sums are accumulated in place
+        c3, c2, c1, c0 = np.take(self.c, i, axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = t - self.x[i]
+            if nu == 0:
+                c1 *= s
+                z = s * s
+                c2 *= z
+                z *= s
+                c3 *= z
+                c0 += 0.0
+                c0 += c1
+                c0 += c2
+                c0 += c3
+                return c0
+            c2 *= s
+            c2 *= 2.0
+            s *= s
+            c3 *= s
+            c3 *= 3.0
+            c1 += 0.0
+            c1 += c2
+            c1 += c3
+            return c1
+
+    def cumulative(self) -> np.ndarray:
+        """Integral of the table from x[0] to every break: the cells' exact
+        integrals h (c0 + h (c1/2 + h (c2/3 + h c3/4))), summed in order."""
+        h = np.diff(self.x)
+        c3, c2, c1, c0 = self.c
+        cell = h * (c0 + h * (c1 / 2.0 + h * (c2 / 3.0 + h * (c3 / 4.0))))
+        return np.concatenate(([0.0], np.cumsum(cell)))
+
+
+def _hermite_ppoly(x, y, d, joints) -> CubicTable:
     """One cubic Hermite piecewise polynomial over many node segments.
 
     x, y, d are the concatenated segments with x ascending; joints index the
@@ -389,7 +455,7 @@ def _hermite_ppoly(x, y, d, joints) -> PPoly:
     m = (yr - yl) / h
     c2 = (3.0 * m - 2.0 * dl - dr) / h
     c3 = (dl + dr - 2.0 * m) / (h * h)
-    return PPoly(np.vstack((c3, c2, dl, yl)), bx)
+    return CubicTable(np.vstack((c3, c2, dl, yl)), bx)
 
 
 # ======================================================================

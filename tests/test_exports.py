@@ -1,12 +1,17 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and importing otflow stays light.
 
 Each otflow module's __all__ and every name the package root imports must
 name a real attribute, so a deleted symbol cannot linger as a stale export.
+A build, a verification and a pathology probe load none of scipy's heavy
+subpackages, neither at import nor lazily.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +35,29 @@ def test_package_root_imports_resolve():
     assert names, "the package root re-exports its public names"
     missing = [n for n in names if not hasattr(otflow, n)]
     assert not missing, f"otflow does not provide {missing}"
+
+
+_FOOTPRINT_SCRIPT = """
+import sys, warnings
+warnings.simplefilter("ignore")
+import otflow
+from otflow.flow import verify_transport
+from otflow.pathology import build_counterexample, probe_non_integrability
+from otflow.registry import get_example
+ex = get_example("accumulating-c1")
+verify_transport(ex.build(), ex.m0, ex.m1)
+probe_non_integrability(build_counterexample("quadratic"), levels=(10,))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_import_and_solve_load_no_heavy_scipy():
+    src = str(Path(otflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    loaded = set(done.stdout.split())
+    assert "scipy.special" in loaded
+    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
+    assert not heavy & loaded, sorted(heavy & loaded)

@@ -152,7 +152,7 @@ class TestGrowthScanMemory:
         default = probe_velocity_growth(cmap, **kw)
         monkeypatch.setattr(otflow.pathology, "_GROWTH_BLOCK", 1000)
         small = probe_velocity_growth(cmap, **kw)
-        # the crossing lies in the fourth default block
+        # the crossing lies past index 3 * 2**18, many default blocks deep
         assert default.crossing_index > 3 * 2 ** 18
         assert small.rows == default.rows
         assert (small.crossing_index, small.crossing_value) == \
@@ -209,6 +209,28 @@ class TestDivergenceProbe:
         _, res = log_squared_probe
         for row in res.rows:
             assert 0 < row["lower_bound"] <= row["l1_partial"], row
+
+    @pytest.mark.parametrize("variant", ["quadratic", "log_squared"])
+    def test_l1_field_matches_scipy_antiderivative(self, variant, monkeypatch):
+        # the field route through scipy's antiderivative of the v table,
+        # evaluated at the orbit anchors, is the reference
+        from scipy.interpolate import PPoly
+        built, real_build = [], otflow.pathology.build_velocity
+
+        def recording_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(otflow.pathology, "build_velocity", recording_build)
+        cmap = build_counterexample(variant, n_anchors=1100)
+        levels = (10, 100, 1000)
+        res = probe_non_integrability(cmap, levels=levels)
+        itf = built[0].built_intervals[0]
+        V = PPoly(itf.v_spline.c, itf.v_spline.x).antiderivative()
+        orbit = itf.anchors[::-1]
+        want = np.cumsum(np.abs(V(orbit[:1000]) - V(orbit[1:1001])))
+        for m, row in zip(levels, res.rows):
+            assert abs(row["l1_field"] - want[m - 1]) <= 1e-12 * want[m - 1], row
 
 
 def _same_bits(a, b):

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from otflow.errors import InputError
 from otflow.monotone import _bisect_inverse
@@ -242,6 +243,12 @@ def _bits(a):
     return a.shape, a.tobytes()
 
 
+@pytest.fixture(scope="module")
+def accumulating_maps():
+    return {name: get_example(name, n_tiers=4).transport_map
+            for name in ("accumulating-c1", "accumulating-cinf")}
+
+
 class TestAccumulatingJet:
     """The fused jet of the accumulating maps: T bitwise forward, T' and
     T'' matching central differences of forward and of T'."""
@@ -271,6 +278,23 @@ class TestAccumulatingJet:
         got = tm.inverse(ys)
         want = _reference_newton(tm.forward, tm.derivative, ys, 0.0, 1.0)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["accumulating-c1", "accumulating-cinf"])
+    @given(xs=st.lists(st.floats(1e-6, 4.0), min_size=1, max_size=64))
+    def test_positive_points_skip_the_masks(self, accumulating_maps, name, xs):
+        # all-positive arrays take the unmasked formula; appending 0 and a
+        # negative point sends the same points through the masked one
+        tm = accumulating_maps[name]
+        x = np.array(xs)
+        held = np.concatenate((x, [0.0, -1.0]))
+        for order in (0, 1, 2):
+            fast, masked = tm.jet(x, order), tm.jet(held, order)
+            if order == 0:
+                fast, masked = (fast,), (masked,)
+            # at and below 0 the jet is the identity's: (x, 1, 0)
+            for a, b, identity in zip(fast, masked, (held[-2:], 1.0, 0.0)):
+                assert _bits(a) == _bits(b[:-2])
+                assert np.all(b[-2:] == identity)
 
 
 # Backward sources of an accumulating-cinf build whose Newton iterates end

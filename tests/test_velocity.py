@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import otflow.velocity
 from otflow.errors import (ConstructionError, InputError, InvalidMapError,
@@ -608,6 +608,72 @@ def test_boundary_hermite_matches_scipy_spline():
             want = (float(sp(xq)), float(sp.derivative()(xq)))
             assert _local_hermite(x, y, d, xq) == want
             assert _local_hermite(x[::-1], y[::-1], d[::-1], xq) == want
+
+
+@st.composite
+def hermite_segments(draw):
+    """Node segments for _hermite_ppoly: ascending breaks, some of them one
+    to three ulps apart, values shared at the joints and two independently
+    drawn one-sided slopes there.  Ulp-close breaks stay away from 0, where
+    an ulp is subnormal and the cell's squared width underflows."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    n_breaks = sum(sizes) - len(sizes) + 1
+    x = [draw(st.floats(-1e3, 1e3))]
+    for _ in range(n_breaks - 1):
+        ulps = draw(st.integers(0, 3)) if abs(x[-1]) >= 1e-3 else 0
+        nxt = x[-1] + draw(st.floats(1e-6, 10.0)) if ulps == 0 else x[-1]
+        for _ in range(ulps):
+            nxt = np.nextafter(nxt, np.inf)
+        x.append(float(nxt))
+    # values and slopes of at least 1e-6 or 0, so no sum runs subnormal
+    unit = st.floats(-10.0, 10.0).map(lambda v: v if abs(v) >= 1e-6 else 0.0)
+    y = draw(st.lists(unit, min_size=n_breaks, max_size=n_breaks))
+    starts = np.cumsum([0] + [n - 1 for n in sizes])
+    idx = np.concatenate([np.arange(a, a + n) for a, n in zip(starts, sizes)])
+    d = draw(st.lists(unit, min_size=idx.size, max_size=idx.size))
+    joints = np.cumsum(sizes[:-1], dtype=int)
+    return np.array(x)[idx], np.array(y)[idx], np.array(d), joints
+
+
+def _same_bits(a, b):
+    """Bitwise equal, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@given(hermite_segments())
+def test_cubic_table_matches_scipy_ppoly(segments):
+    # scipy's PPoly is the reference for the in-repo table's arithmetic
+    from scipy.interpolate import PPoly
+    from otflow.velocity import _hermite_ppoly
+    table = _hermite_ppoly(*segments)
+    ref = PPoly(table.c, table.x)
+    x = table.x
+    width = max(x[-1] - x[0], 1.0)
+    cells = x[:-1, None] + np.diff(x)[:, None] * np.array([0.25, 0.5, 0.75])
+    beyond = np.array([1e-3, 1.0, 10.0]) * width
+    xq = np.concatenate((x, cells.ravel(), x[0] - beyond, x[-1] + beyond,
+                         [np.nan, np.inf, -np.inf]))
+    for nu in (0, 1):
+        assert _same_bits(table(xq, nu), ref(xq, nu))
+        for t in (x[0], x[-1], xq[-4]):
+            assert _same_bits(table(t, nu), ref(t, nu))
+    # relative to the sum's own scale, the integral of the terms' absolute
+    # values: a cell's terms can cancel to a zero integral
+    want = ref.antiderivative()(x)
+    got = table.cumulative()
+    scale = PPoly(np.abs(table.c), x).antiderivative()(x)
+    assert got.shape == want.shape and got[0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_cubic_table_rejects_higher_derivatives():
+    from otflow.velocity import CubicTable
+    table = CubicTable(np.ones((4, 1)), np.array([0.0, 1.0]))
+    with pytest.raises(InputError, match="derivative order"):
+        table(0.5, 2)
 
 
 def _argsort_dispatch(field, x, per_interval, fill=0.0, unbuilt=None):
