@@ -11,19 +11,15 @@ from .measures import (AffineImage, Gaussian, Measure1D, PiecewiseDensity,
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        compute_monotone_map, find_fixed_points,
                        map_from_callables)
-from .velocity import (ApproximateResult, SeedSpec, TruncationZone,
-                       VelocityField1D, approximate_lipschitz, build_velocity,
-                       julia_residual)
-from .flow import (PushResult, TransportReport, flow, push_measure,
-                   verify_transport)
-from .pathology import (CounterexampleMap, DivergenceResult, GrowthResult,
-                        build_counterexample, probe_non_integrability,
+from .velocity import (SeedSpec, VelocityField1D, approximate_lipschitz,
+                       build_velocity, julia_residual)
+from .flow import flow, push_measure, verify_transport
+from .pathology import (build_counterexample, probe_non_integrability,
                         probe_velocity_growth)
-from .sudakov import (BallMeasure, MeasureND, NdTransportReport, ProductMeasure,
-                      RadiusLaw, Ray, RayFamilyND, VelocityFieldND,
-                      assemble_field, decompose, measure_nd_to_dict,
-                      parse_measure_nd, per_ray_monotone_map, translate_nd,
-                      verify_nd)
+from .sudakov import (BallMeasure, ProductMeasure, RadiusLaw, Ray,
+                      VelocityFieldND, assemble_field, decompose,
+                      measure_nd_to_dict, parse_measure_nd,
+                      per_ray_monotone_map, translate_nd, verify_nd)
 from .registry import ExampleProblem, example_names, get_example
 
 __version__ = "0.1.0"

@@ -19,13 +19,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import InputError, MeasureSpecError, TransportError
-from .flow import flow as flow_map, push_measure, verify_transport
+from .flow import flow as flow_map, verify_transport
 from .measures import measure_to_dict, parse_measure
 from .monotone import compute_monotone_map
 from .pathology import (build_counterexample, probe_non_integrability,
@@ -39,61 +38,37 @@ _SCHEMA_VERSION = 1
 _OUT_ENV = "OTFLOW_OUT"
 _FLOW_ROWS_CAP = 256  # trajectory tables stay readable even at large --n
 
-_COMMANDS = ("map", "field", "flow", "verify", "example", "pathology",
-             "sudakov")
-
 
 # ======================================================================
-# run configuration
+# run settings
 # ======================================================================
 
-@dataclass
-class RunConfig:
-    """Validated bundle of one CLI invocation.
+def _check(args: argparse.Namespace):
+    """Validate the settings argparse leaves open: --n a power of two at
+    least 16, positive tolerances and --eps.  InputError otherwise."""
+    n = args.n
+    if n < 16 or (n & (n - 1)) != 0:
+        raise InputError(f"--n must be a power of two >= 16, got {n}")
+    for name, val in (("--tol-julia", args.tol_julia),
+                      ("--tol-time", args.tol_time)):
+        if not (np.isfinite(val) and val > 0.0):
+            raise InputError(f"{name} must be positive, got {val}")
+    eps = getattr(args, "eps", None)
+    if eps is not None and not (np.isfinite(eps) and eps > 0.0):
+        raise InputError(f"--eps must be positive, got {eps}")
 
-    n must be a power of two at least 16; tolerances must be positive.  The
-    remaining fields are taken verbatim from the subcommand's arguments.
-    """
 
-    command: str
-    out: str
-    fmt: str = "csv"
-    n: int = 4096
-    tol_julia: float = DEFAULT_CONFIG.tol_julia
-    tol_time: float = DEFAULT_CONFIG.tol_time
-    seed_kind: str = "affine"
-    ck: str = "1"
-    eps: float | None = None
-    seed: int = 20260823
-    extra: dict = dc_field(default_factory=dict)
+def _build_config(args) -> BuildConfig:
+    return DEFAULT_CONFIG.with_(tol_julia=args.tol_julia, tol_time=args.tol_time)
 
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise InputError(f"unknown command {self.command!r}")
-        n = int(self.n)
-        if n < 16 or (n & (n - 1)) != 0:
-            raise InputError(f"--n must be a power of two >= 16, got {self.n}")
-        self.n = n
-        for name, val in (("--tol-julia", self.tol_julia),
-                          ("--tol-time", self.tol_time)):
-            if not (np.isfinite(val) and val > 0.0):
-                raise InputError(f"{name} must be positive, got {val}")
-        if self.eps is not None and not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise InputError(f"--eps must be positive, got {self.eps}")
-        if self.fmt not in ("csv", "json"):
-            raise InputError(f"--format must be csv or json, got {self.fmt!r}")
 
-    def build_config(self) -> BuildConfig:
-        return DEFAULT_CONFIG.with_(tol_julia=self.tol_julia,
-                                    tol_time=self.tol_time)
-
-    def seed_spec(self) -> SeedSpec:
-        if self.seed_kind == "hermite_ck":
-            if self.ck not in ("0", "1"):
-                raise InputError(
-                    f"--seed-kind hermite_ck needs --ck 0 or 1, got {self.ck!r}")
-            return SeedSpec(kind="hermite_ck", order_k=int(self.ck))
-        return SeedSpec(kind=self.seed_kind)
+def _seed_spec(args) -> SeedSpec:
+    if args.seed_kind == "hermite_ck":
+        if args.ck not in ("0", "1"):
+            raise InputError(
+                f"--seed-kind hermite_ck needs --ck 0 or 1, got {args.ck!r}")
+        return SeedSpec(kind="hermite_ck", order_k=int(args.ck))
+    return SeedSpec(kind=args.seed_kind)
 
 
 # ======================================================================
@@ -151,28 +126,28 @@ def write_report(out_dir: str, payload: dict) -> str:
     return path
 
 
-def _grid(rc: RunConfig, m) -> np.ndarray:
-    lo, hi = m.window(rc.build_config().eps_tail)
-    return np.linspace(lo, hi, rc.n)
+def _grid(args, m) -> np.ndarray:
+    lo, hi = m.window(DEFAULT_CONFIG.eps_tail)
+    return np.linspace(lo, hi, args.n)
 
 
-def _write_map(rc: RunConfig, T, m0):
-    xs = _grid(rc, m0)
-    write_table(rc.out, "map", ["x", "T", "Tp"],
+def _write_map(args, T, m0):
+    xs = _grid(args, m0)
+    write_table(args.out, "map", ["x", "T", "Tp"],
                 zip(xs, np.asarray(T.forward(xs), dtype=float),
-                    np.asarray(T.derivative(xs), dtype=float)), rc.fmt)
+                    np.asarray(T.derivative(xs), dtype=float)), args.fmt)
 
 
-def _write_field(rc: RunConfig, field):
-    xs = np.linspace(field.domain[0], field.domain[1], rc.n)
-    write_table(rc.out, "field", ["x", "v"], zip(xs, field(xs)), rc.fmt)
+def _write_field(args, field):
+    xs = np.linspace(field.domain[0], field.domain[1], args.n)
+    write_table(args.out, "field", ["x", "v"], zip(xs, field(xs)), args.fmt)
 
 
-def _write_flow(rc: RunConfig, field, x0: float, t_final: float) -> int:
+def _write_flow(args, field, x0: float, t_final: float) -> int:
     """Trajectory table of x0 over [0, t_final]; returns its row count."""
-    ts = np.linspace(0.0, t_final, min(rc.n, _FLOW_ROWS_CAP) + 1)
+    ts = np.linspace(0.0, t_final, min(args.n, _FLOW_ROWS_CAP) + 1)
     rows = [(t, float(flow_map(field, t, np.array([x0]))[0])) for t in ts]
-    write_table(rc.out, "flow", ["t", "phi"], rows, rc.fmt)
+    write_table(args.out, "flow", ["t", "phi"], rows, args.fmt)
     return len(rows)
 
 
@@ -180,19 +155,19 @@ def _write_flow(rc: RunConfig, field, x0: float, t_final: float) -> int:
 # subcommands
 # ======================================================================
 
-def _load_pair(rc: RunConfig, parse=parse_measure):
+def _load_pair(args, parse=parse_measure):
     """Parse --mu0 and --mu1 (inline JSON or a file path each)."""
     pair = []
     for flag in ("mu0", "mu1"):
         try:
-            pair.append(parse(rc.extra[flag]))
+            pair.append(parse(getattr(args, flag)))
         except MeasureSpecError as e:
             raise MeasureSpecError(f"--{flag}: {e}") from e
     return pair
 
 
-def _build_field(rc: RunConfig, m0, m1):
-    return build_velocity(m0, m1, seed=rc.seed_spec(), config=rc.build_config())
+def _build_field(args, m0, m1):
+    return build_velocity(m0, m1, seed=_seed_spec(args), config=_build_config(args))
 
 
 def _pair_report(command: str, m0, m1, **extra) -> dict:
@@ -200,115 +175,114 @@ def _pair_report(command: str, m0, m1, **extra) -> dict:
             "mu1": measure_to_dict(m1), **extra}
 
 
-def _verify_and_report(rc: RunConfig, field, m0, m1, report: dict) -> int:
+def _verify_and_report(args, field, m0, m1, report: dict) -> int:
     """Verify field against (m0, m1), write report.json with the outcome
     under "ok" and "verification" and the field's partition, per-interval
     depths and zones under "field", and return the exit status."""
-    rep = verify_transport(field, m0, m1, n_push=rc.n + 1)
-    write_report(rc.out, {**report, "ok": rep.passed,
-                          "verification": rep.to_dict(),
-                          "field": field.describe()})
+    rep = verify_transport(field, m0, m1, n_push=args.n + 1)
+    write_report(args.out, {**report, "ok": rep.passed,
+                            "verification": rep.to_dict(),
+                            "field": field.describe()})
     return 0 if rep.passed else 1
 
 
-def _cmd_map(rc: RunConfig) -> int:
-    m0, m1 = _load_pair(rc)
-    _write_map(rc, compute_monotone_map(m0, m1), m0)
-    write_report(rc.out, _pair_report(
-        "map", m0, m1, ok=True, n=rc.n,
-        window=list(m0.window(rc.build_config().eps_tail))))
+def _cmd_map(args) -> int:
+    m0, m1 = _load_pair(args)
+    _write_map(args, compute_monotone_map(m0, m1), m0)
+    write_report(args.out, _pair_report(
+        "map", m0, m1, ok=True, n=args.n,
+        window=list(m0.window(DEFAULT_CONFIG.eps_tail))))
     return 0
 
 
-def _cmd_field(rc: RunConfig) -> int:
-    m0, m1 = _load_pair(rc)
+def _cmd_field(args) -> int:
+    m0, m1 = _load_pair(args)
     extra = {}
-    if rc.eps is not None:
-        res = approximate_lipschitz(m0, m1, rc.eps, seed=rc.seed_spec(),
-                                    config=rc.build_config())
+    if args.eps is not None:
+        res = approximate_lipschitz(m0, m1, args.eps, seed=_seed_spec(args),
+                                    config=_build_config(args))
         field = res.field
         extra["approximate"] = {"eps": res.eps, "shift": res.shift,
                                 "w1_target_gap": res.w1_target_gap,
                                 "candidates_tried": res.candidates_tried}
     else:
-        field = _build_field(rc, m0, m1)
-    _write_field(rc, field)
-    write_report(rc.out, _pair_report(
-        "field", m0, m1, ok=True, n=rc.n, seed_kind=rc.seed_kind,
+        field = _build_field(args, m0, m1)
+    _write_field(args, field)
+    write_report(args.out, _pair_report(
+        "field", m0, m1, ok=True, n=args.n, seed_kind=args.seed_kind,
         field=field.describe(), **extra))
     return 0
 
 
-def _cmd_flow(rc: RunConfig) -> int:
-    m0, m1 = _load_pair(rc)
-    field = _build_field(rc, m0, m1)
-    x0 = rc.extra.get("x0")
-    x0 = float(m0.quantile(0.5)) if x0 is None else float(x0)
-    t_final = float(rc.extra.get("t", 1.0))
-    n_rows = _write_flow(rc, field, x0, t_final)
-    write_report(rc.out, _pair_report("flow", m0, m1, ok=True, x0=x0,
+def _cmd_flow(args) -> int:
+    m0, m1 = _load_pair(args)
+    field = _build_field(args, m0, m1)
+    x0 = float(m0.quantile(0.5)) if args.x0 is None else float(args.x0)
+    t_final = float(args.t)
+    n_rows = _write_flow(args, field, x0, t_final)
+    write_report(args.out, _pair_report("flow", m0, m1, ok=True, x0=x0,
                                       t_final=t_final, n_rows=n_rows))
     return 0
 
 
-def _cmd_verify(rc: RunConfig) -> int:
-    m0, m1 = _load_pair(rc)
-    return _verify_and_report(rc, _build_field(rc, m0, m1), m0, m1,
+def _cmd_verify(args) -> int:
+    m0, m1 = _load_pair(args)
+    return _verify_and_report(args, _build_field(args, m0, m1), m0, m1,
                               _pair_report("verify", m0, m1))
 
 
-def _resolve_example(rc: RunConfig) -> tuple[str, dict]:
-    name = rc.extra["name"]
+def _resolve_example(args) -> tuple[str, dict]:
+    name = args.name
     kwargs = {}
     if name == "accumulating":
-        if rc.ck in ("1", "c1"):
+        if args.ck in ("1", "c1"):
             name = "accumulating-c1"
-        elif rc.ck in ("inf", "cinf"):
+        elif args.ck in ("inf", "cinf"):
             name = "accumulating-cinf"
         else:
             raise InputError(
-                f"example accumulating needs --ck 1 or inf, got {rc.ck!r}")
+                f"example accumulating needs --ck 1 or inf, got {args.ck!r}")
     if name == "affine":
-        if rc.extra.get("alpha") is not None:
-            kwargs["alpha"] = float(rc.extra["alpha"])
-        if rc.extra.get("beta") is not None:
-            kwargs["beta"] = float(rc.extra["beta"])
+        if args.alpha is not None:
+            kwargs["alpha"] = float(args.alpha)
+        if args.beta is not None:
+            kwargs["beta"] = float(args.beta)
     return name, kwargs
 
 
-def _cmd_example(rc: RunConfig) -> int:
-    name, kwargs = _resolve_example(rc)
+def _cmd_example(args) -> int:
+    name, kwargs = _resolve_example(args)
     ex = get_example(name, **kwargs)
-    field = ex.build(seed=rc.seed_spec(), config=rc.build_config())
-    _write_map(rc, field.map, ex.m0)
-    _write_field(rc, field)
+    field = ex.build(seed=_seed_spec(args), config=_build_config(args))
+    _write_map(args, field.map, ex.m0)
+    _write_field(args, field)
     for tag, m in (("density0", ex.m0), ("density1", ex.m1)):
-        xd = _grid(rc, m)
-        write_table(rc.out, tag, ["x", "pdf"], zip(xd, m.pdf(xd)), rc.fmt)
-    _write_flow(rc, field, float(ex.m0.quantile(0.5)), 1.0)
-    return _verify_and_report(rc, field, ex.m0, ex.m1, {
+        xd = _grid(args, m)
+        write_table(args.out, tag, ["x", "pdf"], zip(xd, m.pdf(xd)), args.fmt)
+    _write_flow(args, field, float(ex.m0.quantile(0.5)), 1.0)
+    return _verify_and_report(args, field, ex.m0, ex.m1, {
         "command": "example", "example": name, "parameters": kwargs,
         "description": ex.description})
 
 
-def _cmd_pathology(rc: RunConfig) -> int:
-    variant = rc.extra.get("variant", "both")
+def _cmd_pathology(args) -> int:
+    variant = args.variant
     names = ("quadratic", "log_squared") if variant == "both" else (variant,)
     summary, ok = {}, True
     for v in names:
         cmap = build_counterexample(v)
         growth = probe_velocity_growth(cmap)
-        write_table(rc.out, f"growth_{v}",
+        write_table(args.out, f"growth_{v}",
                     ["i", "alpha", "beta", "Tp", "P", "lower_bound"],
                     [(r["i"], r["alpha"], r["beta"], r["tprime"], r["product"],
-                      r["lower_bound"]) for r in growth.rows], rc.fmt)
+                      r["lower_bound"]) for r in growth.rows], args.fmt)
         dive = probe_non_integrability(cmap)
-        write_table(rc.out, f"divergence_{v}",
+        write_table(args.out, f"divergence_{v}",
                     ["m", "delta", "l1_partial", "increment", "l1_field",
                      "lower_bound", "anchor_speed", "clock_defect"],
                     [(r["m"], r["delta"], r["l1_partial"], r["increment"],
                       r["l1_field"], r["lower_bound"], r["anchor_speed"],
-                      r["clock_defect"]) for r in dive.rows], rc.fmt)
+                      r["clock_defect"]) for r in dive.rows], args.fmt)
         incs = [r["increment"] for r in dive.rows]
         l1_increasing = all(i > 0.0 for i in incs)
         # the finite-index threshold crossing is certified on the quadratic
@@ -329,38 +303,32 @@ def _cmd_pathology(rc: RunConfig) -> int:
                       "anchor_speed_monotone": dive.anchor_speed_monotone,
                       "l1_partial_increasing": l1_increasing,
                       "levels": list(dive.levels)}
-    write_report(rc.out, {"command": "pathology", "ok": ok,
-                          "variants": summary})
+    write_report(args.out, {"command": "pathology", "ok": ok,
+                            "variants": summary})
     return 0 if ok else 1
 
 
-def _cmd_sudakov(rc: RunConfig) -> int:
-    m0, m1 = _load_pair(rc, parse_measure_nd)
+def _cmd_sudakov(args) -> int:
+    m0, m1 = _load_pair(args, parse_measure_nd)
     family = decompose(m0, m1)
-    field_nd = assemble_field(family, config=rc.build_config())
-    rep = verify_nd(field_nd, n_samples=rc.n, seed=rc.seed)
+    field_nd = assemble_field(family, config=_build_config(args))
+    rep = verify_nd(field_nd, n_samples=args.n, seed=args.seed)
     width = max(len(a) for a in rep.per_ray_alphas) if rep.per_ray_alphas else 1
     header = ["ray"] + [f"alpha{k}" for k in range(width)] + ["w1"]
     rows = [[i, *alpha, w] for i, (alpha, w)
             in enumerate(zip(rep.per_ray_alphas, rep.per_ray_w1))]
-    write_table(rc.out, "rays", header, rows, rc.fmt)
-    write_report(rc.out, {"command": "sudakov", "ok": rep.ok,
-                          "mu0": measure_nd_to_dict(m0),
-                          "mu1": measure_nd_to_dict(m1),
-                          "decomposition": family.describe(),
-                          "verification": rep.to_dict()})
+    write_table(args.out, "rays", header, rows, args.fmt)
+    write_report(args.out, {"command": "sudakov", "ok": rep.ok,
+                            "mu0": measure_nd_to_dict(m0),
+                            "mu1": measure_nd_to_dict(m1),
+                            "decomposition": family.describe(),
+                            "verification": rep.to_dict()})
     return 0 if rep.ok else 1
 
 
 _DISPATCH = {"map": _cmd_map, "field": _cmd_field, "flow": _cmd_flow,
              "verify": _cmd_verify, "example": _cmd_example,
              "pathology": _cmd_pathology, "sudakov": _cmd_sudakov}
-
-
-def run(rc: RunConfig) -> int:
-    """Execute one validated run configuration; returns the exit status."""
-    os.makedirs(rc.out, exist_ok=True)
-    return _DISPATCH[rc.command](rc)
 
 
 # ======================================================================
@@ -438,23 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_run_config(args: argparse.Namespace) -> RunConfig:
-    out = args.out or os.environ.get(_OUT_ENV) or "otflow-out"
-    extra = {k: v for k, v in vars(args).items()
-             if k in ("mu0", "mu1", "x0", "t", "name", "alpha", "beta",
-                      "variant")}
-    return RunConfig(command=args.command, out=out, fmt=args.fmt, n=args.n,
-                     tol_julia=args.tol_julia, tol_time=args.tol_time,
-                     seed_kind=args.seed_kind, ck=str(args.ck),
-                     eps=getattr(args, "eps", None),
-                     seed=getattr(args, "seed", 20260823), extra=extra)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.out = args.out or os.environ.get(_OUT_ENV) or "otflow-out"
     try:
-        rc = _to_run_config(args)
-        return run(rc)
+        _check(args)
+        os.makedirs(args.out, exist_ok=True)
+        return _DISPATCH[args.command](args)
     except InputError as e:
         print(f"otflow: input error: {e}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
 """Shared numerical configuration.
 
-One frozen dataclass carries every tolerance and budget used by the builders, so a
-run is reproducible from its config alone.  Relative quantities (orbit step floor,
-fixed point tolerance) are scaled by the working interval width at the point of
-use; absolute quantities are used as-is.
+One frozen dataclass carries the tolerances and budgets that callers set or
+read, so a run is reproducible from its config alone.  Relative quantities
+(fixed point tolerance, interval floor) are scaled by the working interval
+width at the point of use; absolute quantities are used as-is.  Fixed
+numerical choices that no caller varies live as private constants next to
+their one use: the slope-1 window of fixed point detection in monotone, and
+the orbit step floor and the node counts per orbit piece in velocity.
 """
 
 from __future__ import annotations
@@ -18,19 +21,8 @@ class BuildConfig:
     # fixed point detection: grid resolution and |T(x) - x| threshold rel. to width
     fixed_point_grid: int = 2 ** 14
     fixed_point_tol_rel: float = 1e-10
-    # slope window around 1 below which a fixed point is flagged indeterminate
-    indeterminate_slope_tol: float = 1e-8
-    # orbit march stops, applied to each march on its own while all marches
-    # advance together one depth per round: step floor relative to width, and
-    # a hard cap on the depth (the number of rounds)
-    orbit_min_step_rel: float = 1e-12
+    # hard cap on the orbit march depth (the number of lockstep rounds)
     orbit_max_steps: int = 10 ** 6
-    # interpolation nodes per orbit piece; from depth deep_piece_depth on, a
-    # march's tables are thinned to deep_piece_nodes to save memory and to
-    # keep each round's concatenated map call small
-    nodes_per_piece: int = 64
-    deep_piece_nodes: int = 12
-    deep_piece_depth: int = 64
     # verification tolerances
     tol_julia: float = 1e-8
     tol_time: float = 1e-6

@@ -294,8 +294,8 @@ def _osgood_rows(field: VelocityField1D, m_max: int = 20):
 
 
 def verify_transport(field: VelocityField1D, m0: Measure1D | None = None,
-                     m1: Measure1D | None = None, *, n_push: int = 4097,
-                     n_pairs: int = 10000, osgood_m: int = 20) -> TransportReport:
+                     m1: Measure1D | None = None, *,
+                     n_push: int = 4097) -> TransportReport:
     """Run the deterministic verification battery on a built field.
 
     Measures default to the ones attached to the field's map; passing m1 turns
@@ -310,8 +310,8 @@ def verify_transport(field: VelocityField1D, m0: Measure1D | None = None,
     tt, tt_n = _travel_time_defect(field)
     sg, sg_n = _semigroup_defect(field)
     width = field.domain[1] - field.domain[0]
-    mono_bad, mono_n = _monotonicity(field, n_pairs)
-    osgood = _osgood_rows(field, osgood_m)
+    mono_bad, mono_n = _monotonicity(field)
+    osgood = _osgood_rows(field)
 
     w1 = l1 = defect = None
     if m0 is not None and m1 is not None:

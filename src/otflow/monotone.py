@@ -47,6 +47,10 @@ __all__ = [
 # unbounded targets map support endpoints to (large) finite points
 _P_FLOOR = 1e-300
 
+# a fixed end whose map slope lies within this window of 1 is indeterminate:
+# orbits converge to it harmonically, not geometrically
+_INDETERMINATE_SLOPE_TOL = 1e-8
+
 
 # ======================================================================
 # map objects
@@ -67,10 +71,6 @@ class MonotoneMap:
     jet: Callable
     source: Measure1D | None = None
     target: Measure1D | None = None
-    label: str = "monotone-map"
-
-    def __call__(self, x):
-        return self.forward(x)
 
     def derivative(self, x):
         """T'(x), the middle entry of the jet."""
@@ -101,8 +101,7 @@ def compute_monotone_map(m0: Measure1D, m1: Measure1D) -> MonotoneMap:
             return float(y[0]), float(tp[0]), float(tpp[0])
         return y, tp, tpp
 
-    return MonotoneMap(forward, lambda y: _compose(m1, m0, y), jet, m0, m1,
-                       label="quantile-composition")
+    return MonotoneMap(forward, lambda y: _compose(m1, m0, y), jet, m0, m1)
 
 
 def _compose(a: Measure1D, b: Measure1D, x):
@@ -145,7 +144,6 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
                        source: Measure1D | None = None,
                        target: Measure1D | None = None,
                        domain: tuple[float, float] | None = None,
-                       label: str = "callable-map",
                        jet: Callable | None = None) -> MonotoneMap:
     """Wrap closed-form map callables, filling every missing piece once.
 
@@ -181,7 +179,7 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
         def inverse(y):
             return _newton_inverse(forward, lambda x: jet(x)[:2], y, lo, hi)
 
-    return MonotoneMap(forward, inverse, jet, source, target, label=label)
+    return MonotoneMap(forward, inverse, jet, source, target)
 
 
 def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
@@ -268,7 +266,7 @@ class FixedPointPartition:
     fixed_intervals are closed, disjoint, sorted; single points appear as
     degenerate [a, a] intervals.  moving_intervals partition the rest of the
     working domain.  indeterminate marks fixed boundaries where |T' - 1| falls
-    below the configured threshold (orbit truncation will be harmonic there).
+    below _INDETERMINATE_SLOPE_TOL (orbit truncation will be harmonic there).
     """
 
     domain: tuple[float, float]
@@ -304,7 +302,9 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
     g.  A local minimum of |g| under max(1e6 tol, (4 h)^2), h the grid step,
     without a sign change is a touch, kept when |g| <= tol there.  One
     bracketed Newton pass refines them all.  Fixed ends with
-    |T' - 1| <= indeterminate_slope_tol are flagged indeterminate.
+    |T' - 1| <= 1e-8 (_INDETERMINATE_SLOPE_TOL), or a slope that is not
+    finite, are flagged indeterminate.  config supplies eps_tail for the
+    default windows, fixed_point_grid and fixed_point_tol_rel.
     """
     if domain is None:
         if T.source is None or T.target is None:
@@ -382,7 +382,7 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
     indeterminate = ()
     if ends.size:
         off = np.abs(np.asarray(T.jet(ends)[1], dtype=float) - 1.0)
-        indeterminate = tuple(map(float, ends[~(off > config.indeterminate_slope_tol)]))
+        indeterminate = tuple(map(float, ends[~(off > _INDETERMINATE_SLOPE_TOL)]))
 
     # --- moving complement ----------------------------------------------------
     moving: list[MovingInterval] = []

@@ -32,15 +32,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, BuildConfig
+from .config import DEFAULT_CONFIG
 from .errors import ConstructionError, InputError
 from .measures import Uniform
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        _newton_inverse)
-from .velocity import SeedSpec, build_velocity
+from .velocity import build_velocity
 
 __all__ = [
-    "BumpProfile",
     "CounterexampleMap",
     "build_counterexample",
     "probe_velocity_growth",
@@ -367,17 +366,21 @@ class CounterexampleMap:
 
     def to_monotone_map(self) -> MonotoneMap:
         return MonotoneMap(self.forward, self.inverse, self.jet,
-                           source=Uniform(0.0, 0.5), target=None,
-                           label=f"counterexample-{self.variant}")
+                           source=Uniform(0.0, 0.5), target=None)
 
 
-def build_counterexample(variant: str = "quadratic", *, n_anchors: int = 12000,
-                         grid_points: int = 100000) -> CounterexampleMap:
+# points of the dense grid on which build_counterexample certifies the map
+_CERTIFY_GRID = 100000
+
+
+def build_counterexample(variant: str = "quadratic", *,
+                         n_anchors: int = 12000) -> CounterexampleMap:
     """Construct and certify a counterexample map.
 
     Certification: gap ratios >= 2/3 (keeps T' within [1/2, 3/2]), profile
     slope parameters < 1/2, unit gap sum within 1e-10, bitwise anchor mapping,
-    and T' range plus displacement positivity on a dense grid.
+    and T' range plus displacement positivity on a grid of _CERTIFY_GRID
+    points.
     """
     if variant not in _SEQUENCES:
         raise InputError(f"unknown variant {variant!r}; "
@@ -406,7 +409,7 @@ def build_counterexample(variant: str = "quadratic", *, n_anchors: int = 12000,
         raise ConstructionError(
             f"anchor {k} maps to {img[k]!r} instead of {cmap.anchors[k + 1]!r}")
 
-    xs = np.linspace(cmap.table_floor, 1.0, grid_points)
+    xs = np.linspace(cmap.table_floor, 1.0, _CERTIFY_GRID)
     tp = cmap.jet(xs)[1]
     if tp.min() < 0.5 or tp.max() > 1.5:
         raise ConstructionError(
@@ -522,12 +525,12 @@ class DivergenceResult:
 
 
 def probe_non_integrability(cmap: CounterexampleMap,
-                            levels=(10, 100, 1000, 10000), *,
-                            config: BuildConfig = DEFAULT_CONFIG,
-                            seed: SeedSpec | None = None,
-                            octaves: int = 44) -> DivergenceResult:
+                            levels=(10, 100, 1000, 10000)) -> DivergenceResult:
     """Build a velocity for the map on uniform[0, 1/2] mass and tabulate
     cumulative integrals of |v| over the first m orbit gaps.
+
+    The build takes the default config and affine seed, with its march
+    capped at the deepest level.
 
     Rows per level m: the depth-m anchor, the exact partial integral of |v|
     down to it with its increment from the previous level, the interpolated
@@ -551,8 +554,8 @@ def probe_non_integrability(cmap: CounterexampleMap,
         fixed_intervals=((0.0, 0.0),),
         moving_intervals=(MovingInterval(0.0, 0.5, -1, True, False),),
         indeterminate=(0.0,))
-    fld = build_velocity(transport_map=T, partition=partition, seed=seed,
-                         config=config.with_(orbit_max_steps=depth))
+    fld = build_velocity(transport_map=T, partition=partition,
+                         config=DEFAULT_CONFIG.with_(orbit_max_steps=depth))
     itf = fld.built_intervals[0]
 
     # spline-route per-piece absolute mass, ordered by orbit depth.  The
@@ -564,7 +567,7 @@ def probe_non_integrability(cmap: CounterexampleMap,
     V = table.cumulative()[np.searchsorted(table.x, itf.anchors)][::-1]
     cum_field = np.cumsum(np.abs(V[:depth] - V[1:depth + 1]))
     anchor_speed = np.abs(itf.anchor_v[::-1][:depth + 1])
-    mass_exact = _orbit_mass_cascade(cmap, itf, depth, octaves)
+    mass_exact = _orbit_mass_cascade(cmap, itf, depth)
     cum_exact = np.cumsum(mass_exact)
 
     # proof-side bound: |v| >= seed_floor * product on the last tenth of a gap
@@ -578,7 +581,7 @@ def probe_non_integrability(cmap: CounterexampleMap,
 
     res = DivergenceResult(variant=cmap.variant, levels=levels,
                            seed_floor=seed_floor,
-                           n_quad_points=8 * (2 * octaves + 1))
+                           n_quad_points=8 * (2 * _OCTAVES + 1))
     res.anchor_speed_monotone = bool(np.all(np.diff(anchor_speed) > 0))
     f_top = float(itf.F_spline(itf.x0))
     prev = 0.0
@@ -597,7 +600,11 @@ def probe_non_integrability(cmap: CounterexampleMap,
     return res
 
 
-def _orbit_mass_cascade(cmap, itf, depth: int, octaves: int = 44):
+# geometric panel octaves toward each end of the seed gap in the exact cascade
+_OCTAVES = 44
+
+
+def _orbit_mass_cascade(cmap, itf, depth: int):
     """Exact per-gap integrals of |v|, by substitution back to the seed gap.
 
     Changing variables through d map applications turns the integral of |v|
@@ -613,7 +620,7 @@ def _orbit_mass_cascade(cmap, itf, depth: int, octaves: int = 44):
     lo, hi = itf.seed_interval
     lo, hi = min(lo, hi), max(lo, hi)
     width = hi - lo
-    fracs = 0.5 ** np.arange(1, octaves + 1)
+    fracs = 0.5 ** np.arange(1, _OCTAVES + 1)
     edges = np.concatenate((
         [lo], lo + width * fracs[::-1], hi - width * fracs, [hi]))
     a, b = edges[:-1], edges[1:]

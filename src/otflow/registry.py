@@ -167,7 +167,7 @@ def _bad_fixed_point_example() -> ExampleProblem:
 
     tmap = map_from_callables(forward, inverse=inverse, derivative=derivative,
                               second_derivative=second_derivative,
-                              source=m0, target=m1, label="bad-fixed-point")
+                              source=m0, target=m1)
     partition = FixedPointPartition(
         domain=(0.0, 3.0),
         fixed_intervals=((0.0, 0.0),),
@@ -263,7 +263,7 @@ def _accumulating_example(variant: str = "c1", n_tiers: int = 12) -> ExampleProb
     m1 = pushforward_by_map(m0, forward, derivative=lambda x: jet(x, 1)[1],
                             n=65537)
     tmap = map_from_callables(forward, inverse=inverse, source=m0, target=m1,
-                              label=f"accumulating-{variant}", jet=jet)
+                              jet=jet)
 
     cuts = [1.0 / n for n in range(n_tiers, 0, -1)]
     fixed = [(0.0, cuts[0])] + [(c, c) for c in cuts[1:]]

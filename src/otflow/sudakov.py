@@ -57,6 +57,8 @@ SLICED_W1_TOL = 2e-3
 
 DEFAULT_RAY_COUNT = 64
 DEFAULT_DIRECTION_COUNT = 32
+# evaluation grid of the conditional pair's push in verify_nd
+_PUSH_GRID = 2049
 
 
 # ======================================================================
@@ -675,8 +677,7 @@ class NdTransportReport:
 def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
               n_rays: int = DEFAULT_RAY_COUNT,
               n_directions: int = DEFAULT_DIRECTION_COUNT,
-              seed: int = 20260823, t: float = 1.0,
-              push_grid: int = 2049) -> NdTransportReport:
+              seed: int = 20260823, t: float = 1.0) -> NdTransportReport:
     """Monte Carlo and per-ray checks of an assembled field.
 
     Draws are coupled: the same uniform matrix feeds both samplers, so the
@@ -702,7 +703,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
             kept_alphas.append(np.atleast_1d(np.asarray(a, dtype=float)))
     per_ray_w1: list = []
     if kept_alphas:
-        pushed = push_measure(field_nd.field, fam.cond0, t, n=push_grid)
+        pushed = push_measure(field_nd.field, fam.cond0, t, n=_PUSH_GRID)
         per_ray_w1 = [float(wasserstein1(pushed.measure, fam.cond1))] * len(kept_alphas)
     w1_max = max(per_ray_w1, default=float("nan"))
     if skipped:

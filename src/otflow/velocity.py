@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -99,17 +98,15 @@ class SeedSpec:
         "affine"      straight line between the two forced endpoint values
         "hermite_ck"  C^k junction matching; order_k = 1 gives a cubic whose
                       endpoint derivatives satisfy the derivative recursion
-    v0: signed value at the anchor x0 (default: the displacement T(x0) - x0).
-    d1: free slope at the anchor for hermite_ck (default: the affine slope).
 
-    The overall scale of the profile is irrelevant; unit-time normalization
-    fixes it, so seeds differing by a constant factor give the same field.
+    The profile starts from the step T(x0) - x0 at the anchor x0, and
+    hermite_ck's slope there is the affine one.  The overall scale is
+    irrelevant: unit-time normalization fixes it, so the kind alone
+    determines the field.
     """
 
     kind: str = "affine"
     order_k: int = 1
-    v0: float | None = None
-    d1: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("constant", "affine", "hermite_ck"):
@@ -121,15 +118,9 @@ class SeedSpec:
 
 def _seed_polynomial(T: MonotoneMap, x0: float, x1: float,
                      seed: SeedSpec) -> Polynomial:
-    """The (unnormalized) seed profile as a polynomial in (x - x0)."""
-    step = x1 - x0
-    v0 = seed.v0 if seed.v0 is not None else step
-    if v0 == 0.0 or not math.isfinite(v0):
-        raise SeedSignError(f"seed value v0={v0} must be finite and nonzero")
-    if math.copysign(1.0, v0) != math.copysign(1.0, step):
-        raise SeedSignError(
-            f"seed value v0={v0:.6g} opposes the motion direction on "
-            f"[{x0:.6g}, {x1:.6g}]")
+    """The (unnormalized) seed profile as a polynomial in (x - x0), starting
+    from the step s = x1 - x0 at the anchor."""
+    v0 = s = x1 - x0
     tp0 = float(np.asarray(T.derivative(x0), dtype=float))
     if not (math.isfinite(tp0) and tp0 > 0):
         raise ConstructionError(f"map derivative {tp0} at seed anchor {x0:.6g}")
@@ -143,14 +134,14 @@ def _seed_polynomial(T: MonotoneMap, x0: float, x1: float,
 
     if seed.kind == "affine" or (seed.kind == "hermite_ck" and seed.order_k == 0):
         # line through (x0, v0) and (x1, T'(x0) v0), in powers of (x - x0)
-        return Polynomial([v0, (v1 - v0) / step])
+        return Polynomial([v0, (v1 - v0) / s])
 
     # hermite_ck with order_k == 1: cubic matching values and derivatives,
-    # the far-end derivative taken from the derivative recursion
-    d1 = seed.d1 if seed.d1 is not None else (v1 - v0) / step
+    # the anchor slope the affine one, the far-end slope taken from the
+    # derivative recursion
+    d1 = (v1 - v0) / s
     tpp0 = float(T.jet(x0)[2])
     d1_img = d1 + v0 * tpp0 / tp0
-    s = step
     a2 = (3.0 * (v1 - v0) / s - 2.0 * d1 - d1_img) / s
     a3 = (2.0 * (v0 - v1) / s + d1 + d1_img) / (s * s)
     return Polynomial([v0, d1, a2, a3])
@@ -162,7 +153,7 @@ def _validate_seed_sign(p: Polynomial, x0: float, x1: float):
     if np.any(np.sign(vals) != ref) or np.any(vals == 0.0):
         raise SeedSignError(
             f"seed profile changes sign or vanishes on [{x0:.6g}, {x1:.6g}]; "
-            "choose a milder slope d1 or a different kind")
+            "choose a different kind")
 
 
 def _seed_primitive(p: Polynomial, xs_motion: np.ndarray) -> np.ndarray:
@@ -511,7 +502,14 @@ class _March:
         return float(x[i]), float(v[i]), float(F[i])
 
 
-def _clip_and_thin(m: _March, nodes, depth, cfg: BuildConfig):
+# from depth _DEEP_PIECE_DEPTH on, a march's source tables are thinned to
+# _DEEP_PIECE_NODES nodes, to save memory and keep each round's concatenated
+# map call small
+_DEEP_PIECE_DEPTH = 64
+_DEEP_PIECE_NODES = 12
+
+
+def _clip_and_thin(m: _March, nodes, depth):
     """m's source nodes restricted to its clip window, the exact boundary
     point inserted at the far end, and thinned when deep; None when under two
     nodes stay inside (the march stops at the boundary)."""
@@ -532,9 +530,9 @@ def _clip_and_thin(m: _March, nodes, depth, cfg: BuildConfig):
         if x[far] != bound:
             x, v, dv, F = (np.insert(a, at, b) for a, b in
                            zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
-    if depth >= cfg.deep_piece_depth and x.size > cfg.deep_piece_nodes:
+    if depth >= _DEEP_PIECE_DEPTH and x.size > _DEEP_PIECE_NODES:
         idx = np.unique(np.round(
-            np.linspace(0, x.size - 1, cfg.deep_piece_nodes)).astype(int))
+            np.linspace(0, x.size - 1, _DEEP_PIECE_NODES)).astype(int))
         x, v, dv, F = (a[idx] for a in (x, v, dv, F))
     return x, v, dv, F
 
@@ -579,12 +577,12 @@ class _Layout:
         self.min_step = np.array([m.min_step for m in live])
         self.max_size = int(self.sizes.max())
 
-    def needs_clip(self, depth, cfg: BuildConfig) -> bool:
+    def needs_clip(self, depth) -> bool:
         """Whether a node left its window or a segment is due for thinning."""
         x = self.nodes[0]
         return (not ((x >= self.clip_lo) & (x <= self.clip_hi)).all()
-                or (depth >= cfg.deep_piece_depth
-                    and self.max_size > cfg.deep_piece_nodes))
+                or (depth >= _DEEP_PIECE_DEPTH
+                    and self.max_size > _DEEP_PIECE_NODES))
 
     def split(self, nodes, keep=None) -> dict:
         """Per-march tables of the kept segments (all by default), by march
@@ -666,10 +664,10 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
     layout = None
     rounds, layouts = [], []
     for depth in range(1, cfg.orbit_max_steps + 1):
-        if layout is None or layout.needs_clip(depth, cfg):
+        if layout is None or layout.needs_clip(depth):
             if layout is not None:
                 tables = layout.split(layout.nodes)
-            tables = {i: t for i, t in ((i, _clip_and_thin(marches[i], t, depth, cfg))
+            tables = {i: t for i, t in ((i, _clip_and_thin(marches[i], t, depth))
                                         for i, t in tables.items()) if t is not None}
             if not tables:
                 break
@@ -730,6 +728,13 @@ class _SeededInterval:
     backward: _March | None     # marches only toward a fixed trailing end
 
 
+# orbit march step floor, relative to the working width
+_ORBIT_MIN_STEP_REL = 1e-12
+# interpolation nodes of the seed piece, and so of every orbit piece until
+# the deep thinning
+_NODES_PER_PIECE = 64
+
+
 def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
                    cfg: BuildConfig, map_domain, map_range, width):
     """Anchor, seed piece and march states of one interval, or an
@@ -749,7 +754,7 @@ def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     if not src_hi > src_lo:
         return UnbuiltInterval(itv.lo, itv.hi, direction, "no-source-overlap")
 
-    min_step = cfg.orbit_min_step_rel * width
+    min_step = _ORBIT_MIN_STEP_REL * width
 
     if trail_fixed:
         x0 = 0.5 * (src_lo + src_hi)
@@ -763,7 +768,7 @@ def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
     poly = _seed_polynomial(T, x0, x1, seed)
     _validate_seed_sign(poly, x0, x1)
 
-    xs = np.linspace(x0, x1, cfg.nodes_per_piece)
+    xs = np.linspace(x0, x1, _NODES_PER_PIECE)
     F_raw = _seed_primitive(poly, xs)
     tau = float(F_raw[-1])
     if not (math.isfinite(tau) and tau > 0):
@@ -939,15 +944,19 @@ class VelocityField1D:
 def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
                    transport_map: MonotoneMap | None = None,
                    partition: FixedPointPartition | None = None,
-                   seed: SeedSpec | Sequence[SeedSpec] | None = None,
+                   seed: SeedSpec | None = None,
                    config: BuildConfig = DEFAULT_CONFIG,
                    domain: tuple[float, float] | None = None) -> VelocityField1D:
     """Build the autonomous field realizing the monotone map between m0 and m1.
 
     Either a measure pair or an explicit transport_map must be given.  partition
     overrides fixed point detection (useful when the fixed set is known in
-    closed form); seed may be one SeedSpec for all moving intervals or a
-    sequence aligned with them.
+    closed form); seed is the SeedSpec of every moving interval (default
+    affine).  config supplies eps_tail, the fixed point search settings,
+    orbit_max_steps and min_interval_rel; the field keeps it for
+    verification.  The orbit step floor and the node counts per piece are
+    fixed: _ORBIT_MIN_STEP_REL, _NODES_PER_PIECE, _DEEP_PIECE_DEPTH and
+    _DEEP_PIECE_NODES.
     """
     T = transport_map
     if T is None:
@@ -974,29 +983,17 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
         partition = find_fixed_points(T, domain=hull, config=config,
                                       search=map_domain)
 
-    moving = partition.moving_intervals
-    seeds = _normalize_seeds(seed, len(moving))
+    seed = SeedSpec() if seed is None else seed
     width = partition.domain[1] - partition.domain[0]
 
-    seeded = [_seed_interval(T, itv, sd, config, map_domain, map_range, width)
-              for itv, sd in zip(moving, seeds)]
+    seeded = [_seed_interval(T, itv, seed, config, map_domain, map_range, width)
+              for itv in partition.moving_intervals]
     _march_lockstep(T, [m for s in seeded if isinstance(s, _SeededInterval)
                         for m in (s.forward, s.backward) if m is not None],
                     config)
     fields = [_finish_interval(s, partition.indeterminate, width)
               if isinstance(s, _SeededInterval) else s for s in seeded]
     return VelocityField1D(T, partition, fields, config)
-
-
-def _normalize_seeds(seed, n):
-    if seed is None:
-        return [SeedSpec()] * n
-    if isinstance(seed, SeedSpec):
-        return [seed] * n
-    seeds = list(seed)
-    if len(seeds) != n:
-        raise InputError(f"got {len(seeds)} seeds for {n} moving intervals")
-    return seeds
 
 
 # ======================================================================
@@ -1024,8 +1021,13 @@ def _interval_samples(f: IntervalField, field: VelocityField1D, n: int):
     return xs[ok], ys[ok], n - int(np.count_nonzero(ok))
 
 
-def julia_residual(field: VelocityField1D, *, n_per_interval: int = 256) -> dict:
-    """Relative residual of v(T(x)) - T'(x) v(x) on built regions.
+# uniform sample points per built interval of the Julia residual
+_JULIA_SAMPLES = 256
+
+
+def julia_residual(field: VelocityField1D) -> dict:
+    """Relative residual of v(T(x)) - T'(x) v(x) on built regions, at
+    _JULIA_SAMPLES points per interval.
 
     Sample points whose images leave the built tables are excluded; the
     report counts them.
@@ -1035,7 +1037,7 @@ def julia_residual(field: VelocityField1D, *, n_per_interval: int = 256) -> dict
     total = 0
     excluded = 0
     for f in field.built_intervals:
-        xs, ys, dropped = _interval_samples(f, field, n_per_interval)
+        xs, ys, dropped = _interval_samples(f, field, _JULIA_SAMPLES)
         excluded += dropped
         if xs.size == 0:
             continue
@@ -1062,17 +1064,20 @@ class ApproximateResult:
     candidates_tried: int
 
 
+# the least |T' - 1| an admissible shift leaves at every fixed boundary
+_SLOPE_MARGIN = 1e-5
+
+
 def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
                           seed: SeedSpec | None = None,
                           config: BuildConfig = DEFAULT_CONFIG,
-                          slope_margin: float = 1e-5,
                           budget: int = 64) -> ApproximateResult:
     """Replace m1 by a translate within eps in W1 whose map has no slope-1
     fixed points, then build the field for the shifted problem.
 
     Deterministic dyadic shift scan: 0, +-eps/2, +-eps/4, +-3 eps/4, ...  A
     candidate is admissible when every detected fixed boundary of the shifted
-    map has |T' - 1| > slope_margin.  Raises SearchFailureError when the budget
+    map has |T' - 1| > _SLOPE_MARGIN.  Raises SearchFailureError when the budget
     is exhausted.
     """
     if not eps > 0:
@@ -1090,7 +1095,7 @@ def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
         ok = not partition.indeterminate
         for e in partition.fixed_points:
             de = float(np.asarray(T_lam.derivative(e), dtype=float))
-            if not np.isfinite(de) or abs(de - 1.0) <= slope_margin:
+            if not np.isfinite(de) or abs(de - 1.0) <= _SLOPE_MARGIN:
                 ok = False
                 break
         if not ok:
@@ -1135,5 +1140,4 @@ def _shifted_map(T: MonotoneMap, m0, m1, lam: float) -> MonotoneMap:
     def inverse(y):
         return T.inverse(np.asarray(y, dtype=float) + lam)
 
-    return MonotoneMap(forward, inverse, jet, m0, translate(m1, -lam),
-                       label=f"shifted({lam:g})")
+    return MonotoneMap(forward, inverse, jet, m0, translate(m1, -lam))

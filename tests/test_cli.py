@@ -9,11 +9,12 @@ import csv
 import json
 import os
 import warnings
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from otflow.cli import RunConfig, _resolve_example, main
+from otflow.cli import _resolve_example, main
 
 UNIFORM_12 = '{"kind": "uniform", "lo": 1.0, "hi": 2.0}'
 AFFINE_IMAGE = ('{"kind": "affine_image", "base": {"kind": "uniform", '
@@ -23,6 +24,10 @@ GAUSS_01 = '{"kind": "gaussian", "mean": 0.0, "std": 1.0}'
 GAUSS_12 = '{"kind": "gaussian", "mean": 1.0, "std": 2.0}'
 BALL_1 = '{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}'
 BALL_2 = '{"kind": "ball", "center": [0.0, 0.0], "radius": 2.0}'
+PRODUCT_GAUSS_U01 = ('{"kind": "product", "factors": [' + GAUSS_01
+                     + ', {"kind": "uniform", "lo": 0.0, "hi": 1.0}]}')
+PRODUCT_GAUSS_U13 = ('{"kind": "product", "factors": [' + GAUSS_01
+                     + ', {"kind": "uniform", "lo": 1.0, "hi": 3.0}]}')
 
 
 def run_cli(argv):
@@ -83,6 +88,17 @@ class TestFieldCommand:
         rep = read_report(out)
         assert rep["seed_kind"] == "affine"
         assert "field" in rep
+
+    def test_hermite_seed_kind(self, tmp_path):
+        out = str(tmp_path)
+        code = run_cli(["field", "--mu0", GAUSS_01, "--mu1", GAUSS_12,
+                        "--seed-kind", "hermite_ck", "--ck", "1",
+                        "--n", "64", "--out", out])
+        assert code == 0
+        rep = read_report(out)
+        assert rep["seed_kind"] == "hermite_ck"
+        kinds = {itv["seed_kind"] for itv in rep["field"]["intervals"]}
+        assert kinds == {"hermite_ck"}
 
     def test_eps_requests_approximate_variant(self, tmp_path):
         out = str(tmp_path)
@@ -181,18 +197,15 @@ class TestExampleCommand:
                 blob_b = fh.read()
             assert blob_a == blob_b, name
 
-    def test_accumulating_routing(self, tmp_path):
-        rc = RunConfig(command="example", out=str(tmp_path), ck="inf",
-                       extra={"name": "accumulating"})
-        assert _resolve_example(rc) == ("accumulating-cinf", {})
-        rc = RunConfig(command="example", out=str(tmp_path), ck="1",
-                       extra={"name": "accumulating"})
-        assert _resolve_example(rc) == ("accumulating-c1", {})
+    def test_accumulating_routing(self):
+        args = Namespace(name="accumulating", ck="inf")
+        assert _resolve_example(args) == ("accumulating-cinf", {})
+        args = Namespace(name="accumulating", ck="1")
+        assert _resolve_example(args) == ("accumulating-c1", {})
         from otflow.errors import InputError
-        rc = RunConfig(command="example", out=str(tmp_path), ck="7",
-                       extra={"name": "accumulating"})
+        args = Namespace(name="accumulating", ck="7")
         with pytest.raises(InputError):
-            _resolve_example(rc)
+            _resolve_example(args)
 
 
 class TestPathologyCommand:
@@ -229,6 +242,21 @@ class TestSudakovCommand:
         rep = read_report(out)
         assert rep["verification"]["rng_seed"] == 7
         assert rep["decomposition"]["kind"] == "radial"
+        assert rep["ok"] is True
+
+    def test_parallel_products(self, tmp_path):
+        out = str(tmp_path)
+        code = run_cli(["sudakov", "--mu0", PRODUCT_GAUSS_U01,
+                        "--mu1", PRODUCT_GAUSS_U13, "--n", "1024",
+                        "--out", out])
+        assert code == 0
+        header, rows = read_csv(os.path.join(out, "rays.csv"))
+        assert header == ["ray", "alpha0", "w1"]
+        assert len(rows) == 64
+        rep = read_report(out)
+        dec = rep["decomposition"]
+        assert dec["kind"] == "parallel" and dec["axis"] == 1
+        assert dec["transverse"] == [json.loads(GAUSS_01)]
         assert rep["ok"] is True
 
     def test_uncentered_balls_exit_two(self, tmp_path, capsys):

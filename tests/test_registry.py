@@ -82,6 +82,34 @@ class TestAffineOracles:
         assert np.max(np.abs(got - want)) <= 1e-8
 
 
+class TestAffineUnitSlope:
+    """Slope 1 makes the affine example a translation: no fixed point, a
+    constant field, and a flow that shifts by t times the offset."""
+
+    def test_translation_oracles(self):
+        ex = get_example("affine", alpha=1.0, beta=0.5)
+        assert ex.closed["fixed_point"] is None
+        xs = np.linspace(1.0, 2.0, 11)
+        assert np.array_equal(ex.closed["velocity"](xs), np.full(11, 0.5))
+        assert np.array_equal(ex.closed["flow"](1.0, xs), ex.closed["map"](xs))
+
+    def test_built_field_is_the_translation(self):
+        from otflow.flow import flow, verify_transport
+        ex = get_example("affine", alpha=1.0, beta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = ex.build()
+            rep = verify_transport(field, ex.m0, ex.m1)
+        assert rep.passed and rep.zones == []
+        assert field.partition.fixed_intervals == ()
+        xs = np.linspace(1.0, 2.0, 101)
+        assert np.max(np.abs(field.evaluate(xs) - ex.closed["velocity"](xs))) <= 1e-12
+        for t in (0.5, 1.0):
+            got = flow(field, t, xs)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - ex.closed["flow"](t, xs))) <= 1e-12
+
+
 class TestGaussianOracles:
     """Normal-to-normal closed forms."""
 

@@ -245,6 +245,43 @@ class TestRadialExpansion:
         assert rep.radial_rearrangement_rel_max <= 1e-6
 
 
+class TestRadialBallsInThree:
+    """Concentric 3-balls, radius 1 onto radius 2: the radial family in
+    d = 3, with random direction draws for the rays and the slices."""
+
+    def test_ball_sampling_closed_form(self):
+        ball = BallMeasure((0.0, 0.0, 0.0), 2.0)
+        u = np.random.default_rng(4).random((500, 3))
+        pts = ball.sample_from_uniform(u)
+        r = np.linalg.norm(pts, axis=1)
+        assert np.allclose(r, 2.0 * u[:, 0] ** (1.0 / 3.0), rtol=1e-14)
+        # z = r (2 u1 - 1) and the azimuth 2 pi u2
+        assert np.allclose(pts[:, 2], r * (2.0 * u[:, 1] - 1.0),
+                           rtol=1e-13, atol=1e-15)
+        phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+        assert np.allclose(phi, 2.0 * np.pi * u[:, 2], atol=1e-9)
+
+    def test_verify_and_doubling(self):
+        center = (0.0, 0.0, 0.0)
+        fam = decompose(BallMeasure(center, 1.0), BallMeasure(center, 2.0))
+        assert fam.kind == "radial" and fam.dimension == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field_nd = assemble_field(fam)
+            rep = verify_nd(field_nd, n_samples=5000, n_rays=16, n_directions=8)
+        assert rep.ok and all(rep.checks.values())
+        assert "radial_rearrangement" in rep.checks
+        assert rep.dimension == 3 and rep.n_unflowed == 0
+        # the ray indices are unit directions drawn on the sphere
+        alphas = np.array(rep.per_ray_alphas)
+        assert alphas.shape == (16, 3)
+        assert np.allclose(np.linalg.norm(alphas, axis=1), 1.0, atol=1e-14)
+        pts = BallMeasure(center, 1.0).sample(2000, np.random.default_rng(5))
+        out = field_nd.flow(1.0, pts)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - 2.0 * pts)) <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def built():
     m0 = ProductMeasure((Uniform(0.0, 1.0), Uniform(0.0, 1.0)))

@@ -221,6 +221,31 @@ class TestApproximateLipschitz:
                                         1e-2)
         assert res.candidates_tried == 2 and res.shift == 0.5e-2
 
+    def test_dyadic_scan_order(self):
+        from otflow.velocity import _dyadic_fractions
+        assert list(_dyadic_fractions(10)) == [
+            0.0, 0.5, -0.5, 0.25, -0.25, 0.75, -0.75, 0.125, -0.125, 0.375]
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_scan_resumes_to_candidate_k(self, monkeypatch, k):
+        from otflow.velocity import _dyadic_fractions
+        real = otflow.velocity.find_fixed_points
+        calls = []
+
+        def first_fail(T, **kw):
+            calls.append(T)
+            if len(calls) < k:
+                raise TransportError("rejected candidate")
+            return real(T, **kw)
+
+        monkeypatch.setattr(otflow.velocity, "find_fixed_points", first_fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = approximate_lipschitz(Gaussian(0.0, 1.0), Gaussian(1.0, 2.0),
+                                        1e-2)
+        assert res.candidates_tried == k == len(calls)
+        assert res.shift == 1e-2 * list(_dyadic_fractions(k))[-1]
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(T, **kw):
             raise ZeroDivisionError("bug in the search")
@@ -493,10 +518,11 @@ def _reference_lockstep(T, marches, cfg):
     T.inverse and one T.jet call, then split the results per march."""
     import bisect
     import itertools
+    from otflow.velocity import _DEEP_PIECE_DEPTH, _DEEP_PIECE_NODES
     live = list(marches)
     for depth in range(1, cfg.orbit_max_steps + 1):
         live = [m for m in live if m.clip_and_thin(
-            depth, cfg.deep_piece_depth, cfg.deep_piece_nodes)]
+            depth, _DEEP_PIECE_DEPTH, _DEEP_PIECE_NODES)]
         if not live:
             break
         live.sort(key=lambda m: not m.forward)
