@@ -44,14 +44,15 @@ _FLOW_ROWS_CAP = 256  # trajectory tables stay readable even at large --n
 # ======================================================================
 
 def _check(args: argparse.Namespace):
-    """Validate the settings argparse leaves open: --n a power of two at
-    least 16, positive tolerances and --eps.  InputError otherwise."""
-    n = args.n
-    if n < 16 or (n & (n - 1)) != 0:
+    """Validate the settings argparse leaves open, among the flags the
+    command has: --n a power of two at least 16, positive tolerances and
+    --eps.  InputError otherwise."""
+    n = getattr(args, "n", None)
+    if n is not None and (n < 16 or (n & (n - 1)) != 0):
         raise InputError(f"--n must be a power of two >= 16, got {n}")
-    for name, val in (("--tol-julia", args.tol_julia),
-                      ("--tol-time", args.tol_time)):
-        if not (np.isfinite(val) and val > 0.0):
+    for name, key in (("--tol-julia", "tol_julia"), ("--tol-time", "tol_time")):
+        val = getattr(args, key, None)
+        if val is not None and not (np.isfinite(val) and val > 0.0):
             raise InputError(f"{name} must be positive, got {val}")
     eps = getattr(args, "eps", None)
     if eps is not None and not (np.isfinite(eps) and eps > 0.0):
@@ -335,19 +336,28 @@ _DISPATCH = {"map": _cmd_map, "field": _cmd_field, "flow": _cmd_flow,
 # argument parsing
 # ======================================================================
 
-def _add_common(p: argparse.ArgumentParser, *, measures: bool = True):
-    p.add_argument("--n", type=int, default=4096,
-                   help="grid resolution; power of two >= 16 (default 4096)")
-    p.add_argument("--tol-julia", type=float, default=DEFAULT_CONFIG.tol_julia,
-                   help="relative residual bound for the propagation identity")
-    p.add_argument("--tol-time", type=float, default=DEFAULT_CONFIG.tol_time,
-                   help="absolute bound for clock/semigroup defects")
-    p.add_argument("--seed-kind", default="affine",
-                   choices=("constant", "affine", "hermite_ck"),
-                   help="free profile on the seed interval (default affine)")
-    p.add_argument("--ck", default="1",
-                   help="junction order for hermite_ck seeds (0 or 1); for "
-                        "'example accumulating' selects the 1 or inf variant")
+def _add_common(p: argparse.ArgumentParser, *, grid: bool = True,
+                tolerances: bool = True, seed_profile: bool = True,
+                measures: bool = True):
+    """The shared flags, each only where the command's handler reads it:
+    --n (grid), --tol-julia and --tol-time (tolerances), --seed-kind and
+    --ck (seed_profile), --mu0 and --mu1 (measures); --out and --format
+    always."""
+    if grid:
+        p.add_argument("--n", type=int, default=4096,
+                       help="grid resolution; power of two >= 16 (default 4096)")
+    if tolerances:
+        p.add_argument("--tol-julia", type=float, default=DEFAULT_CONFIG.tol_julia,
+                       help="relative residual bound for the propagation identity")
+        p.add_argument("--tol-time", type=float, default=DEFAULT_CONFIG.tol_time,
+                       help="absolute bound for clock/semigroup defects")
+    if seed_profile:
+        p.add_argument("--seed-kind", default="affine",
+                       choices=("constant", "affine", "hermite_ck"),
+                       help="free profile on the seed interval (default affine)")
+        p.add_argument("--ck", default="1",
+                       help="junction order for hermite_ck seeds (0 or 1); for "
+                            "'example accumulating' selects the 1 or inf variant")
     p.add_argument("--out", default=None,
                    help=f"output directory (default ${_OUT_ENV} or ./otflow-out)")
     p.add_argument("--format", default="csv", choices=("csv", "json"),
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map", help="monotone map table (x, T, Tp)")
-    _add_common(p)
+    _add_common(p, tolerances=False, seed_profile=False)
 
     p = sub.add_parser("field", help="velocity field table (x, v)")
     _add_common(p)
@@ -396,10 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pathology", help="counterexample growth/divergence tables")
     p.add_argument("--variant", default="both",
                    choices=("quadratic", "log_squared", "both"))
-    _add_common(p, measures=False)
+    _add_common(p, grid=False, tolerances=False, seed_profile=False,
+                measures=False)
 
     p = sub.add_parser("sudakov", help="ray decomposition in d >= 2")
-    _add_common(p)
+    _add_common(p, seed_profile=False)
     p.add_argument("--seed", type=int, default=20260823,
                    help="RNG seed for the Monte-Carlo check (recorded)")
 

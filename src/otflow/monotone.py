@@ -11,7 +11,8 @@ so both tails keep full precision; its jet takes T' from the density ratio
 pdf_source(x) / pdf_target(T(x)), with a finite difference fallback where the
 ratio degenerates, and T'' from the density derivatives.  map_from_callables
 wraps closed-form maps, filling a missing T' or T'' by central differences
-and a missing inverse by the shared Newton inverse, once, at construction.
+and a missing inverse by the shared Newton inverse, once, at construction;
+such a map keeps that solve's bracket as newton_domain.
 
 find_fixed_points scans g = T(x) - x on a dyadic grid in array passes: a run
 of two or more points with |g| <= tol is a plateau; a lone such point, or a
@@ -64,6 +65,13 @@ class MonotoneMap:
     T^(-1)(y); all three accept scalars or arrays and act elementwise.  The
     one condition binding them: forward(x) equals jet(x)[0] bitwise.
     compute_monotone_map and map_from_callables build maps that meet it.
+
+    newton_domain is the bracket [lo, hi] of inverse when inverse is the
+    shared Newton solve on the jet, as map_from_callables makes it for a map
+    given without one.  The orbit march then solves T^(-1) itself, starting
+    from each node's previous jet, and calls inverse only where that start
+    fails.  None, the default, marks a closed-form inverse (the quantile
+    compositions among them), which the march always calls.
     """
 
     forward: Callable
@@ -71,6 +79,7 @@ class MonotoneMap:
     jet: Callable
     source: Measure1D | None = None
     target: Measure1D | None = None
+    newton_domain: tuple[float, float] | None = None
 
     def derivative(self, x):
         """T'(x), the middle entry of the jet."""
@@ -152,7 +161,7 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
     forward, a missing second_derivative one of the derivative, both with
     the step _FD_STEP * (|x| + s), s the largest of 1 and |domain ends|.  A
     missing inverse becomes the vectorised Newton inverse on domain
-    (required in that case).
+    (required in that case), and domain becomes the map's newton_domain.
     """
     scale = 1.0 if domain is None else max(abs(domain[0]), abs(domain[1]), 1.0)
 
@@ -171,15 +180,16 @@ def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
         def jet(x):
             return tuple(np.asarray(f(x), dtype=float) for f in (forward, slope, curve))
 
+    newton_domain = None
     if inverse is None:
         if domain is None:
             raise InputError("map_from_callables: domain is required to invert numerically")
-        lo, hi = float(domain[0]), float(domain[1])
+        newton_domain = lo, hi = float(domain[0]), float(domain[1])
 
         def inverse(y):
             return _newton_inverse(forward, lambda x: jet(x)[:2], y, lo, hi)
 
-    return MonotoneMap(forward, inverse, jet, source, target)
+    return MonotoneMap(forward, inverse, jet, source, target, newton_domain)
 
 
 def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
@@ -194,6 +204,12 @@ def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
     return 0.5 * (a + b)
+
+
+def _newton_step(fx, d, y):
+    """The Newton step (T(x) - y) / T'(x) from fx = T(x) and d = T'(x),
+    dividing by 1 where |d| is under 1e-30."""
+    return (fx - y) / np.where(np.abs(d) > 1e-30, d, 1.0)
 
 
 def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6, start=None):
@@ -220,7 +236,7 @@ def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6, start=None)
     x_prev = fx_prev = None
     for k in range(iters):
         fx, d = value_slope(x)
-        step = (fx - y) / np.where(np.abs(d) > 1e-30, d, 1.0)
+        step = _newton_step(fx, d, y)
         x_next = np.clip(x - step, lo, hi)
         bits = x_next.view(np.int64)
         fixed = bits == x.view(np.int64)

@@ -39,7 +39,7 @@ from .flow import push_measure
 from .measures import (Measure1D, _as_array, _read_spec, _scalar_like,
                        measure_to_dict, parse_measure, wasserstein1)
 from .monotone import MonotoneMap, compute_monotone_map
-from .velocity import SeedSpec, VelocityField1D, build_velocity
+from .velocity import VelocityField1D, build_velocity
 
 __all__ = [
     "RadiusLaw", "ProductMeasure", "BallMeasure", "parse_measure_nd",
@@ -615,14 +615,15 @@ class VelocityFieldND:
         }
 
 
-def assemble_field(family: RayFamilyND, *, seed: SeedSpec | None = None,
+def assemble_field(family: RayFamilyND, *,
                    config: BuildConfig = DEFAULT_CONFIG) -> VelocityFieldND:
-    """Build the shared scalar ray field and wrap it with the ray geometry."""
+    """Build the shared scalar ray field and wrap it with the ray geometry.
+    The seed is fixed: build_velocity's affine one."""
     tmap = per_ray_monotone_map(family, family.representative_alpha())
     if tmap is None:
         raise ConstructionError("assemble_field: representative ray has zero mass")
     field = build_velocity(family.cond0, family.cond1, transport_map=tmap,
-                           seed=seed, config=config)
+                           config=config)
     return VelocityFieldND(family, field)
 
 
@@ -677,8 +678,9 @@ class NdTransportReport:
 def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
               n_rays: int = DEFAULT_RAY_COUNT,
               n_directions: int = DEFAULT_DIRECTION_COUNT,
-              seed: int = 20260823, t: float = 1.0) -> NdTransportReport:
-    """Monte Carlo and per-ray checks of an assembled field.
+              seed: int = 20260823) -> NdTransportReport:
+    """Monte Carlo and per-ray checks of an assembled field, at the time
+    t = 1 whose flow realizes the map.
 
     Draws are coupled: the same uniform matrix feeds both samplers, so the
     sliced distance isolates flow error instead of sampling noise (and an
@@ -703,7 +705,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
             kept_alphas.append(np.atleast_1d(np.asarray(a, dtype=float)))
     per_ray_w1: list = []
     if kept_alphas:
-        pushed = push_measure(field_nd.field, fam.cond0, t, n=_PUSH_GRID)
+        pushed = push_measure(field_nd.field, fam.cond0, 1.0, n=_PUSH_GRID)
         per_ray_w1 = [float(wasserstein1(pushed.measure, fam.cond1))] * len(kept_alphas)
     w1_max = max(per_ray_w1, default=float("nan"))
     if skipped:
@@ -716,7 +718,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
     u = rng.random((int(n_samples), cols))
     x0 = fam.m0.sample_from_uniform(u)
     x1 = fam.m1.sample_from_uniform(u)
-    y = field_nd.flow(t, x0)
+    y = field_nd.flow(1.0, x0)
     finite = np.all(np.isfinite(y), axis=1)
     n_unflowed = int(np.count_nonzero(~finite))
     if n_unflowed:
@@ -775,7 +777,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
         checks["radial_rearrangement"] = radial_rel <= RADIAL_REARRANGEMENT_TOL
 
     return NdTransportReport(
-        kind=fam.kind, dimension=d, t=float(t), n_samples=int(n_samples),
+        kind=fam.kind, dimension=d, t=1.0, n_samples=int(n_samples),
         n_rays=int(n_rays), n_directions=int(n_directions), rng_seed=int(seed),
         conditional_mass_defect=cond_defect, fiber_mass_defect_max=fiber_defect,
         per_ray_alphas=[list(a) for a in kept_alphas], per_ray_w1=per_ray_w1,

@@ -32,11 +32,15 @@ advances all of their marches (forward, and backward toward a fixed trailing
 end) one orbit depth per round.  The live marches are one struct of arrays,
 forward segments first, with per-node index data that changes only when the
 layout does (a clip, a thinning, a stop); so a round is a fixed handful of
-array operations: one T.inverse call on the backward sources, one map jet
-call, (T, T', T'') at once, on the forward sources followed by the backward
-images, and vectorised stop tests.  Each round's tables are recorded whole
-and every march gathers its pieces once at the end.  The map callables act
-elementwise, so every interval gets bitwise the tables it would get alone.
+array operations: one map jet call, (T, T', T'') at once, on the forward
+sources followed by the backward images, and vectorised stop tests.  The
+backward images come from one T.inverse call when the inverse is closed
+form; when it is the shared Newton solve (the map's newton_domain), the
+march solves it on the jet from each node's Taylor guess, with a second jet
+call, or T.inverse, only for entries that guess leaves over one ulp.  Each
+round's tables are recorded whole and every march gathers its pieces once
+at the end.  The map callables act elementwise, so every interval gets
+bitwise the tables it would get alone.
 Each march stops on its own: at its free end ("complete"), below the step
 floor ("min-step"), at the step cap ("max-steps"), or where the applied map's
 domain ends ("boundary").  Near fixed ends the remaining gap is recorded as a
@@ -68,7 +72,7 @@ from .errors import (ConstructionError, DegenerateOrbitError, InputError,
                      SeedCompatibilityError, SeedSignError, TransportError)
 from .measures import Measure1D, translate
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
-                       compute_monotone_map, find_fixed_points)
+                       _newton_step, compute_monotone_map, find_fixed_points)
 
 __all__ = [
     "SeedSpec",
@@ -510,11 +514,12 @@ _DEEP_PIECE_NODES = 12
 
 
 def _clip_and_thin(m: _March, nodes, depth):
-    """m's source nodes restricted to its clip window, the exact boundary
-    point inserted at the far end, and thinned when deep; None when under two
-    nodes stay inside (the march stops at the boundary)."""
+    """m's live source nodes (x, v, dv, F, guess) restricted to its clip
+    window, the exact boundary point inserted at the far end (its own first
+    guess), and thinned when deep; None when under two nodes stay inside
+    (the march stops at the boundary)."""
     clip_lo, clip_hi = m.clip
-    x, v, dv, F = nodes
+    x, v, dv, F, _ = nodes
     keep = (x >= clip_lo) & (x <= clip_hi)
     n_keep = int(np.count_nonzero(keep))
     if n_keep < 2:
@@ -525,27 +530,74 @@ def _clip_and_thin(m: _March, nodes, depth):
         v_b, dv_b = _local_hermite(x, v, dv, bound)
         with np.errstate(divide="ignore"):
             F_b, _ = _local_hermite(x, F, 1.0 / v, bound)
-        x, v, dv, F = (a[keep] for a in (x, v, dv, F))
-        at, far = (x.size, -1) if m.forward else (0, 0)
-        if x[far] != bound:
-            x, v, dv, F = (np.insert(a, at, b) for a, b in
-                           zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
-    if depth >= _DEEP_PIECE_DEPTH and x.size > _DEEP_PIECE_NODES:
+        nodes = tuple(a[keep] for a in nodes)
+        at, far = (n_keep, -1) if m.forward else (0, 0)
+        if nodes[0][far] != bound:
+            nodes = tuple(np.insert(a, at, b) for a, b in
+                          zip(nodes, (bound, v_b, dv_b, F_b, bound)))
+    if depth >= _DEEP_PIECE_DEPTH and nodes[0].size > _DEEP_PIECE_NODES:
         idx = np.unique(np.round(
-            np.linspace(0, x.size - 1, _DEEP_PIECE_NODES)).astype(int))
-        x, v, dv, F = (a[idx] for a in (x, v, dv, F))
-    return x, v, dv, F
+            np.linspace(0, nodes[0].size - 1, _DEEP_PIECE_NODES)).astype(int))
+        nodes = tuple(a[idx] for a in nodes)
+    return nodes
+
+
+def _within_ulp(step, x):
+    """Whether each Newton step is at most one ulp of its iterate x; a NaN
+    step is not."""
+    return np.abs(step) <= np.spacing(np.abs(x))
+
+
+def _solved_jet(T: MonotoneMap, x, guess, nf):
+    """(at, T, T', T'') of a round whose map has newton_domain: at is x on
+    the forward sources x[:nf] and T^(-1)(x) on the backward ones, with the
+    jet at at.
+
+    One T.jet call evaluates the forward sources and the backward guesses,
+    clipped into the Newton bracket, together.  A guess whose Newton step
+    there is at most one ulp is the image, and that jet its jet.  The others
+    take one clipped Newton step and one more T.jet call; entries still over
+    one ulp fall back on T.inverse and a T.jet call there.  Every test acts
+    on its own entry, so the result is elementwise.
+    """
+    lo, hi = T.newton_domain
+    y = x[nf:]
+    g = np.minimum(np.maximum(guess[nf:], lo), hi)
+    at = np.concatenate((x[:nf], g))
+    img, tp, tpp = T.jet(at)
+    step = _newton_step(img[nf:], tp[nf:], y)
+    off = np.flatnonzero(~_within_ulp(step, g))
+    if not off.size:
+        return at, img, tp, tpp
+    y_off = y[off]
+    x2 = np.minimum(np.maximum(g[off] - step[off], lo), hi)
+    jet2 = [np.array(a, dtype=float) for a in T.jet(x2)]
+    still = ~_within_ulp(_newton_step(jet2[0], jet2[1], y_off), x2)
+    if still.any():
+        x3 = np.asarray(T.inverse(y_off[still]), dtype=float)
+        x2[still] = x3
+        for a, b in zip(jet2, T.jet(x3)):
+            a[still] = b
+    off += nf
+    img, tp, tpp = (np.array(a, dtype=float) for a in (img, tp, tpp))
+    at[off] = x2
+    img[off], tp[off], tpp[off] = jet2
+    return at, img, tp, tpp
 
 
 class _Layout:
     """The live marches as one struct of arrays.
 
-    nodes are the marches' source tables (x, v, dv, F) concatenated, forward
-    marches first; bounds delimit each march's segment.  The per-node and
-    per-segment data a round needs change only when the layout does, so
-    they are computed here once: clip windows, value signs and step signs
-    (+1 forward, -1 backward) repeated per node, the far node of each
-    segment, the backward junctions to pin, and the stop constants.
+    nodes are the marches' live source tables (x, v, dv, F, guess)
+    concatenated, forward marches first; bounds delimit each march's
+    segment.  guess, used on backward nodes only, is the first guess of
+    T^(-1)(x): the second-order Taylor inverse from the jet the node's own
+    round evaluated, or x itself where no such jet exists (the seed, a clip
+    boundary).  The per-node and per-segment data a round needs change only
+    when the layout does, so they are computed here once: clip windows,
+    value signs and step signs (+1 forward, -1 backward) repeated per node,
+    the far node of each segment, the backward junctions to pin, and the
+    stop constants.
     """
 
     def __init__(self, marches, ids, tables):
@@ -593,19 +645,28 @@ class _Layout:
                 for k in kept}
 
     def advance(self, T, depth):
-        """The next depth's node tables of every segment.
+        """The next depth's live tables (x, v, dv, F, guess) of every segment.
 
-        One T.inverse call on the backward sources and one T.jet call on the
-        forward sources followed by the backward images.  Forward nodes map
-        by v(T(x)) = T'(x) v(x), backward ones by its inverse, and the
-        derivative recursion and unit clock shift take the step sign.
+        Forward nodes map by v(T(x)) = T'(x) v(x), backward ones by its
+        inverse, and the derivative recursion and unit clock shift take the
+        step sign.  One T.jet call takes the forward sources followed by
+        the backward images: from one T.inverse call on the backward sources
+        for a closed-form inverse, or solved on the jet from the guesses
+        (_solved_jet) for a map with newton_domain.  The new guesses cost no
+        map call: the second-order Taylor inverse a + r/T' - T'' r^2/(2 T'^3),
+        r = y - T(a), from the jet at a of the node y (a = y but at a pinned
+        junction).
         """
-        x, v, dv, F = self.nodes
+        x, v, dv, F, guess = self.nodes
         nf = self.n_fwd
-        at = x
-        if nf < x.size:
-            at = np.concatenate((x[:nf], np.asarray(T.inverse(x[nf:]), dtype=float)))
-        img, tp, tpp = T.jet(at)
+        solve = T.newton_domain is not None and nf < x.size
+        if solve:
+            at, img, tp, tpp = _solved_jet(T, x, guess, nf)
+        else:
+            at = x
+            if nf < x.size:
+                at = np.concatenate((x[:nf], np.asarray(T.inverse(x[nf:]), dtype=float)))
+            img, tp, tpp = T.jet(at)
         if nf == x.size:
             new_x, new_v = img, tp * v
             new_dv = dv + v * tpp / tp
@@ -638,7 +699,12 @@ class _Layout:
             raise ConstructionError(
                 f"{name}: orbit march produced non-finite node data "
                 f"at depth {depth}")
-        return [new_x, new_v, new_dv, new_F]
+        guess = new_x
+        if solve:
+            # entries of forward nodes come out unused
+            r = new_x - img
+            guess = at + r / tp - tpp * (r * r) / (2.0 * tp ** 3)
+        return [new_x, new_v, new_dv, new_F, guess]
 
     def stops(self, new_x):
         """Per segment: whether the march reached its free end, and whether
@@ -656,11 +722,13 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
     array operations whatever their number.  The per-march clip and thinning
     run only in rounds where a node left its window or a segment is due for
     thinning, and the layout is rebuilt only then and after a march stops.
-    Each round's tables are recorded whole; every march gathers its pieces
-    once at the end.  The map callables act elementwise, so each march's
+    Each round's tables (x, v, dv, F) are recorded whole, without the
+    guesses; every march gathers its pieces once at the end.  The map
+    callables and the backward solve act elementwise, so each march's
     tables are bitwise those it would get marching alone.
     """
-    tables = {i: m.seed for i, m in enumerate(marches)}
+    # the seed nodes are their own first guesses
+    tables = {i: (*m.seed, m.seed[0]) for i, m in enumerate(marches)}
     layout = None
     rounds, layouts = [], []
     for depth in range(1, cfg.orbit_max_steps + 1):
@@ -674,7 +742,7 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
             ids = sorted(tables, key=lambda i: not marches[i].forward)
             layout = _Layout(marches, ids, [tables[i] for i in ids])
         nodes = layout.advance(T, depth)
-        rounds.append(nodes)
+        rounds.append(nodes[:4])
         layouts.append(layout)
         complete, stalled = layout.stops(nodes[0])
         done = complete | stalled

@@ -6,10 +6,13 @@ objects instead of using these.
 """
 
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
 
+from otflow.monotone import map_from_callables
 from otflow.pathology import (build_counterexample, probe_non_integrability,
                               probe_velocity_growth)
 from otflow.registry import get_example
@@ -88,3 +91,43 @@ def radial_disks():
         field_nd = assemble_field(family)
         report = verify_nd(field_nd, n_samples=10000, n_rays=64)
     return family, field_nd, report
+
+
+@pytest.fixture
+def counted_map():
+    """counted_map(T) -> (map, calls): T with its forward, jet and inverse
+    wrapped by call counters.
+
+    calls counts "forward", "jet" and "inverse" calls made from outside the
+    map, and "inverse forward" and "inverse jet" made inside inverse.  A map
+    whose inverse is the shared Newton solve (newton_domain set) is rebuilt
+    by map_from_callables on the counted forward and jet, so the solve's
+    calls are counted and its bits and newton_domain stay.
+    """
+    def wrap(T):
+        calls = Counter()
+        inside = []
+
+        def counted(name, f):
+            def call(*args):
+                calls[("inverse " if inside else "") + name] += 1
+                return f(*args)
+            return call
+
+        forward, jet = counted("forward", T.forward), counted("jet", T.jet)
+        if T.newton_domain is None:
+            base = replace(T, forward=forward, jet=jet)
+        else:
+            base = map_from_callables(forward, jet=jet, domain=T.newton_domain,
+                                      source=T.source, target=T.target)
+
+        def inverse(y):
+            calls["inverse"] += 1
+            inside.append(y)
+            try:
+                return base.inverse(y)
+            finally:
+                inside.pop()
+
+        return replace(base, inverse=inverse), calls
+    return wrap

@@ -320,6 +320,21 @@ class TestBadInput:
         assert code == 2
         assert "hermite_ck" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--tol-julia", "1e-8"],
+        ["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--seed-kind", "affine"],
+        ["pathology", "--n", "64"],
+        ["pathology", "--ck", "1"],
+        ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--seed-kind", "affine"],
+    ])
+    def test_flag_the_command_never_reads_exits_two(self, tmp_path, capsys, argv):
+        # each subcommand declares only the flags its handler reads
+        with pytest.raises(SystemExit) as stop:
+            run_cli(argv + ["--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOutputDirectory:
     def test_env_var_fallback(self, tmp_path, monkeypatch):

@@ -347,26 +347,17 @@ class TestNewtonTwoCycles:
         return out
 
     @pytest.mark.parametrize("k", sorted(_TWO_CYCLES))
-    def test_exit_is_the_fixed_step_result(self, k):
+    def test_exit_is_the_fixed_step_result(self, k, counted_map):
         from otflow.monotone import _newton_inverse
         tm = get_example("accumulating-cinf", n_tiers=4).transport_map
         ys = np.array([float.fromhex(_TWO_CYCLES[k])])
-        calls = {"forward": 0, "value_slope": 0}
-
-        def forward(x):
-            calls["forward"] += 1
-            return tm.forward(x)
-
-        def value_slope(x):
-            calls["value_slope"] += 1
-            return tm.jet(x)[:2]
-
         its = self._iterates(lambda x: tm.jet(x)[:2], ys)
         # a 2-cycle first reached at step k, no fixed point before
         assert its[k + 1] == its[k - 1] and its[k + 1] != its[k]
         assert its[k] != its[k - 1] and its[k] != its[k - 2]
-        got = _newton_inverse(forward, value_slope, ys, 0.0, 1.0)
-        assert calls == {"forward": 0, "value_slope": k + 1}
+        T, calls = counted_map(tm)
+        got = _newton_inverse(T.forward, lambda x: T.jet(x)[:2], ys, 0.0, 1.0)
+        assert calls == {"jet": k + 1}
         want = _reference_newton(tm.forward, tm.derivative, ys, 0.0, 1.0)
         assert _bits(got) == _bits(want) == _bits(its[6])
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import otflow.velocity
 from otflow.errors import (ConstructionError, InputError, InvalidMapError,
@@ -403,59 +403,42 @@ class TestLockstepMarching:
         assert "backward march" in msg and "depth 2" in msg
         assert "changed sign" in msg
 
-    def test_cinf_build_work_counts(self):
-        # one T.jet call per round, and an inverse that stops once its
-        # iterates cycle: no forward call, under 7 jet calls per inverse.
-        # The callables are wrapped, since the registry map's own inverse
-        # closes over its forward and jet
-        ex = get_example("accumulating-cinf", n_tiers=5)
-        tm = ex.transport_map
-        calls = {key: 0 for key in ("forward", "jet", "inverse",
-                                    "inverse forward", "inverse jet")}
-        inside = []
-
-        def count(name):
-            calls[("inverse " if inside else "") + name] += 1
-
-        def forward(x):
-            count("forward")
-            return tm.forward(x)
-
-        def jet(x):
-            count("jet")
-            return tm.jet(x)
-
-        T = map_from_callables(forward, jet=jet, domain=(0.0, 1.0),
-                               source=tm.source, target=tm.target)
-
-        def inverse(y):
-            calls["inverse"] += 1
-            inside.append(y)
-            try:
-                return T.inverse(y)
-            finally:
-                inside.pop()
-
+    def test_cinf_build_work_counts(self, counted_map):
+        # a backward round solves T^(-1) on its own jet: one T.jet call on
+        # the forward sources and the guesses, a second only in rounds where
+        # a Newton step still moves some entry, and T.inverse, with its jet
+        # call, only for entries that step leaves over one ulp; no forward
+        # call in a round.  Each seed adds one T.forward and one
+        # T.derivative call
+        ex = get_example("accumulating-cinf")
+        T, calls = counted_map(ex.transport_map)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            field = replace(ex, transport_map=replace(T, inverse=inverse)).build()
+            field = replace(ex, transport_map=T).build()
         built = field.built_intervals
         rounds = max(max(f.depth_forward, f.depth_backward) for f in built)
-        # the deepest march is a backward one, toward a fixed trailing end,
-        # so every round inverts; each seed adds one T.derivative call
-        assert calls["inverse"] == rounds
-        assert calls["jet"] == rounds + len(built)
-        assert calls["inverse forward"] == 0
+        assert rounds == 6000
+        extra = calls["jet"] - rounds - len(built)
+        assert 0 <= 2 * calls["inverse"] <= extra <= rounds // 2
+        assert calls["inverse"] <= rounds // 50
+        assert calls["forward"] == len(built) and calls["inverse forward"] == 0
+        # the inverse stops once its iterates cycle: under 7 jet calls each
         assert calls["inverse"] <= calls["inverse jet"] < 7 * calls["inverse"]
+        # map evaluations of the whole build, about 28,700 when every
+        # round called T.inverse
+        assert sum(calls.values()) - calls["inverse"] <= 9000
 
 
 class _ReferenceMarch:
     """One march advanced on its own arrays: the per-march form of the
     lockstep loop, kept as the reference of the struct-of-arrays march.
-    inserts and thinnings count its clip-boundary inserts and thinnings."""
+    g holds the first guesses of T^(-1) at its nodes (x itself where no jet
+    is known).  inserts and thinnings count its clip-boundary inserts and
+    thinnings."""
 
     def __init__(self, m):
         self.x, self.v, self.dv, self.F = m.seed
+        self.g = self.x
         self.forward, self.clip, self.stop_at = m.forward, m.clip, m.stop_at
         self.reach_sign, self.min_step = m.reach_sign, m.min_step
         self.tol_reach, self.name = m.tol_reach, m.name
@@ -472,7 +455,7 @@ class _ReferenceMarch:
     def clip_and_thin(self, depth, thin_depth, thin_nodes) -> bool:
         from otflow.velocity import _local_hermite
         clip_lo, clip_hi = self.clip
-        x, v, dv, F = self.x, self.v, self.dv, self.F
+        x, v, dv, F, g = self.x, self.v, self.dv, self.F, self.g
         keep = (x >= clip_lo) & (x <= clip_hi)
         n_keep = int(np.count_nonzero(keep))
         if n_keep < 2:
@@ -483,21 +466,21 @@ class _ReferenceMarch:
             v_b, dv_b = _local_hermite(x, v, dv, bound)
             with np.errstate(divide="ignore"):
                 F_b, _ = _local_hermite(x, F, 1.0 / v, bound)
-            x, v, dv, F = (a[keep] for a in (x, v, dv, F))
+            x, v, dv, F, g = (a[keep] for a in (x, v, dv, F, g))
             at = x.size if self.forward else 0
             if x[self.far] != bound:
                 self.inserts += 1
-                x, v, dv, F = (np.insert(a, at, b) for a, b in
-                               zip((x, v, dv, F), (bound, v_b, dv_b, F_b)))
+                x, v, dv, F, g = (np.insert(a, at, b) for a, b in
+                                  zip((x, v, dv, F, g), (bound, v_b, dv_b, F_b, bound)))
         if depth >= thin_depth and x.size > thin_nodes:
             self.thinnings += 1
             idx = np.unique(np.round(
                 np.linspace(0, x.size - 1, thin_nodes)).astype(int))
-            x, v, dv, F = (a[idx] for a in (x, v, dv, F))
-        self.x, self.v, self.dv, self.F = x, v, dv, F
+            x, v, dv, F, g = (a[idx] for a in (x, v, dv, F, g))
+        self.x, self.v, self.dv, self.F, self.g = x, v, dv, F, g
         return True
 
-    def advance(self, x, v, dv, F) -> bool:
+    def advance(self, x, v, dv, F, g) -> bool:
         self.pieces.append((x, v, dv, F))
         far_prev = float(self.x[self.far])
         self.edge = self._node(x, v, F)
@@ -509,13 +492,35 @@ class _ReferenceMarch:
         if abs(far - far_prev) <= self.min_step:
             self.reason = "min-step"
             return False
-        self.x, self.v, self.dv, self.F = x, v, dv, F
+        self.x, self.v, self.dv, self.F, self.g = x, v, dv, F, g
         return True
 
 
+def _reference_images(T, y, guess):
+    """T^(-1)(y) and (T, T', T'') there for a map with newton_domain, by the
+    march's rule: the guess clipped into the Newton bracket where the Newton
+    step there is at most one ulp; else one clipped Newton step where the
+    step there is; else T.inverse(y)."""
+    lo, hi = T.newton_domain
+    x = np.clip(guess, lo, hi)
+    jet = np.array(T.jet(x), dtype=float).reshape(3, -1)
+    for last in (False, True):
+        step = (jet[0] - y) / np.where(np.abs(jet[1]) > 1e-30, jet[1], 1.0)
+        off = ~(np.abs(step) <= np.spacing(np.abs(x)))
+        if not off.any():
+            break
+        x = x.copy()
+        x[off] = (np.asarray(T.inverse(y[off]), dtype=float) if last
+                  else np.clip(x[off] - step[off], lo, hi))
+        jet[:, off] = np.array(T.jet(x[off]), dtype=float).reshape(3, -1)
+    return x, jet
+
+
 def _reference_lockstep(T, marches, cfg):
-    """Every round: clip and thin each march, concatenate all sources, one
-    T.inverse and one T.jet call, then split the results per march."""
+    """Every round: clip and thin each march and concatenate all sources.
+    A closed-form inverse takes one T.inverse and one T.jet call; a Newton
+    inverse is solved march by march from the guesses (_reference_images).
+    Then the results are split per march."""
     import bisect
     import itertools
     from otflow.velocity import _DEEP_PIECE_DEPTH, _DEEP_PIECE_NODES
@@ -531,10 +536,18 @@ def _reference_lockstep(T, marches, cfg):
         n_fwd = bounds[sum(m.forward for m in live)]
         x, v, dv, F = (np.concatenate(a) for a in
                        zip(*((m.x, m.v, m.dv, m.F) for m in live)))
-        at = x
-        if n_fwd < x.size:
-            at = np.concatenate((x[:n_fwd], np.asarray(T.inverse(x[n_fwd:]), dtype=float)))
-        img, tp, tpp = T.jet(at)
+        solve = T.newton_domain is not None and n_fwd < x.size
+        if solve:
+            parts = [(x[:n_fwd], np.array(T.jet(x[:n_fwd]), dtype=float).reshape(3, -1))]
+            parts += [_reference_images(T, m.x, m.g) for m in live if not m.forward]
+            at = np.concatenate([p[0] for p in parts])
+            img, tp, tpp = np.concatenate([p[1] for p in parts], axis=1)
+        else:
+            at = x
+            if n_fwd < x.size:
+                at = np.concatenate((x[:n_fwd], np.asarray(T.inverse(x[n_fwd:]),
+                                                           dtype=float)))
+            img, tp, tpp = T.jet(at)
         f, b = slice(None, n_fwd), slice(n_fwd, None)
         v_b = v[b] / tp[b]
         new_x, new_v, new_dv, new_F = (np.concatenate(p) for p in zip(
@@ -550,14 +563,23 @@ def _reference_lockstep(T, marches, cfg):
         if not ok.all():
             k = bisect.bisect_right(bounds, int(np.argmin(ok))) - 1
             raise ConstructionError(f"{live[k].name}: depth {depth}")
+        # the next guesses: the second-order Taylor inverse from the jet at
+        # at, for the node new_x (at itself but at a pinned junction)
+        g = new_x
+        if solve:
+            r = new_x - img
+            g = at + r / tp - tpp * (r * r) / (2.0 * tp ** 3)
         live = [m for m, seg in zip(live, segs) if m.advance(
-            new_x[seg], new_v[seg], new_dv[seg], new_F[seg])]
+            new_x[seg], new_v[seg], new_dv[seg], new_F[seg], g[seg])]
 
 
 def test_lockstep_matches_per_march_loop(monkeypatch):
-    """Every registry build marches bitwise as the per-march loop does:
-    nodes, piece sizes, stop reasons and far edges of every march."""
+    """Every registry build, and the field of every sudakov pair that
+    builds, marches bitwise as the per-march loop does: nodes, piece sizes,
+    stop reasons and far edges of every march."""
     from otflow.registry import example_names
+    from otflow.sudakov import (BallMeasure, ProductMeasure, assemble_field,
+                                decompose)
     lockstep = otflow.velocity._march_lockstep
     pairs = []
 
@@ -568,10 +590,18 @@ def test_lockstep_matches_per_march_loop(monkeypatch):
         pairs.extend(zip(marches, refs))
 
     monkeypatch.setattr(otflow.velocity, "_march_lockstep", checked)
-    for name in example_names():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    sudakov_pairs = (
+        (BallMeasure((0.0, 0.0), 1.0), BallMeasure((0.0, 0.0), 2.0)),
+        (ProductMeasure((Gaussian(0.0, 1.0), Uniform(0.0, 1.0))),
+         ProductMeasure((Gaussian(0.0, 1.0), Uniform(1.0, 3.0)))),
+        (ProductMeasure((Uniform(0.0, 1.0), Gaussian(0.0, 1.0))),
+         ProductMeasure((Uniform(0.0, 1.0), Gaussian(1.0, 2.0)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in example_names():
             get_example(name).build()
+        for m0, m1 in sudakov_pairs:
+            assemble_field(decompose(m0, m1))
     for m, ref in pairs:
         pieces = ref.pieces if m.forward else ref.pieces[::-1]
         assert m.sizes.tolist() == [p[0].size for p in pieces], m.name
@@ -584,6 +614,103 @@ def test_lockstep_matches_per_march_loop(monkeypatch):
     assert sum(r.thinnings for _, r in pairs) >= 10
     assert len({len(r.pieces) for _, r in pairs}) >= 10
     assert {r.reason for _, r in pairs} >= {"complete", "min-step", "max-steps"}
+
+
+def _backward_nodes_solved(T, build):
+    """Run build() and check every backward node x of its rounds against
+    its image node y: the Newton step (T(x) - y) / T'(x) is at most one ulp
+    of x, or x is T.inverse(y) bitwise.  Returns how many nodes passed the
+    step test."""
+    rounds = []
+    advance = otflow.velocity._Layout.advance
+
+    def recorded(self, T, depth):
+        out = advance(self, T, depth)
+        rounds.append((self.nodes[0][self.n_fwd:], out[0][self.n_fwd:]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(otflow.velocity._Layout, "advance", recorded)
+        build()
+    passed = 0
+    for y, x in rounds:
+        fx, d, _ = T.jet(x)
+        step = (fx - y) / np.where(np.abs(d) > 1e-30, d, 1.0)
+        ok = np.abs(step) <= np.spacing(np.abs(x))
+        passed += int(np.count_nonzero(ok))
+        inverse = np.asarray(T.inverse(y[~ok]), dtype=float)
+        assert x[~ok].tobytes() == inverse.tobytes()
+    return passed
+
+
+class TestBackwardSolve:
+    """Maps whose inverse is the shared Newton solve: the march solves
+    T^(-1) on its own jet, and every backward node it keeps is a solution."""
+
+    @settings(max_examples=12)
+    @given(variant=st.sampled_from(["c1", "cinf"]), n_tiers=st.integers(3, 8),
+           max_steps=st.integers(64, 512))
+    def test_accumulating_nodes_solve_their_images(self, variant, n_tiers,
+                                                   max_steps):
+        from otflow.config import DEFAULT_CONFIG
+        ex = get_example(f"accumulating-{variant}", n_tiers=n_tiers)
+        T = ex.transport_map
+        assert T.newton_domain == (0.0, 1.0)
+        config = DEFAULT_CONFIG.with_(orbit_max_steps=max_steps)
+        assert _backward_nodes_solved(T, lambda: build_velocity(
+            ex.m0, ex.m1, transport_map=T, partition=ex.partition,
+            config=config)) > 0
+
+    @settings(max_examples=12)
+    @given(c=st.floats(0.05, 0.9), exact_slopes=st.booleans())
+    def test_callables_without_inverse(self, c, exact_slopes):
+        # T(x) = x + c x (1 - x) on [0, 1]: fixed ends 0 and 1, the
+        # backward march toward 0
+        slopes = {}
+        if exact_slopes:
+            slopes = dict(
+                derivative=lambda x: 1.0 + c * (1.0 - 2.0 * np.asarray(x, dtype=float)),
+                second_derivative=lambda x: np.full_like(
+                    np.asarray(x, dtype=float), -2.0 * c))
+        T = map_from_callables(
+            lambda x: np.asarray(x, dtype=float) + c * np.asarray(x, dtype=float)
+            * (1.0 - np.asarray(x, dtype=float)), domain=(0.0, 1.0), **slopes)
+        partition = FixedPointPartition(
+            domain=(0.0, 1.0), fixed_intervals=((0.0, 0.0), (1.0, 1.0)),
+            moving_intervals=(MovingInterval(0.0, 1.0, 1, True, True),))
+        assert T.newton_domain == (0.0, 1.0)
+        assert _backward_nodes_solved(T, lambda: build_velocity(
+            transport_map=T, partition=partition, domain=(0.0, 1.0))) > 0
+
+
+def test_closed_form_inverses_keep_one_call_per_round(monkeypatch, counted_map):
+    """Maps with a closed-form inverse never take the Newton path: every
+    round with a backward march makes one T.inverse and one T.jet call, and
+    no other map call."""
+    from otflow.sudakov import BallMeasure, assemble_field, decompose
+    lockstep = otflow.velocity._march_lockstep
+    seen = []
+
+    def counted(T, marches, cfg):
+        counted_T, calls = counted_map(T)
+        lockstep(counted_T, marches, cfg)
+        seen.append((T, marches, calls))
+
+    monkeypatch.setattr(otflow.velocity, "_march_lockstep", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("affine", "gaussian", "bad-fixed-point"):
+            get_example(name).build()
+        assemble_field(decompose(BallMeasure((0.0, 0.0), 1.0),
+                                 BallMeasure((0.0, 0.0), 2.0)))
+    assert len(seen) == 4
+    for T, marches, calls in seen:
+        assert T.newton_domain is None
+        rounds = max(m.sizes.size for m in marches)
+        backward = max(m.sizes.size for m in marches if not m.forward)
+        assert backward > 0
+        assert calls == {"inverse": backward, "jet": rounds}
 
 
 def _reference_hermite_ppoly(segments):
