@@ -768,10 +768,26 @@ _CELL_P = np.union1d(np.arange(1, 33) / 64.0, 2.0 ** -np.arange(7, 41))
 _BISECT_STEPS = 40
 
 
+# Cells per block of _abs_quadratic_integral: it bounds the temporaries,
+# and no result depends on it
+_CELL_BLOCK = 2 ** 13
+
+
 def _abs_quadratic_integral(gap, a, b) -> float:
     """Integral of |gap| over the cells [a, b] where gap is a quadratic in
-    each cell: fitted through its values at 1/4, 1/2 and 3/4 of the cell
-    (a density may jump at the ends), split at its roots, integrated exactly."""
+    each cell.  The cells go in blocks of _CELL_BLOCK into one array of
+    per-cell integrals, summed once."""
+    cells = np.empty(a.size)
+    for lo in range(0, a.size, _CELL_BLOCK):
+        block = slice(lo, lo + _CELL_BLOCK)
+        cells[block] = _abs_quadratic_cells(gap, a[block], b[block])
+    return float(np.sum(cells))
+
+
+def _abs_quadratic_cells(gap, a, b):
+    """Per cell [a, b], the integral of |gap|: the quadratic fitted through
+    its values at 1/4, 1/2 and 3/4 of the cell (a density may jump at the
+    ends), split at its roots, integrated exactly."""
     h = b - a
     g1, g2, g3 = (gap(a + u * h) for u in (0.25, 0.5, 0.75))
     # q(u) = c0 + c1 u + c2 u^2 on u in [0, 1]
@@ -792,8 +808,7 @@ def _abs_quadratic_integral(gap, a, b) -> float:
         return ((c2 / 3.0 * u + 0.5 * c1) * u + c0) * u
 
     p1, p2 = primitive(r[:, 0]), primitive(r[:, 1])
-    return float(np.sum(h * (np.abs(p1) + np.abs(p2 - p1)
-                             + np.abs(primitive(1.0) - p2))))
+    return h * (np.abs(p1) + np.abs(p2 - p1) + np.abs(primitive(1.0) - p2))
 
 
 def _abs_gauss_legendre(gap, a, b) -> float:

@@ -299,9 +299,11 @@ class CounterexampleMap:
         self._edge_images = self._edges - self._displacement(self._edges, 0)[0]
 
     # ------------------------------------------------------------------
-    def _displacement(self, x, order: int):
-        """(D, D', ..., D^(order)) at x in [0, 1] from the table."""
-        k = np.searchsorted(self._breaks, x, side="right") - 1
+    def _displacement(self, x, order: int, k=None):
+        """(D, D', ..., D^(order)) at x in [0, 1] from the table; k, when
+        given, holds the table piece of every point."""
+        if k is None:
+            k = np.searchsorted(self._breaks, x, side="right") - 1
         # the origin row, then 5, 4 and 3 coefficient rows per order
         rows = np.take(self._table[:(6, 10, 13)[order]], k, axis=-1)
         t = x - rows[0]
@@ -334,8 +336,23 @@ class CounterexampleMap:
         disp, slope, curv = self._displacement(x, 2)
         return x - disp, 1.0 - slope, -curv
 
-    def _value_slope(self, x):
-        disp, slope = self._displacement(x, 1)
+    def _value_slope(self, x, gap: int | None = None):
+        """(T, T') at x.  With gap = j (0 <= j < n_anchors), the points are
+        expected in gap j, [anchors[j+1], anchors[j]], and only its four
+        table pieces and one more on each side are searched, which holds
+        points that roundoff moved across an anchor; a point outside them
+        sends the call to the full search.  Either way each point reads the
+        same piece."""
+        k = None
+        if gap is not None:
+            # pieces: the pinch, then four per gap from the deepest up; the
+            # window starts one piece below gap j's first
+            lo = 4 * (self.n_anchors - 1 - gap)
+            window = self._breaks[lo:lo + 7]
+            r = np.searchsorted(window, x, side="right")
+            if r.min() >= 1 and r.max() < window.size:
+                k = r + (lo - 1)
+        disp, slope = self._displacement(x, 1, k)
         return x - disp, 1.0 - slope
 
     def inverse(self, y):
@@ -602,6 +619,8 @@ def probe_non_integrability(cmap: CounterexampleMap,
 
 # geometric panel octaves toward each end of the seed gap in the exact cascade
 _OCTAVES = 44
+# depths per row-wise sum of the cascade; no result depends on it
+_CASCADE_BLOCK = 256
 
 
 def _orbit_mass_cascade(cmap, itf, depth: int):
@@ -614,7 +633,8 @@ def _orbit_mass_cascade(cmap, itf, depth: int):
     mass concentrates in boundary layers at both seed endpoints (orbits that
     hug the anchors keep the largest products), with roughly unit logarithmic
     variation per octave of endpoint distance, so the panels are graded
-    geometrically toward both ends.
+    geometrically toward both ends.  The depth-d points lie in gap d, so
+    each map call searches that gap's table pieces only.
     """
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(8)
     lo, hi = itf.seed_interval
@@ -629,13 +649,18 @@ def _orbit_mass_cascade(cmap, itf, depth: int):
     x0 = (mid + half * gl_nodes[None, :]).ravel()
     weights = (half * gl_w[None, :]).ravel()
 
-    v0 = np.abs(itf.v_spline(x0))
+    wv = weights * np.abs(itf.v_spline(x0))
     mass = np.empty(depth)
     # the map sends (0, 1] into itself, so one domain check covers every depth
     cur = cmap._on_domain(x0)
     g = np.ones_like(x0)
-    for d in range(depth):
-        mass[d] = float(np.sum(weights * v0 * g * g))
-        cur, tp = cmap._value_slope(cur)
-        g = g * tp
+    # the products of a block of depths, one row each, summed row by row
+    block = np.empty((min(depth, _CASCADE_BLOCK), x0.size))
+    for d0 in range(0, depth, _CASCADE_BLOCK):
+        rows = block[:min(_CASCADE_BLOCK, depth - d0)]
+        for i, row in enumerate(rows):
+            row[:] = g
+            cur, tp = cmap._value_slope(cur, gap=d0 + i)
+            g = g * tp
+        mass[d0:d0 + len(rows)] = np.sum(wv * rows * rows, axis=1)
     return mass

@@ -38,9 +38,9 @@ backward images come from one T.inverse call when the inverse is closed
 form; when it is the shared Newton solve (the map's newton_domain), the
 march solves it on the jet from each node's Taylor guess, with a second jet
 call, or T.inverse, only for entries that guess leaves over one ulp.  Each
-round's tables are recorded whole and every march gathers its pieces once
-at the end.  The map callables act elementwise, so every interval gets
-bitwise the tables it would get alone.
+round's tables are recorded whole, into a few large chunks, and every
+march gathers its pieces once at the end.  The map callables act
+elementwise, so every interval gets bitwise the tables it would get alone.
 Each march stops on its own: at its free end ("complete"), below the step
 floor ("min-step"), at the step cap ("max-steps"), or where the applied map's
 domain ends ("boundary").  Near fixed ends the remaining gap is recorded as a
@@ -53,9 +53,11 @@ the anchor toward the image), so index relations are direction independent:
 a forward piece's first node coincides with its source's last node, a backward
 piece's last node coincides with its source's first node.  Junction nodes are
 bitwise equal by evaluation chaining (forward) or explicit pinning (backward),
-so assembled breakpoints dedupe exactly.  A finished interval concatenates
-its pieces once in motion order (backward pieces deepest first, the seed,
-forward pieces) and flips the result once when it moves down.
+so assembled breakpoints dedupe exactly.  The gather writes each interval's
+pieces once, in motion order (backward pieces deepest first, the seed,
+forward pieces), into the one set of node tables its field is assembled
+from, read flipped when it moves down; the node tables go once the field
+is assembled.
 """
 
 from __future__ import annotations
@@ -226,12 +228,12 @@ class UnbuiltInterval:
 class IntervalField:
     """Velocity field and unit-time primitive on one moving interval.
 
-    Two cubic Hermite tables over the same breakpoints: v_spline, the field,
-    and F_spline, the clock F with F' = 1/v and F(T(x)) = F(x) + 1.  Both are
-    CubicTable objects, whose breaks x and coefficient rows c follow scipy's
-    PPoly layout and whose values and slopes are computed in PPoly's
-    arithmetic.  The flow inverts F_spline piece by piece, so no separate
-    table of F^(-1) exists.
+    Two cubic Hermite tables over one shared breaks array: v_spline, the
+    field, and F_spline, the clock F with F' = 1/v and F(T(x)) = F(x) + 1.
+    Both are CubicTable objects, whose breaks x and coefficient rows c
+    follow scipy's PPoly layout and whose values and slopes are computed in
+    PPoly's arithmetic.  The flow inverts F_spline piece by piece, so no
+    separate table of F^(-1) exists.
     anchors and anchor_v hold x and v at the ends of the orbit pieces.
     """
 
@@ -256,7 +258,8 @@ class IntervalField:
     def _assemble(self, x, v, dv, F, joints):
         """Tables from the node arrays (x, v, dv, F) of all pieces, concatenated
         in motion order; joints index the first node of every piece but the
-        first.  F rises along the motion, so its ends are the clock's range."""
+        first.  F rises along the motion, so its ends are the clock's range.
+        The two tables share one breaks array."""
         self.F_lo, self.F_hi = float(F[0]), float(F[-1])
         if self.direction < 0:
             x, v, dv, F = x[::-1], v[::-1], dv[::-1], F[::-1]
@@ -267,7 +270,8 @@ class IntervalField:
         self.anchor_v = v[bounds]
         self.built_lo, self.built_hi = float(x[0]), float(x[-1])
         self.v_spline = _hermite_ppoly(x, v, dv, joints)
-        self.F_spline = _hermite_ppoly(x, F, 1.0 / v, joints)
+        self.F_spline = _hermite_ppoly(x, F, 1.0 / v, joints,
+                                       breaks=self.v_spline.x)
 
     # ------------------------------------------------------------------
     def _extend(self, x, inside_law, zone_law, fill, *, primitive_side=False):
@@ -423,34 +427,56 @@ class CubicTable:
         return np.concatenate(([0.0], np.cumsum(cell)))
 
 
-def _hermite_ppoly(x, y, d, joints) -> CubicTable:
+def _hermite_ppoly(x, y, d, joints, breaks=None) -> CubicTable:
     """One cubic Hermite piecewise polynomial over many node segments.
 
     x, y, d are the concatenated segments with x ascending; joints index the
     first node of every segment but the first.  Adjacent segments share their
     junction abscissa but may carry different one-sided derivatives there;
-    the earlier segment's copy of a junction is the breakpoint.
+    the earlier segment's copy of a junction is the breakpoint.  breaks,
+    when given, are those of an earlier table over the same x and joints,
+    already checked, and the new table shares them.
+
+    The coefficient rows are written into one (4, n) array, in the order of
+    operations of h = xr - xl, m = (yr - yl)/h, c2 = ((3m - 2dl) - dr)/h and
+    c3 = ((dl + dr) - 2m)/(h h), with three full-length temporaries
+    besides.
     """
-    prev_end, start = x[joints - 1], x[joints]
-    off = np.abs(prev_end - start) > _JUNCTION_TOL * np.maximum(1.0, np.abs(prev_end))
-    if np.any(off):
-        k = int(np.argmax(off))
-        raise ConstructionError(
-            f"piece junction mismatch: {prev_end[k]!r} vs {start[k]!r}")
-    bx = np.delete(x, joints)
-    if not np.all(np.diff(bx) > 0):
-        raise ConstructionError("assembled breakpoints are not strictly increasing")
+    if breaks is None:
+        prev_end, start = x[joints - 1], x[joints]
+        off = np.abs(prev_end - start) > _JUNCTION_TOL * np.maximum(
+            1.0, np.abs(prev_end))
+        if np.any(off):
+            k = int(np.argmax(off))
+            raise ConstructionError(
+                f"piece junction mismatch: {prev_end[k]!r} vs {start[k]!r}")
+        breaks = np.delete(x, joints)
+        if not np.all(np.diff(breaks) > 0):
+            raise ConstructionError("assembled breakpoints are not strictly increasing")
     # node pairs inside a segment; the pair across each junction is skipped
     inner = np.ones(x.size - 1, dtype=bool)
     inner[joints - 1] = False
-    xl, xr = x[:-1][inner], x[1:][inner]
-    yl, yr = y[:-1][inner], y[1:][inner]
-    dl, dr = d[:-1][inner], d[1:][inner]
-    h = xr - xl
-    m = (yr - yl) / h
-    c2 = (3.0 * m - 2.0 * dl - dr) / h
-    c3 = (dl + dr - 2.0 * m) / (h * h)
-    return CubicTable(np.vstack((c3, c2, dl, yl)), bx)
+    c = np.empty((4, breaks.size - 1))
+    c3, c2, dl, yl = c
+    np.compress(inner, y[:-1], out=yl)
+    np.compress(inner, d[:-1], out=dl)
+    h = np.compress(inner, x[1:])
+    h -= np.compress(inner, x[:-1])
+    m = np.compress(inner, y[1:])
+    m -= yl
+    m /= h
+    dr = np.compress(inner, d[1:])
+    np.multiply(dl, 2.0, out=c3)
+    np.multiply(m, 3.0, out=c2)
+    c2 -= c3
+    c2 -= dr
+    c2 /= h
+    np.add(dl, dr, out=c3)
+    m *= 2.0
+    c3 -= m
+    h *= h
+    c3 /= h
+    return CubicTable(c, breaks)
 
 
 # ======================================================================
@@ -477,10 +503,10 @@ class _March:
     seed is the seed piece (x, v, dv, F) in motion order.  forward=True
     applies the map, False its inverse; clip = (lo, hi) bounds where the
     applied map is defined; stop_at is the free end that completes the march
-    (None toward a fixed end).  After marching, nodes holds the node tables
-    of its pieces concatenated in motion order (the deepest piece first when
-    backward), sizes their node counts, one piece per depth, and reason the
-    stop reason.
+    (None toward a fixed end).  After marching, interval_nodes holds the
+    node tables of its interval in motion order, nodes the view of them
+    that is its own pieces (the deepest piece first when backward), sizes
+    their node counts, one piece per depth, and reason the stop reason.
     """
 
     def __init__(self, seed_arrays, *, forward, clip, stop_at, motion_sign,
@@ -495,6 +521,7 @@ class _March:
         self.name = (f"interval ({interval[0]:.6g}, {interval[1]:.6g}), "
                      f"{'forward' if forward else 'backward'} march")
         self.reason = "max-steps"
+        self.interval_nodes = seed_arrays
         self.nodes = tuple(np.empty(0) for _ in range(4))
         self.sizes = np.empty(0, dtype=int)
 
@@ -723,14 +750,14 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
     run only in rounds where a node left its window or a segment is due for
     thinning, and the layout is rebuilt only then and after a march stops.
     Each round's tables (x, v, dv, F) are recorded whole, without the
-    guesses; every march gathers its pieces once at the end.  The map
-    callables and the backward solve act elementwise, so each march's
-    tables are bitwise those it would get marching alone.
+    guesses, in a _Rounds; every march gathers its pieces once at the end.
+    The map callables and the backward solve act elementwise, so each
+    march's tables are bitwise those it would get marching alone.
     """
     # the seed nodes are their own first guesses
     tables = {i: (*m.seed, m.seed[0]) for i, m in enumerate(marches)}
     layout = None
-    rounds, layouts = [], []
+    rounds = _Rounds()
     for depth in range(1, cfg.orbit_max_steps + 1):
         if layout is None or layout.needs_clip(depth):
             if layout is not None:
@@ -742,8 +769,7 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
             ids = sorted(tables, key=lambda i: not marches[i].forward)
             layout = _Layout(marches, ids, [tables[i] for i in ids])
         nodes = layout.advance(T, depth)
-        rounds.append(nodes[:4])
-        layouts.append(layout)
+        rounds.add(nodes, layout)
         complete, stalled = layout.stops(nodes[0])
         done = complete | stalled
         if not done.any():
@@ -752,27 +778,94 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
         for k in np.flatnonzero(done):
             layout.live[k].reason = "complete" if complete[k] else "min-step"
         tables, layout = layout.split(nodes, ~done), None
-    _gather_pieces(marches, rounds, layouts)
+    _gather_pieces(marches, rounds)
 
 
-def _gather_pieces(marches, rounds, layouts):
-    """Set each march's nodes and piece sizes from the recorded rounds:
-    its segment of every round it was live in, in motion order."""
-    if not rounds:
+# rows of recorded rounds per chunk
+_ROUND_CHUNK = 2 ** 16
+
+
+class _Rounds:
+    """The recorded rounds: their tables (x, v, dv, F) in order, column by
+    column, and per round its layout's (march ids, segment sizes).
+
+    Each round is copied into preallocated chunks of at least _ROUND_CHUNK
+    rows per column, so the tables take a few large blocks, which go back
+    whole when released, rather than four small arrays per round.
+    """
+
+    def __init__(self):
+        self.columns = ([], [], [], [])
+        self.filled = []        # rows used in each chunk
+        self.pieces = []
+
+    def add(self, nodes, layout):
+        n = nodes[0].size
+        if not self.filled or self.filled[-1] + n > self.columns[0][-1].size:
+            for col in self.columns:
+                col.append(np.empty(max(_ROUND_CHUNK, n)))
+            self.filled.append(0)
+        at = self.filled[-1]
+        for col, a in zip(self.columns, nodes):
+            col[-1][at:at + n] = a
+        self.filled[-1] = at + n
+        self.pieces.append((layout.ids, layout.sizes))
+
+    def release(self, col) -> list:
+        """Column col of every round, in order, as views of its chunks,
+        which the rounds no longer hold."""
+        chunks = self.columns[col]
+        out = [a[:n] for a, n in zip(chunks, self.filled)]
+        chunks.clear()
+        return out
+
+
+def _gather_pieces(marches, rounds: _Rounds):
+    """Set each march's nodes and piece sizes from the recorded rounds.
+
+    The marches of one interval share its seed piece, and their nodes go
+    into the interval's one set of tables (x, v, dv, F) in motion order:
+    the backward pieces deepest first, the seed, the forward pieces.  Each
+    march holds those tables as interval_nodes, and its nodes are views into
+    them.  The rounds are gathered a column at a time, and each recorded
+    column is released once gathered.
+    """
+    if not marches:
         return
-    table = [np.concatenate(a) for a in zip(*rounds)]
-    ids = np.concatenate([lay.ids for lay in layouts])
-    sizes = np.concatenate([lay.sizes for lay in layouts])
+    empty = np.empty(0, dtype=int)
+    ids = np.concatenate([p[0] for p in rounds.pieces] + [empty])
+    sizes = np.concatenate([p[1] for p in rounds.pieces] + [empty])
     starts = np.cumsum(sizes) - sizes
+    # per interval, by seed: runs (first row, rows) of the backward pieces,
+    # the seed and the forward pieces; the seeds' rows follow the rounds'
+    seeds, runs, end = {}, {}, int(sizes.sum())
     for i, m in enumerate(marches):
-        pieces = np.flatnonzero(ids == i)
+        own = np.flatnonzero(ids == i)
         if not m.forward:
-            pieces = pieces[::-1]
-        n = sizes[pieces]
-        offsets = np.cumsum(n) - n
-        idx = np.repeat(starts[pieces] - offsets, n) + np.arange(int(n.sum()))
-        m.nodes = tuple(a[idx] for a in table)
-        m.sizes = n
+            own = own[::-1]
+        m.sizes = sizes[own]
+        key = id(m.seed)
+        if key not in seeds:
+            seeds[key] = m.seed
+            runs[key] = [[], [(end, m.seed[0].size)], []]
+            end += m.seed[0].size
+        runs[key][2 if m.forward else 0] = list(zip(starts[own], m.sizes))
+    index = {}
+    for key, (back, seed, fwd) in runs.items():
+        first, n = np.array(back + seed + fwd, dtype=int).T
+        index[key] = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    tables = {key: [] for key in seeds}
+    for col in range(4):
+        src = np.concatenate(rounds.release(col)
+                             + [seed[col] for seed in seeds.values()])
+        for key, idx in index.items():
+            tables[key].append(src[idx])
+        del src
+    for m in marches:
+        m.interval_nodes = t = tuple(tables[id(m.seed)])
+        n = int(m.sizes.sum())
+        lo = t[0].size - n if m.forward else 0
+        m.nodes = tuple(a[lo:lo + n] for a in t)
 
 
 # ======================================================================
@@ -883,11 +976,9 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
     # motion order: backward pieces deepest first, the seed, forward pieces
     sizes = np.concatenate([m.sizes for m in before]
                            + [[s.seed_piece[0].size], fwd.sizes])
-    tables = [m.nodes for m in before] + [s.seed_piece, fwd.nodes]
     return IntervalField(lo=s.itv.lo, hi=s.itv.hi, direction=s.itv.direction,
                          x0=s.x0, seed=s.seed, seed_interval=(s.x0, s.x1),
-                         time_scale=s.tau,
-                         nodes=[np.concatenate(a) for a in zip(*tables)],
+                         time_scale=s.tau, nodes=fwd.interval_nodes,
                          joints=np.cumsum(sizes[:-1], dtype=int),
                          depth_forward=fwd.sizes.size,
                          depth_backward=0 if bwd is None else bwd.sizes.size,
@@ -1059,8 +1150,13 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
     _march_lockstep(T, [m for s in seeded if isinstance(s, _SeededInterval)
                         for m in (s.forward, s.backward) if m is not None],
                     config)
-    fields = [_finish_interval(s, partition.indeterminate, width)
-              if isinstance(s, _SeededInterval) else s for s in seeded]
+    # each interval's node tables go as soon as its field is assembled
+    fields = []
+    seeded.reverse()
+    while seeded:
+        s = seeded.pop()
+        fields.append(_finish_interval(s, partition.indeterminate, width)
+                      if isinstance(s, _SeededInterval) else s)
     return VelocityField1D(T, partition, fields, config)
 
 

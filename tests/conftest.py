@@ -5,9 +5,12 @@ wall-clock dependence.  Tests that need to measure runtime build their own
 objects instead of using these.
 """
 
+import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -131,3 +134,27 @@ def counted_map():
 
         return replace(base, inverse=inverse), calls
     return wrap
+
+
+@pytest.fixture
+def peak_traced():
+    """peak_traced() -> a context that traces Python and numpy allocations
+    (tracemalloc) over its block and yields a record: after the block,
+    record.peak is the most memory the block held above its start and
+    record.held what it still holds at the end, in bytes."""
+    @contextmanager
+    def traced():
+        record = SimpleNamespace(peak=0, held=0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield record
+            current, peak = tracemalloc.get_traced_memory()
+            record.peak, record.held = peak - start, current - start
+        finally:
+            if started:
+                tracemalloc.stop()
+    return traced

@@ -429,6 +429,75 @@ class TestTableAgainstReference:
         assert tp == want[1][1]
 
 
+def _cascade_per_depth(cmap, itf, depth):
+    """_orbit_mass_cascade as a loop of one weighted sum and one full table
+    search per depth: the reference of the blocked, gap-searched form."""
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(8)
+    lo, hi = sorted(itf.seed_interval)
+    width = hi - lo
+    fracs = 0.5 ** np.arange(1, otflow.pathology._OCTAVES + 1)
+    edges = np.concatenate(([lo], lo + width * fracs[::-1], hi - width * fracs, [hi]))
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)[:, None]
+    half = 0.5 * (b - a)[:, None]
+    x0 = (mid + half * gl_nodes[None, :]).ravel()
+    weights = (half * gl_w[None, :]).ravel()
+    v0 = np.abs(itf.v_spline(x0))
+    mass = np.empty(depth)
+    cur, g = x0, np.ones_like(x0)
+    for d in range(depth):
+        mass[d] = float(np.sum(weights * v0 * g * g))
+        cur, tp = cmap._value_slope(cur)
+        g = g * tp
+    return mass
+
+
+class TestGapSearch:
+    """The cascade's map calls search only the gap of their depth, and read
+    the pieces and bits of the full search."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gap_search_matches_full_search(self, cmaps, variant):
+        cmap = cmaps[variant]
+        a = cmap.anchors
+        for j in (0, 1, 57, _N_ANCHORS - 5):
+            inside = a[j + 1] + np.linspace(0.0, 1.0, 33) * cmap.gaps[j]
+            near = np.array([np.nextafter(a[j + 1], 0.0), np.nextafter(a[j], 1.0)])
+            far = np.array([a[j + 3], 0.75, 0.5 * cmap.table_floor])
+            for xs in (inside, np.concatenate((inside, near)), far,
+                       np.concatenate((inside, far[:1]))):
+                for got, want in zip(cmap._value_slope(xs, gap=j),
+                                     cmap._value_slope(xs)):
+                    assert _same_bits(got, want), (j, xs)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cascade_matches_per_depth_loop(self, variant, monkeypatch):
+        built, real_build = [], otflow.pathology.build_velocity
+
+        def recording_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(otflow.pathology, "build_velocity", recording_build)
+        cmap = build_counterexample(variant, n_anchors=1100)
+        probe_non_integrability(cmap, levels=(10, 600))
+        itf = built[0].built_intervals[0]
+        want = _cascade_per_depth(cmap, itf, 600)
+        full = []
+        displacement = cmap._displacement
+
+        def counted(x, order, k=None):
+            full.append(k is None)
+            return displacement(x, order, k)
+
+        monkeypatch.setattr(cmap, "_displacement", counted)
+        # 600 depths: two whole blocks of rows and a part of one
+        assert 2 * otflow.pathology._CASCADE_BLOCK < 600
+        got = otflow.pathology._orbit_mass_cascade(cmap, itf, 600)
+        assert got.tobytes() == want.tobytes()
+        assert len(full) == 600 and not any(full)
+
+
 class TestFusedJet:
     """The fused (T, T', T''): T bitwise forward, T' and T'' matching
     differences of forward and of T'."""
