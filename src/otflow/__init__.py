@@ -3,16 +3,16 @@
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import (ConstructionError, DegenerateOrbitError, InputError,
                      InvalidMapError, MeasureSpecError, NormalizationError,
-                     SearchFailureError, SeedCompatibilityError, SeedSignError,
-                     TransportError, UnsupportedDecompositionError)
+                     SearchFailureError, SeedSignError, TransportError,
+                     UnsupportedDecompositionError)
 from .measures import (AffineImage, Gaussian, Measure1D, PiecewiseDensity,
                        Uniform, l1_distance, parse_measure, pushforward_by_map,
                        translate, wasserstein1)
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        compute_monotone_map, find_fixed_points,
                        map_from_callables)
-from .velocity import (SeedSpec, VelocityField1D, approximate_lipschitz,
-                       build_velocity, julia_residual)
+from .velocity import (VelocityField1D, approximate_lipschitz, build_velocity,
+                       julia_residual)
 from .flow import flow, push_measure, verify_transport
 from .pathology import (build_counterexample, probe_non_integrability,
                         probe_velocity_growth)

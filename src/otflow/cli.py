@@ -32,7 +32,7 @@ from .pathology import (build_counterexample, probe_non_integrability,
 from .registry import example_names, get_example
 from .sudakov import (assemble_field, decompose, measure_nd_to_dict,
                       parse_measure_nd, verify_nd)
-from .velocity import SeedSpec, approximate_lipschitz, build_velocity
+from .velocity import SEED_KINDS, approximate_lipschitz, build_velocity
 
 _SCHEMA_VERSION = 1
 _OUT_ENV = "OTFLOW_OUT"
@@ -61,15 +61,6 @@ def _check(args: argparse.Namespace):
 
 def _build_config(args) -> BuildConfig:
     return DEFAULT_CONFIG.with_(tol_julia=args.tol_julia, tol_time=args.tol_time)
-
-
-def _seed_spec(args) -> SeedSpec:
-    if args.seed_kind == "hermite_ck":
-        if args.ck not in ("0", "1"):
-            raise InputError(
-                f"--seed-kind hermite_ck needs --ck 0 or 1, got {args.ck!r}")
-        return SeedSpec(kind="hermite_ck", order_k=int(args.ck))
-    return SeedSpec(kind=args.seed_kind)
 
 
 # ======================================================================
@@ -167,8 +158,8 @@ def _load_pair(args, parse=parse_measure):
     return pair
 
 
-def _build_field(args, m0, m1):
-    return build_velocity(m0, m1, seed=_seed_spec(args), config=_build_config(args))
+def _build_field(args, m0, m1, config: BuildConfig = DEFAULT_CONFIG):
+    return build_velocity(m0, m1, seed=args.seed_kind, config=config)
 
 
 def _pair_report(command: str, m0, m1, **extra) -> dict:
@@ -200,11 +191,10 @@ def _cmd_field(args) -> int:
     m0, m1 = _load_pair(args)
     extra = {}
     if args.eps is not None:
-        res = approximate_lipschitz(m0, m1, args.eps, seed=_seed_spec(args),
-                                    config=_build_config(args))
+        res = approximate_lipschitz(m0, m1, args.eps, seed=args.seed_kind)
         field = res.field
         extra["approximate"] = {"eps": res.eps, "shift": res.shift,
-                                "w1_target_gap": res.w1_target_gap,
+                                "w1_target_gap": abs(res.shift),
                                 "candidates_tried": res.candidates_tried}
     else:
         field = _build_field(args, m0, m1)
@@ -228,33 +218,25 @@ def _cmd_flow(args) -> int:
 
 def _cmd_verify(args) -> int:
     m0, m1 = _load_pair(args)
-    return _verify_and_report(args, _build_field(args, m0, m1), m0, m1,
-                              _pair_report("verify", m0, m1))
+    return _verify_and_report(args, _build_field(args, m0, m1, _build_config(args)),
+                              m0, m1, _pair_report("verify", m0, m1))
 
 
-def _resolve_example(args) -> tuple[str, dict]:
-    name = args.name
-    kwargs = {}
-    if name == "accumulating":
-        if args.ck in ("1", "c1"):
-            name = "accumulating-c1"
-        elif args.ck in ("inf", "cinf"):
-            name = "accumulating-cinf"
-        else:
-            raise InputError(
-                f"example accumulating needs --ck 1 or inf, got {args.ck!r}")
-    if name == "affine":
-        if args.alpha is not None:
-            kwargs["alpha"] = float(args.alpha)
-        if args.beta is not None:
-            kwargs["beta"] = float(args.beta)
-    return name, kwargs
+def _resolve_example(args) -> dict:
+    """The registry parameters --alpha and --beta set.  Only the affine
+    example takes them; InputError names a flag given to another."""
+    kwargs = {k: float(getattr(args, k)) for k in ("alpha", "beta")
+              if getattr(args, k) is not None}
+    if kwargs and args.name != "affine":
+        raise InputError(f"--{next(iter(kwargs))} applies to the affine example "
+                         f"only, not {args.name!r}")
+    return kwargs
 
 
 def _cmd_example(args) -> int:
-    name, kwargs = _resolve_example(args)
-    ex = get_example(name, **kwargs)
-    field = ex.build(seed=_seed_spec(args), config=_build_config(args))
+    kwargs = _resolve_example(args)
+    ex = get_example(args.name, **kwargs)
+    field = ex.build(seed=args.seed_kind, config=_build_config(args))
     _write_map(args, field.map, ex.m0)
     _write_field(args, field)
     for tag, m in (("density0", ex.m0), ("density1", ex.m1)):
@@ -262,7 +244,7 @@ def _cmd_example(args) -> int:
         write_table(args.out, tag, ["x", "pdf"], zip(xd, m.pdf(xd)), args.fmt)
     _write_flow(args, field, float(ex.m0.quantile(0.5)), 1.0)
     return _verify_and_report(args, field, ex.m0, ex.m1, {
-        "command": "example", "example": name, "parameters": kwargs,
+        "command": "example", "example": args.name, "parameters": kwargs,
         "description": ex.description})
 
 
@@ -312,7 +294,7 @@ def _cmd_pathology(args) -> int:
 def _cmd_sudakov(args) -> int:
     m0, m1 = _load_pair(args, parse_measure_nd)
     family = decompose(m0, m1)
-    field_nd = assemble_field(family, config=_build_config(args))
+    field_nd = assemble_field(family)
     rep = verify_nd(field_nd, n_samples=args.n, seed=args.seed)
     width = max(len(a) for a in rep.per_ray_alphas) if rep.per_ray_alphas else 1
     header = ["ray"] + [f"alpha{k}" for k in range(width)] + ["w1"]
@@ -338,30 +320,31 @@ _DISPATCH = {"map": _cmd_map, "field": _cmd_field, "flow": _cmd_flow,
 
 def _add_common(p: argparse.ArgumentParser, *, grid: bool = True,
                 tolerances: bool = True, seed_profile: bool = True,
-                measures: bool = True):
+                measures: bool = True, tables: bool = True):
     """The shared flags, each only where the command's handler reads it:
-    --n (grid), --tol-julia and --tol-time (tolerances), --seed-kind and
-    --ck (seed_profile), --mu0 and --mu1 (measures); --out and --format
+    --n (grid), --tol-julia and --tol-time (tolerances), --seed-kind
+    (seed_profile), --mu0 and --mu1 (measures), --format (tables); --out
     always."""
     if grid:
         p.add_argument("--n", type=int, default=4096,
-                       help="grid resolution; power of two >= 16 (default 4096)")
+                       help="power of two >= 16 (default 4096): grid points for "
+                            "map, field, verify and example; trajectory steps, "
+                            "capped at 256, for flow; Monte-Carlo samples for "
+                            "sudakov")
     if tolerances:
         p.add_argument("--tol-julia", type=float, default=DEFAULT_CONFIG.tol_julia,
                        help="relative residual bound for the propagation identity")
         p.add_argument("--tol-time", type=float, default=DEFAULT_CONFIG.tol_time,
                        help="absolute bound for clock/semigroup defects")
     if seed_profile:
-        p.add_argument("--seed-kind", default="affine",
-                       choices=("constant", "affine", "hermite_ck"),
-                       help="free profile on the seed interval (default affine)")
-        p.add_argument("--ck", default="1",
-                       help="junction order for hermite_ck seeds (0 or 1); for "
-                            "'example accumulating' selects the 1 or inf variant")
+        p.add_argument("--seed-kind", default="affine", choices=SEED_KINDS,
+                       help="free profile on the seed interval: affine "
+                            "(default) or cubic, C^1 at the orbit joints")
     p.add_argument("--out", default=None,
                    help=f"output directory (default ${_OUT_ENV} or ./otflow-out)")
-    p.add_argument("--format", default="csv", choices=("csv", "json"),
-                   dest="fmt", help="table format (default csv)")
+    if tables:
+        p.add_argument("--format", default="csv", choices=("csv", "json"),
+                       dest="fmt", help="table format (default csv)")
     if measures:
         p.add_argument("--mu0", required=True,
                        help="source measure: JSON spec or path to one")
@@ -379,24 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tolerances=False, seed_profile=False)
 
     p = sub.add_parser("field", help="velocity field table (x, v)")
-    _add_common(p)
+    _add_common(p, tolerances=False)
     p.add_argument("--eps", type=float, default=None,
                    help="build the shifted Lipschitz field within this "
                         "transport budget instead of the exact one")
 
     p = sub.add_parser("flow", help="trajectory table (t, phi) from one point")
-    _add_common(p)
+    _add_common(p, tolerances=False)
     p.add_argument("--x0", type=float, default=None,
                    help="starting point (default: source median)")
     p.add_argument("--t", type=float, default=1.0,
                    help="final time (default 1)")
 
     p = sub.add_parser("verify", help="build a pair and emit report.json")
-    _add_common(p)
+    _add_common(p, tables=False)
 
     p = sub.add_parser("example", help="run a named example end to end")
-    p.add_argument("name", choices=sorted(set(example_names()) | {"accumulating"}),
-                   help="registry entry")
+    p.add_argument("name", choices=example_names(), help="registry entry")
     p.add_argument("--alpha", type=float, default=None,
                    help="map slope for the affine example")
     p.add_argument("--beta", type=float, default=None,
@@ -410,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                 measures=False)
 
     p = sub.add_parser("sudakov", help="ray decomposition in d >= 2")
-    _add_common(p, seed_profile=False)
+    _add_common(p, tolerances=False, seed_profile=False)
     p.add_argument("--seed", type=int, default=20260823,
                    help="RNG seed for the Monte-Carlo check (recorded)")
 

@@ -29,10 +29,6 @@ class DegenerateOrbitError(TransportError):
     """An orbit was started at (numerically) a fixed point of the map."""
 
 
-class SeedCompatibilityError(TransportError):
-    """A constant seed was requested where the map's local slope forbids one."""
-
-
 class SeedSignError(TransportError):
     """A seed profile changes sign or vanishes inside the seed interval."""
 

@@ -340,9 +340,7 @@ def verify_transport(field: VelocityField1D, m0: Measure1D | None = None,
         monotonicity_violations=mono_bad, monotonicity_pairs=mono_n,
         osgood=osgood,
         w1_push=w1, l1_push=l1, push_mass_defect=defect,
-        zones=[{"side": z.side, "fp": z.fp, "edge": z.edge, "rate": z.rate,
-                "flagged": z.flagged, "reason": z.reason}
-               for z in field.truncation_zones()],
+        zones=[{"side": z.side, **z.record()} for z in field.truncation_zones()],
         warnings=list(field.all_warnings()),
         tolerances=tol,
     )

@@ -4,7 +4,8 @@ Every measure exposes a density and its derivative, a cdf/quantile pair, and
 the nodes between which its density is smooth (cell_nodes).  Supports are
 intervals; densities must be strictly positive on the closed support.
 Unbounded supports are handled through quantile windows that cut eps_tail mass
-from each tail.
+from each tail; the distances and the sampled pushforward take the one value
+BuildConfig.eps_tail.
 
 Tail accuracy matters because monotone transport maps are built as
 quantile(target) o cdf(source): composing through probabilities near 1 loses all
@@ -48,6 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import InvalidMapError, MeasureSpecError
 
 __all__ = [
@@ -723,14 +725,14 @@ def translate(m: Measure1D, c: float) -> Measure1D:
 
 
 def pushforward_by_map(m: Measure1D, forward: Callable, *, derivative: Callable | None = None,
-                       n: int = 4097, eps_tail: float = 1e-10) -> PiecewiseDensity:
+                       n: int = 4097) -> PiecewiseDensity:
     """Sample the pushforward of m under an increasing map onto a grid measure.
 
     Nodes are images of an n-point uniform grid over the window of m; the pushed
     density at T(x) is pdf(x) / T'(x).  Raises InvalidMapError if the sampled
     images are not strictly increasing.
     """
-    lo, hi = m.window(eps_tail)
+    lo, hi = m.window(DEFAULT_CONFIG.eps_tail)
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(forward(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
@@ -847,8 +849,7 @@ def _abs_gauss_legendre(gap, a, b) -> float:
     return total + float(np.sum(sh * (np.abs(gs) @ _GL_WEIGHTS)))
 
 
-def _abs_gap_integral(law: str, m0: Measure1D, m1: Measure1D,
-                      eps_tail: float) -> float:
+def _abs_gap_integral(law: str, m0: Measure1D, m1: Measure1D) -> float:
     """Integral of |law(m0) - law(m1)| (law "cdf" or "pdf") over both windows.
 
     Cells are the merged nodes of both measures inside the union of their
@@ -856,8 +857,8 @@ def _abs_gap_integral(law: str, m0: Measure1D, m1: Measure1D,
     polynomial measures has a linear density gap and a quadratic cdf gap,
     integrated exactly; any other pair goes through _abs_gauss_legendre.
     """
-    w0 = m0.window(eps_tail)
-    w1 = m1.window(eps_tail)
+    w0 = m0.window(DEFAULT_CONFIG.eps_tail)
+    w1 = m1.window(DEFAULT_CONFIG.eps_tail)
     lo, hi = min(w0[0], w1[0]), max(w0[1], w1[1])
     n0, poly0 = m0.cell_nodes()
     n1, poly1 = m1.cell_nodes()
@@ -872,14 +873,14 @@ def _abs_gap_integral(law: str, m0: Measure1D, m1: Measure1D,
     return integral(gap, x[:-1], x[1:])
 
 
-def wasserstein1(m0: Measure1D, m1: Measure1D, *, eps_tail: float = 1e-10) -> float:
+def wasserstein1(m0: Measure1D, m1: Measure1D) -> float:
     """L1 distance between the cdfs (the 1d Wasserstein-1 distance)."""
-    return _abs_gap_integral("cdf", m0, m1, eps_tail)
+    return _abs_gap_integral("cdf", m0, m1)
 
 
-def l1_distance(m0: Measure1D, m1: Measure1D, *, eps_tail: float = 1e-10) -> float:
+def l1_distance(m0: Measure1D, m1: Measure1D) -> float:
     """L1 distance between the densities."""
-    return _abs_gap_integral("pdf", m0, m1, eps_tail)
+    return _abs_gap_integral("pdf", m0, m1)
 
 
 # ======================================================================

@@ -546,8 +546,8 @@ def probe_non_integrability(cmap: CounterexampleMap,
     """Build a velocity for the map on uniform[0, 1/2] mass and tabulate
     cumulative integrals of |v| over the first m orbit gaps.
 
-    The build takes the default config and affine seed, with its march
-    capped at the deepest level.
+    The build takes the default config and the default "affine" seed, with
+    its march capped at the deepest level.
 
     Rows per level m: the depth-m anchor, the exact partial integral of |v|
     down to it with its increment from the previous level, the interpolated

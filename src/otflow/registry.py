@@ -33,7 +33,7 @@ from .measures import (AffineImage, Gaussian, Measure1D, PiecewiseDensity,
                        Uniform, pushforward_by_map)
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        map_from_callables)
-from .velocity import SeedSpec, VelocityField1D, build_velocity
+from .velocity import VelocityField1D, build_velocity
 
 __all__ = ["ExampleProblem", "example_names", "get_example"]
 
@@ -56,7 +56,7 @@ class ExampleProblem:
     default_max_steps: int | None = None
     closed: dict = dc_field(default_factory=dict)
 
-    def build(self, *, seed: SeedSpec | None = None,
+    def build(self, *, seed: str = "affine",
               config: BuildConfig = DEFAULT_CONFIG) -> VelocityField1D:
         """Build the field; default_max_steps, when set, replaces the
         config's orbit_max_steps."""

@@ -279,11 +279,10 @@ def parse_measure_nd(spec) -> MeasureND:
     raise MeasureSpecError(f"d-dimensional measure spec: unknown kind {kind!r}")
 
 
-def measure_nd_to_dict(m: MeasureND, *, summary: bool = False) -> dict:
+def measure_nd_to_dict(m: MeasureND) -> dict:
     """Serialize a d-dimensional measure back to its spec dict."""
     if isinstance(m, ProductMeasure):
-        return {"kind": "product",
-                "factors": [measure_to_dict(f, summary=summary) for f in m.factors]}
+        return {"kind": "product", "factors": [measure_to_dict(f) for f in m.factors]}
     if isinstance(m, BallMeasure):
         return {"kind": "ball", "center": list(m.center), "radius": m.radius}
     raise MeasureSpecError(f"cannot serialize measure of type {type(m).__name__}")
@@ -618,7 +617,7 @@ class VelocityFieldND:
 def assemble_field(family: RayFamilyND, *,
                    config: BuildConfig = DEFAULT_CONFIG) -> VelocityFieldND:
     """Build the shared scalar ray field and wrap it with the ray geometry.
-    The seed is fixed: build_velocity's affine one."""
+    The seed is build_velocity's default, "affine"; no caller picks another."""
     tmap = per_ray_monotone_map(family, family.representative_alpha())
     if tmap is None:
         raise ConstructionError("assemble_field: representative ray has zero mass")

@@ -4,9 +4,12 @@ Construction, per moving interval of the map's fixed point partition:
 
   1. Seed.  Pick an anchor x0 (the trailing interval end when it is free, the
      midpoint of the source portion when the trailing end is a fixed point) and
-     prescribe v freely on the seed interval [x0, T(x0)] as a polynomial
-     profile.  The profile is scaled so the travel time across the seed,
-     integral of dx/v, is exactly one.
+     prescribe v freely on the seed interval [x0, T(x0)], subject only to
+     v(T(x0)) = T'(x0) v(x0).  Two polynomial profiles are offered: "affine",
+     the line between the two forced end values (the default), and "cubic",
+     whose far-end slope also meets the derivative recursion below, so v is
+     C^1 across every orbit joint.  The profile is scaled so the travel time
+     across the seed, integral of dx/v, is exactly one.
 
   2. Closure.  Propagate node tables through the functional equation
      v(T(x)) = T'(x) v(x) and its derivative recursion
@@ -70,14 +73,13 @@ from numpy.polynomial import Polynomial
 
 from .config import DEFAULT_CONFIG, BuildConfig
 from .errors import (ConstructionError, DegenerateOrbitError, InputError,
-                     NormalizationError, SearchFailureError,
-                     SeedCompatibilityError, SeedSignError, TransportError)
+                     NormalizationError, SearchFailureError, SeedSignError,
+                     TransportError)
 from .measures import Measure1D, translate
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
                        _newton_step, compute_monotone_map, find_fixed_points)
 
 __all__ = [
-    "SeedSpec",
     "TruncationZone",
     "IntervalField",
     "UnbuiltInterval",
@@ -95,56 +97,26 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # seed profiles
 # ======================================================================
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Free data prescribed on a seed interval.
-
-    kind:
-        "constant"    v identically v0 (requires T'(x0) = 1)
-        "affine"      straight line between the two forced endpoint values
-        "hermite_ck"  C^k junction matching; order_k = 1 gives a cubic whose
-                      endpoint derivatives satisfy the derivative recursion
-
-    The profile starts from the step T(x0) - x0 at the anchor x0, and
-    hermite_ck's slope there is the affine one.  The overall scale is
-    irrelevant: unit-time normalization fixes it, so the kind alone
-    determines the field.
-    """
-
-    kind: str = "affine"
-    order_k: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "affine", "hermite_ck"):
-            raise InputError(f"SeedSpec: unknown kind {self.kind!r}")
-        if self.kind == "hermite_ck" and self.order_k not in (0, 1):
-            raise InputError("SeedSpec: hermite_ck supports order_k in {0, 1}; "
-                             "higher orders would need third derivatives of the map")
+SEED_KINDS = ("affine", "cubic")
 
 
 def _seed_polynomial(T: MonotoneMap, x0: float, x1: float,
-                     seed: SeedSpec) -> Polynomial:
-    """The (unnormalized) seed profile as a polynomial in (x - x0), starting
-    from the step s = x1 - x0 at the anchor."""
+                     seed: str) -> Polynomial:
+    """The (unnormalized) seed profile of kind seed as a polynomial in
+    (x - x0), starting from the step s = x1 - x0 at the anchor.  The overall
+    scale is irrelevant: unit-time normalization fixes it."""
     v0 = s = x1 - x0
     tp0 = float(np.asarray(T.derivative(x0), dtype=float))
     if not (math.isfinite(tp0) and tp0 > 0):
         raise ConstructionError(f"map derivative {tp0} at seed anchor {x0:.6g}")
     v1 = tp0 * v0
 
-    if seed.kind == "constant":
-        if abs(tp0 - 1.0) > 1e-9:
-            raise SeedCompatibilityError(
-                f"constant seed needs T'(x0) = 1, got {tp0:.12g} at x0={x0:.6g}")
-        return Polynomial([v0])
-
-    if seed.kind == "affine" or (seed.kind == "hermite_ck" and seed.order_k == 0):
+    if seed == "affine":
         # line through (x0, v0) and (x1, T'(x0) v0), in powers of (x - x0)
         return Polynomial([v0, (v1 - v0) / s])
 
-    # hermite_ck with order_k == 1: cubic matching values and derivatives,
-    # the anchor slope the affine one, the far-end slope taken from the
-    # derivative recursion
+    # cubic: matching values and derivatives, the anchor slope the affine
+    # one, the far-end slope taken from the derivative recursion
     d1 = (v1 - v0) / s
     tpp0 = float(T.jet(x0)[2])
     d1_img = d1 + v0 * tpp0 / tp0
@@ -213,6 +185,11 @@ class TruncationZone:
 
     def position(self, u):
         return self.fp + (self.edge - self.fp) * np.exp(self.rate * (u - self.edge_F))
+
+    def record(self) -> dict:
+        """The zone as reported: fixed end, edge, pinch rate, flag, reason."""
+        return {"fp": self.fp, "edge": self.edge, "rate": self.rate,
+                "flagged": self.flagged, "reason": self.reason}
 
 
 @dataclass(frozen=True)
@@ -344,7 +321,7 @@ class IntervalField:
             "direction": self.direction,
             "seed_anchor": self.x0,
             "seed_interval": list(self.seed_interval),
-            "seed_kind": self.seed.kind,
+            "seed_kind": self.seed,
             "time_scale": self.time_scale,
             "built_range": [self.built_lo, self.built_hi],
             "depth_forward": self.depth_forward,
@@ -354,8 +331,7 @@ class IntervalField:
         for name, zone in (("zone_trail", self.zone_trail),
                            ("zone_lead", self.zone_lead)):
             if zone is not None:
-                d[name] = {"fp": zone.fp, "edge": zone.edge, "rate": zone.rate,
-                           "flagged": zone.flagged, "reason": zone.reason}
+                d[name] = zone.record()
         return d
 
 
@@ -877,7 +853,7 @@ class _SeededInterval:
     """A moving interval between its seed step and its finish step."""
 
     itv: MovingInterval
-    seed: SeedSpec
+    seed: str
     x0: float
     x1: float
     tau: float
@@ -896,7 +872,7 @@ _ORBIT_MIN_STEP_REL = 1e-12
 _NODES_PER_PIECE = 64
 
 
-def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: SeedSpec,
+def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: str,
                    cfg: BuildConfig, map_domain, map_range, width):
     """Anchor, seed piece and march states of one interval, or an
     UnbuiltInterval when there is nothing to build."""
@@ -1017,12 +993,11 @@ class VelocityField1D:
     per-interval fields on the moving complement."""
 
     def __init__(self, transport_map: MonotoneMap, partition: FixedPointPartition,
-                 intervals, config: BuildConfig, warnings=()):
+                 intervals, config: BuildConfig):
         self.map = transport_map
         self.partition = partition
         self.intervals = tuple(intervals)
         self.config = config
-        self.warnings = tuple(warnings)
         self.domain = partition.domain
 
     @property
@@ -1070,17 +1045,11 @@ class VelocityField1D:
         return self._dispatch(x, lambda f, xs: f.evaluate_derivative(xs), fill=0.0)
 
     def truncation_zones(self) -> tuple[TruncationZone, ...]:
-        zones = []
-        for f in self.built_intervals:
-            for z in (f.zone_trail, f.zone_lead):
-                if z is not None:
-                    zones.append(z)
-        return tuple(zones)
+        return tuple(z for f in self.built_intervals
+                     for z in (f.zone_trail, f.zone_lead) if z is not None)
 
     def all_warnings(self) -> tuple[str, ...]:
-        out = list(self.warnings)
-        for f in self.built_intervals:
-            out.extend(f.warnings)
+        out = [w for f in self.built_intervals for w in f.warnings]
         for f in self.unbuilt_intervals:
             out.append(f"interval ({f.lo:.6g}, {f.hi:.6g}) left unbuilt: {f.reason}")
         return tuple(out)
@@ -1103,20 +1072,25 @@ class VelocityField1D:
 def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
                    transport_map: MonotoneMap | None = None,
                    partition: FixedPointPartition | None = None,
-                   seed: SeedSpec | None = None,
+                   seed: str = "affine",
                    config: BuildConfig = DEFAULT_CONFIG,
                    domain: tuple[float, float] | None = None) -> VelocityField1D:
     """Build the autonomous field realizing the monotone map between m0 and m1.
 
     Either a measure pair or an explicit transport_map must be given.  partition
     overrides fixed point detection (useful when the fixed set is known in
-    closed form); seed is the SeedSpec of every moving interval (default
-    affine).  config supplies eps_tail, the fixed point search settings,
-    orbit_max_steps and min_interval_rel; the field keeps it for
-    verification.  The orbit step floor and the node counts per piece are
-    fixed: _ORBIT_MIN_STEP_REL, _NODES_PER_PIECE, _DEEP_PIECE_DEPTH and
-    _DEEP_PIECE_NODES.
+    closed form).  seed names the profile of every moving interval:
+    "affine" (the default) or "cubic", which makes v C^1 across the orbit
+    joints but can change sign on the seed interval (SeedSignError); any
+    other name raises InputError before the map is touched.  config supplies
+    eps_tail, the fixed point search settings, orbit_max_steps and
+    min_interval_rel; the field keeps it for verification.  The orbit step
+    floor and the node counts per piece are fixed: _ORBIT_MIN_STEP_REL,
+    _NODES_PER_PIECE, _DEEP_PIECE_DEPTH and _DEEP_PIECE_NODES.
     """
+    if seed not in SEED_KINDS:
+        raise InputError(f"build_velocity: unknown seed kind {seed!r}; "
+                         f"choose one of {SEED_KINDS}")
     T = transport_map
     if T is None:
         if m0 is None or m1 is None:
@@ -1142,7 +1116,6 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
         partition = find_fixed_points(T, domain=hull, config=config,
                                       search=map_domain)
 
-    seed = SeedSpec() if seed is None else seed
     width = partition.domain[1] - partition.domain[0]
 
     seeded = [_seed_interval(T, itv, seed, config, map_domain, map_range, width)
@@ -1216,15 +1189,14 @@ def julia_residual(field: VelocityField1D) -> dict:
 
 @dataclass(frozen=True)
 class ApproximateResult:
-    """Outcome of the shift search for an approximately realizable target."""
+    """Outcome of the shift search for an approximately realizable target.
+
+    The shifted map, its partition and target are field.map, field.partition
+    and field.map.target; that target lies |shift| from m1 in W1."""
 
     shift: float
     eps: float
     field: VelocityField1D
-    transport_map: MonotoneMap
-    partition: FixedPointPartition
-    target: Measure1D
-    w1_target_gap: float
     candidates_tried: int
 
 
@@ -1233,7 +1205,7 @@ _SLOPE_MARGIN = 1e-5
 
 
 def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
-                          seed: SeedSpec | None = None,
+                          seed: str = "affine",
                           config: BuildConfig = DEFAULT_CONFIG,
                           budget: int = 64) -> ApproximateResult:
     """Replace m1 by a translate within eps in W1 whose map has no slope-1
@@ -1267,8 +1239,6 @@ def approximate_lipschitz(m0: Measure1D, m1: Measure1D, eps: float, *,
         fld = build_velocity(transport_map=T_lam, partition=partition, seed=seed,
                              config=config)
         return ApproximateResult(shift=lam, eps=eps, field=fld,
-                                 transport_map=T_lam, partition=partition,
-                                 target=T_lam.target, w1_target_gap=abs(lam),
                                  candidates_tried=tried)
     raise SearchFailureError(
         f"no admissible shift within eps={eps:g} after {tried} candidates; "

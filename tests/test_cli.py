@@ -5,16 +5,16 @@ inspects exit codes, table headers, and report.json: the same artifacts a
 shell user would see.
 """
 
+import argparse
 import csv
 import json
 import os
 import warnings
-from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from otflow.cli import _resolve_example, main
+from otflow.cli import build_parser, main
 
 UNIFORM_12 = '{"kind": "uniform", "lo": 1.0, "hi": 2.0}'
 AFFINE_IMAGE = ('{"kind": "affine_image", "base": {"kind": "uniform", '
@@ -28,6 +28,9 @@ PRODUCT_GAUSS_U01 = ('{"kind": "product", "factors": [' + GAUSS_01
                      + ', {"kind": "uniform", "lo": 0.0, "hi": 1.0}]}')
 PRODUCT_GAUSS_U13 = ('{"kind": "product", "factors": [' + GAUSS_01
                      + ', {"kind": "uniform", "lo": 1.0, "hi": 3.0}]}')
+UNIFORM_01 = '{"kind": "uniform", "lo": 0.0, "hi": 1.0}'
+# a pair whose map has T'' != 0, so the two seed kinds give different fields
+LINEAR_01 = '{"kind": "piecewise_linear", "x": [0.0, 1.0], "density": [0.5, 1.5]}'
 
 
 def run_cli(argv):
@@ -92,13 +95,12 @@ class TestFieldCommand:
     def test_hermite_seed_kind(self, tmp_path):
         out = str(tmp_path)
         code = run_cli(["field", "--mu0", GAUSS_01, "--mu1", GAUSS_12,
-                        "--seed-kind", "hermite_ck", "--ck", "1",
-                        "--n", "64", "--out", out])
+                        "--seed-kind", "cubic", "--n", "64", "--out", out])
         assert code == 0
         rep = read_report(out)
-        assert rep["seed_kind"] == "hermite_ck"
+        assert rep["seed_kind"] == "cubic"
         kinds = {itv["seed_kind"] for itv in rep["field"]["intervals"]}
-        assert kinds == {"hermite_ck"}
+        assert kinds == {"cubic"}
 
     def test_eps_requests_approximate_variant(self, tmp_path):
         out = str(tmp_path)
@@ -197,15 +199,12 @@ class TestExampleCommand:
                 blob_b = fh.read()
             assert blob_a == blob_b, name
 
-    def test_accumulating_routing(self):
-        args = Namespace(name="accumulating", ck="inf")
-        assert _resolve_example(args) == ("accumulating-cinf", {})
-        args = Namespace(name="accumulating", ck="1")
-        assert _resolve_example(args) == ("accumulating-c1", {})
-        from otflow.errors import InputError
-        args = Namespace(name="accumulating", ck="7")
-        with pytest.raises(InputError):
-            _resolve_example(args)
+    def test_slope_for_another_example_exits_two(self, tmp_path, capsys):
+        code = run_cli(["example", "gaussian", "--alpha", "5", "--beta", "2",
+                        "--n", "64", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 class TestPathologyCommand:
@@ -313,19 +312,18 @@ class TestBadInput:
         assert code == 2
         assert "power of two" in capsys.readouterr().err
 
-    def test_bad_seed_order_exits_two(self, tmp_path, capsys):
-        code = run_cli(["field", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE,
-                        "--seed-kind", "hermite_ck", "--ck", "2",
-                        "--out", str(tmp_path)])
-        assert code == 2
-        assert "hermite_ck" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--tol-julia", "1e-8"],
         ["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--seed-kind", "affine"],
         ["pathology", "--n", "64"],
         ["pathology", "--ck", "1"],
         ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--seed-kind", "affine"],
+        ["field", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--ck", "1"],
+        ["example", "accumulating-c1", "--ck", "inf"],
+        ["field", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--tol-julia", "1e-8"],
+        ["flow", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--tol-time", "1e-6"],
+        ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--tol-julia", "1e-8"],
+        ["verify", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--format", "json"],
     ])
     def test_flag_the_command_never_reads_exits_two(self, tmp_path, capsys, argv):
         # each subcommand declares only the flags its handler reads
@@ -354,3 +352,51 @@ class TestOutputDirectory:
         assert code == 0
         assert (chosen / "map.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def _optional_flags(command):
+    """The optional flags the command declares, --out and --help aside."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions
+            if a.option_strings and not a.required
+            and a.dest not in ("help", "out")]
+
+
+# a non-default value for every flag that has no choices; a flag missing
+# here makes the audit fail until it gets one
+_OTHER_VALUE = {"n": "32", "tol_julia": "1e-3", "tol_time": "1e-3",
+                "eps": "1e-3", "x0": "0.25", "t": "0.5", "alpha": "2.0",
+                "beta": "0.5", "seed": "7"}
+
+
+def _outputs(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+class TestEveryFlagIsRead:
+    """Each optional flag a command declares changes what it writes, or is
+    refused: none is silently ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--mu0", UNIFORM_01, "--mu1", LINEAR_01],
+        ["field", "--mu0", UNIFORM_01, "--mu1", LINEAR_01],
+        ["flow", "--mu0", UNIFORM_01, "--mu1", LINEAR_01],
+        ["verify", "--mu0", UNIFORM_01, "--mu1", LINEAR_01],
+        ["example", "affine"],
+        ["example", "gaussian"],
+        ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2],
+    ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "example" else argv[0])
+    def test_each_flag_changes_the_output(self, tmp_path, argv):
+        run_cli(argv + ["--n", "64", "--out", str(tmp_path / "default")])
+        default = _outputs(tmp_path / "default")
+        assert default
+        for action in _optional_flags(argv[0]):
+            flag = action.option_strings[0]
+            value = (next(c for c in action.choices if c != action.default)
+                     if action.choices else _OTHER_VALUE[action.dest])
+            rest = [] if action.dest == "n" else ["--n", "64"]
+            out = tmp_path / action.dest
+            code = run_cli(argv + rest + [flag, value, "--out", str(out)])
+            assert code == 2 or _outputs(out) != default, \
+                f"{argv[0]} ignores {flag} {value}"

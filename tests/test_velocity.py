@@ -15,14 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 import otflow.velocity
 from otflow.errors import (ConstructionError, InputError, InvalidMapError,
-                           SearchFailureError, SeedCompatibilityError,
-                           TransportError)
+                           SearchFailureError, TransportError)
 from otflow.measures import Gaussian, Uniform, translate, wasserstein1
 from otflow.monotone import (FixedPointPartition, MovingInterval,
                              compute_monotone_map, map_from_callables)
 from otflow.registry import get_example
-from otflow.velocity import (SeedSpec, approximate_lipschitz, build_velocity,
-                             julia_residual)
+from otflow.velocity import approximate_lipschitz, build_velocity, julia_residual
 from test_distances import pl_densities
 
 TOL_RESIDUAL = 1e-8
@@ -44,16 +42,14 @@ def _manual_residual(field, xs):
 
 
 class TestSeedSpec:
-    """Seed validation happens at construction."""
+    """The seed is specified by a profile name, checked before any work."""
 
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            SeedSpec(kind="spline")
-
-    def test_hermite_order_bounds(self):
-        with pytest.raises(InputError):
-            SeedSpec(kind="hermite_ck", order_k=2)
-        assert SeedSpec(kind="hermite_ck", order_k=0).order_k == 0
+    def test_unknown_kind(self, counted_map):
+        T, calls = counted_map(compute_monotone_map(Uniform(1.0, 2.0),
+                                                    Uniform(0.0, 3.0)))
+        with pytest.raises(InputError, match="spline"):
+            build_velocity(transport_map=T, seed="spline")
+        assert not calls
 
 
 @pytest.fixture(scope="module")
@@ -99,30 +95,54 @@ class TestSeedKinds:
     """Different admissible seeds give the same time-1 flow."""
 
     def test_affine_and_hermite_agree_at_time_one(self):
+        # the cubic seed is the C^1 Hermite cubic
         from otflow.flow import flow
         m0, m1 = Uniform(1.0, 2.0), Uniform(0.0, 3.0)
-        f_a = build_velocity(m0, m1, seed=SeedSpec(kind="affine"))
-        f_h = build_velocity(m0, m1, seed=SeedSpec(kind="hermite_ck", order_k=1))
+        f_a = build_velocity(m0, m1, seed="affine")
+        f_c = build_velocity(m0, m1, seed="cubic")
         xs = np.linspace(1.01, 1.99, 197)
-        ya, yh = flow(f_a, 1.0, xs), flow(f_h, 1.0, xs)
-        good = np.isfinite(ya) & np.isfinite(yh)
-        assert np.max(np.abs(ya - yh)[good]) <= 1e-6
-
-    def test_constant_seed_needs_unit_slope(self):
-        with pytest.raises((SeedCompatibilityError, TransportError)):
-            build_velocity(Uniform(1.0, 2.0), Uniform(0.0, 3.0),
-                           seed=SeedSpec(kind="constant"))
+        ya, yc = flow(f_a, 1.0, xs), flow(f_c, 1.0, xs)
+        good = np.isfinite(ya) & np.isfinite(yc)
+        assert np.max(np.abs(ya - yc)[good]) <= 1e-6
 
     def test_constant_seed_on_pure_translation(self):
+        # T' = 1 on a translation, so the default affine seed is constant
         m0 = Uniform(0.0, 1.0)
-        field = build_velocity(m0, translate(m0, 2.0),
-                               seed=SeedSpec(kind="constant"))
+        field = build_velocity(m0, translate(m0, 2.0))
         xs = np.linspace(0.1, 2.5, 41)
         v = field(xs)
         good = np.isfinite(v) & (v != 0.0)
         assert good.any()
         assert np.max(np.abs(v[good] - 2.0)) <= 1e-9, \
             "translation by 2 in unit time moves at speed 2"
+
+    @staticmethod
+    def _slope_jumps(field):
+        """|v'| jumps at every interior break of the v tables: the left
+        cell's slope at its end against the right cell's c1, relative to
+        the largest slope at any cell end."""
+        jumps = []
+        for f in field.built_intervals:
+            c3, c2, c1, _ = f.v_spline.c
+            h = np.diff(f.v_spline.x)
+            end = (3.0 * c3 * h + 2.0 * c2) * h + c1
+            scale = max(np.max(np.abs(c1)), np.max(np.abs(end)))
+            jumps.append(np.abs(end[:-1] - c1[1:]) / scale)
+        return np.concatenate(jumps)
+
+    @pytest.mark.parametrize("name,params", [
+        ("bad-fixed-point", {}),
+        ("accumulating-c1", {"n_tiers": 4}),
+    ])
+    def test_cubic_seed_is_c1_at_orbit_joints(self, name, params):
+        # the cubic seed meets the derivative recursion at T(x0), so every
+        # orbit joint is C^1; the affine one leaves v' jumps where T'' != 0
+        ex = get_example(name, **params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cubic, affine = ex.build(seed="cubic"), ex.build(seed="affine")
+        assert np.max(self._slope_jumps(cubic)) < 1e-12
+        assert np.max(self._slope_jumps(affine)) > 1e-3
 
 
 class TestCaseBuilders:
@@ -184,18 +204,17 @@ class TestApproximateLipschitz:
             m1 = Uniform(0.0, 2.0)
             res = approximate_lipschitz(m0, m1, 1e-2)
         assert 0.0 < abs(res.shift) <= 1e-2
-        assert res.w1_target_gap <= 1e-2
-        assert wasserstein1(m1, res.target) <= 1e-2 + 1e-12
+        assert wasserstein1(m1, res.field.map.target) <= 1e-2 + 1e-12
 
     def test_detected_slopes_away_from_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = approximate_lipschitz(Uniform(0.0, 2.0), Uniform(0.0, 2.0),
                                         1e-2)
-        T = res.transport_map
-        for p in res.partition.fixed_points:
+        T = res.field.map
+        for p in res.field.partition.fixed_points:
             tp = float(np.asarray(T.derivative(p)))
-            assert abs(tp - 1.0) > 1e-6 or not res.partition.fixed_points
+            assert abs(tp - 1.0) > 1e-6 or not res.field.partition.fixed_points
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(SearchFailureError):
