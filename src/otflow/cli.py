@@ -211,7 +211,8 @@ def _cmd_flow(args) -> int:
     x0 = float(m0.quantile(0.5)) if args.x0 is None else float(args.x0)
     t_final = float(args.t)
     n_rows = _write_flow(args, field, x0, t_final)
-    write_report(args.out, _pair_report("flow", m0, m1, ok=True, x0=x0,
+    write_report(args.out, _pair_report("flow", m0, m1, ok=True,
+                                      seed_kind=args.seed_kind, x0=x0,
                                       t_final=t_final, n_rows=n_rows))
     return 0
 

@@ -298,8 +298,9 @@ def verify_transport(field: VelocityField1D, m0: Measure1D | None = None,
                      n_push: int = 4097) -> TransportReport:
     """Run the deterministic verification battery on a built field.
 
-    Measures default to the ones attached to the field's map; passing m1 turns
-    on the pushforward comparison (W1 and L1 against the target).
+    Measures default to the ones attached to the field's map.  The
+    pushforward comparison (W1 and L1 against the target) runs whenever both
+    measures resolve, given or the map's own; otherwise its entries are None.
     """
     cfg = field.config
     m0 = field.map.source if m0 is None else m0

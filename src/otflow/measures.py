@@ -705,10 +705,9 @@ def _solve_cell(d, g, resid):
 
 def _check_prob(p, where, open_ends=False):
     p = np.asarray(p)
-    bad = (p < 0) | (p > 1) | ~np.isfinite(p)
-    if open_ends:
-        bad = bad | (p == 0) | (p == 1)
-    if np.any(bad):
+    # NaN fails every comparison, so it is refused with the values out of range
+    inside = (p > 0) & (p < 1) if open_ends else (p >= 0) & (p <= 1)
+    if not inside.all():
         raise MeasureSpecError(f"{where}: probabilities must lie in "
                                f"{'(0, 1)' if open_ends else '[0, 1]'}")
 
@@ -724,13 +723,13 @@ def translate(m: Measure1D, c: float) -> Measure1D:
     return AffineImage(m, 1.0, c)
 
 
-def pushforward_by_map(m: Measure1D, forward: Callable, *, derivative: Callable | None = None,
+def pushforward_by_map(m: Measure1D, forward: Callable, *, derivative: Callable,
                        n: int = 4097) -> PiecewiseDensity:
     """Sample the pushforward of m under an increasing map onto a grid measure.
 
     Nodes are images of an n-point uniform grid over the window of m; the pushed
-    density at T(x) is pdf(x) / T'(x).  Raises InvalidMapError if the sampled
-    images are not strictly increasing.
+    density at T(x) is pdf(x) / T'(x), T' the exact derivative.  Raises
+    InvalidMapError if the sampled images are not strictly increasing.
     """
     lo, hi = m.window(DEFAULT_CONFIG.eps_tail)
     xs = np.linspace(lo, hi, n)
@@ -741,10 +740,7 @@ def pushforward_by_map(m: Measure1D, forward: Callable, *, derivative: Callable 
         j = int(np.argmin(np.diff(ys)))
         raise InvalidMapError(
             f"pushforward: map is not strictly increasing near x={xs[j]:.6g}")
-    if derivative is not None:
-        dT = np.asarray(derivative(xs), dtype=float)
-    else:
-        dT = np.gradient(ys, xs)
+    dT = np.asarray(derivative(xs), dtype=float)
     if np.any(dT <= 0):
         raise InvalidMapError("pushforward: map derivative must be positive")
     dens = m.pdf(xs) / dT

@@ -10,9 +10,11 @@ measures, T = quantile_target o cdf_source, composed through (p, 1-p) pairs
 so both tails keep full precision; its jet takes T' from the density ratio
 pdf_source(x) / pdf_target(T(x)), with a finite difference fallback where the
 ratio degenerates, and T'' from the density derivatives.  map_from_callables
-wraps closed-form maps, filling a missing T' or T'' by central differences
-and a missing inverse by the shared Newton inverse, once, at construction;
-such a map keeps that solve's bracket as newton_domain.
+wraps closed-form maps, which bring their exact jet.  This module is the one
+place that inverts a map without a closed-form inverse: map_from_callables
+gives it the shared fixed-step Newton inverse on its jet, which refuses
+values outside the image of its bracket; such a map keeps that bracket as
+newton_domain.
 
 find_fixed_points scans g = T(x) - x on a dyadic grid in array passes: a run
 of two or more points with |g| <= tol is a plateau; a lone such point, or a
@@ -66,12 +68,15 @@ class MonotoneMap:
     one condition binding them: forward(x) equals jet(x)[0] bitwise.
     compute_monotone_map and map_from_callables build maps that meet it.
 
-    newton_domain is the bracket [lo, hi] of inverse when inverse is the
-    shared Newton solve on the jet, as map_from_callables makes it for a map
-    given without one.  The orbit march then solves T^(-1) itself, starting
-    from each node's previous jet, and calls inverse only where that start
-    fails.  None, the default, marks a closed-form inverse (the quantile
-    compositions among them), which the march always calls.
+    The jet is exact: the quantile composition's comes from the measures'
+    densities (a finite difference only where their ratio is 0/0), and a
+    closed-form map brings its own.  newton_domain is the bracket [lo, hi]
+    of inverse when inverse is the shared Newton solve on the jet, the one
+    inverse map_from_callables gives a map without a closed form; it accepts
+    y in [T(lo), T(hi)] only.  The orbit march then solves T^(-1) itself,
+    starting from each node's previous jet, and calls inverse only where
+    that start fails.  None, the default, marks a closed-form inverse (the
+    quantile compositions among them), which the march always calls.
     """
 
     forward: Callable
@@ -140,56 +145,36 @@ def _density_ratio(m0, forward, x, p1):
     return out
 
 
-# Relative step of the central differences that stand in for a missing T'
-# or T'': near eps^(1/4), which balances truncation against roundoff in the
-# nested difference giving T''; the single difference giving T' stays
-# accurate to O(step^2).
-_FD_STEP = 1e-4
-
-
-def map_from_callables(forward: Callable, *, inverse: Callable | None = None,
-                       derivative: Callable | None = None,
-                       second_derivative: Callable | None = None,
+def map_from_callables(forward: Callable, jet: Callable, *,
+                       inverse: Callable | None = None,
                        source: Measure1D | None = None,
                        target: Measure1D | None = None,
-                       domain: tuple[float, float] | None = None,
-                       jet: Callable | None = None) -> MonotoneMap:
-    """Wrap closed-form map callables, filling every missing piece once.
+                       domain: tuple[float, float] | None = None) -> MonotoneMap:
+    """Wrap a closed-form map: forward, its exact jet (T, T', T''), whose
+    first entry is bitwise forward, and its inverse when it has one.
 
-    A given jet is used as is.  Otherwise the jet stacks forward, derivative
-    and second_derivative; a missing derivative is a central difference of
-    forward, a missing second_derivative one of the derivative, both with
-    the step _FD_STEP * (|x| + s), s the largest of 1 and |domain ends|.  A
-    missing inverse becomes the vectorised Newton inverse on domain
-    (required in that case), and domain becomes the map's newton_domain.
+    A map given without an inverse gets the shared Newton inverse on the jet,
+    bracketed by domain (required in that case), which becomes the map's
+    newton_domain.  That inverse raises InputError for y outside the image
+    [T(lo), T(hi)] of the bracket, whose ends are computed here, once.
     """
-    scale = 1.0 if domain is None else max(abs(domain[0]), abs(domain[1]), 1.0)
+    if inverse is not None:
+        return MonotoneMap(forward, inverse, jet, source, target)
+    if domain is None:
+        raise InputError("map_from_callables: domain is required to invert numerically")
+    lo, hi = float(domain[0]), float(domain[1])
+    y_lo, y_hi = map(float, np.asarray(forward(np.array([lo, hi])), dtype=float))
 
-    def central(f):
-        def difference(x):
-            x = np.asarray(x, dtype=float)
-            h = (np.abs(x) + scale) * _FD_STEP
-            return (np.asarray(f(x + h), dtype=float)
-                    - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
-        return difference
+    def newton_inverse(y):
+        y = np.asarray(y, dtype=float)
+        flat = np.atleast_1d(y)
+        outside = flat[~((flat >= y_lo) & (flat <= y_hi))]
+        if outside.size:
+            raise InputError(f"inverse: {outside[0]:g} outside the image "
+                             f"[{y_lo:g}, {y_hi:g}]")
+        return _newton_inverse(forward, lambda x: jet(x)[:2], y, lo, hi)
 
-    if jet is None:
-        slope = central(forward) if derivative is None else derivative
-        curve = central(slope) if second_derivative is None else second_derivative
-
-        def jet(x):
-            return tuple(np.asarray(f(x), dtype=float) for f in (forward, slope, curve))
-
-    newton_domain = None
-    if inverse is None:
-        if domain is None:
-            raise InputError("map_from_callables: domain is required to invert numerically")
-        newton_domain = lo, hi = float(domain[0]), float(domain[1])
-
-        def inverse(y):
-            return _newton_inverse(forward, lambda x: jet(x)[:2], y, lo, hi)
-
-    return MonotoneMap(forward, inverse, jet, source, target, newton_domain)
+    return MonotoneMap(forward, newton_inverse, jet, source, target, (lo, hi))
 
 
 def _bisect_inverse(forward, y, lo, hi, iters: int = 64):
@@ -218,39 +203,17 @@ def _newton_inverse(forward, value_slope, y, lo, hi, iters: int = 6, start=None)
     value_slope(x) returns (T(x), T'(x)), its first entry bitwise forward(x).
     Seeds at start, by default at y, clipped into [lo, hi] (lo, hi, start
     scalars or arrays shaped like y); the default suits maps near the
-    identity.  Clips iterates into [lo, hi], and hands any entry that has not
-    converged to 1e-14 relative residual after iters steps over to plain
-    bisection on forward.
-
-    The steps stop early, with the result of all iters steps, once every
-    entry's iterate repeats: each new iterate has the bits of the current one
-    (a fixed point) or of the previous one (a 2-cycle).  A step depends on
-    its own entry's bits alone, so from then on each entry alternates between
-    its last two iterates, and the parity of the steps left picks the one
-    iters steps end on.  That iterate's residual is read from the value_slope
-    calls already made, so no forward call follows.  An entry that never
-    repeats takes all iters steps.
+    identity.  Takes iters steps, clipping iterates into [lo, hi], and hands
+    any entry that has not converged to 1e-14 relative residual over to
+    plain bisection on forward.
     """
     y = np.asarray(y, dtype=float)
     x = np.clip(y if start is None else start, lo, hi)
-    x_prev = fx_prev = None
-    for k in range(iters):
+    for _ in range(iters):
         fx, d = value_slope(x)
-        step = _newton_step(fx, d, y)
-        x_next = np.clip(x - step, lo, hi)
-        bits = x_next.view(np.int64)
-        fixed = bits == x.view(np.int64)
-        if (fixed if x_prev is None else fixed | (bits == x_prev.view(np.int64))).all():
-            if (iters - 1 - k) % 2:
-                # an odd number of steps left ends on the current iterate
-                f_end = fx
-            else:
-                x, f_end = x_next, fx if x_prev is None else np.where(fixed, fx, fx_prev)
-            break
-        x_prev, fx_prev, x = x, fx, x_next
-    else:
-        f_end = np.asarray(forward(x), dtype=float)
-    bad = np.abs(f_end - y) > 1e-14 * np.maximum(np.abs(y), 1.0)
+        x = np.clip(x - _newton_step(fx, d, y), lo, hi)
+    resid = np.abs(np.asarray(forward(x), dtype=float) - y)
+    bad = resid > 1e-14 * np.maximum(np.abs(y), 1.0)
     if np.any(bad):
         x = np.where(bad, _bisect_inverse(forward, y, lo, hi), x)
     return x

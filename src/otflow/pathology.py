@@ -36,7 +36,7 @@ from .config import DEFAULT_CONFIG
 from .errors import ConstructionError, InputError
 from .measures import Uniform
 from .monotone import (FixedPointPartition, MonotoneMap, MovingInterval,
-                       _newton_inverse)
+                       map_from_callables)
 from .velocity import build_velocity
 
 __all__ = [
@@ -294,9 +294,6 @@ class CounterexampleMap:
         self._table = np.vstack((
             np.concatenate(([0.0], origins.T.ravel(), [0.5])),
             c, i[1:] * c[1:], (i[2:] * (i[2:] - 1)) * c[2:]))
-        # T at every break and at 1: the brackets of the inverse
-        self._edges = np.append(self._breaks, 1.0)
-        self._edge_images = self._edges - self._displacement(self._edges, 0)[0]
 
     # ------------------------------------------------------------------
     def _displacement(self, x, order: int, k=None):
@@ -355,26 +352,6 @@ class CounterexampleMap:
         disp, slope = self._displacement(x, 1, k)
         return x - disp, 1.0 - slope
 
-    def inverse(self, y):
-        """T^(-1) on the image (0, T(1)]: the linear pinch in closed form,
-        else the shared Newton inverse inside the table piece whose image
-        holds y."""
-        y = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y)
-        top = float(self._edge_images[-1])
-        outside = ~((flat > 0.0) & (flat <= top))
-        if np.any(outside):
-            raise InputError(f"inverse: {flat[outside][0]:g} outside the "
-                             f"image (0, {top:g}]")
-        k = np.minimum(np.searchsorted(self._edge_images, flat, side="right") - 1,
-                       self._breaks.size - 1)
-        out = flat / (1.0 - self._pinch_slope)
-        solve = k > 0
-        ks = k[solve]
-        out[solve] = _newton_inverse(self.forward, self._value_slope, flat[solve],
-                                     self._edges[ks], self._edges[ks + 1])
-        return float(out[0]) if y.ndim == 0 else out
-
     def anchor_derivative(self, i):
         """T' at the i-th anchor, in closed form from the gap sequence."""
         b = self.sequence.gap
@@ -382,8 +359,9 @@ class CounterexampleMap:
         return 1.0 + (b(i) - b(i + 1)) / (4.0 * b(i))
 
     def to_monotone_map(self) -> MonotoneMap:
-        return MonotoneMap(self.forward, self.inverse, self.jet,
-                           source=Uniform(0.0, 0.5), target=None)
+        """The map with the shared Newton inverse on [0, 1]."""
+        return map_from_callables(self.forward, self.jet, domain=(0.0, 1.0),
+                                  source=Uniform(0.0, 0.5))
 
 
 # points of the dense grid on which build_counterexample certifies the map

@@ -153,21 +153,15 @@ def _bad_fixed_point_example() -> ExampleProblem:
         x = np.asarray(x, dtype=float)
         return (9.0 - np.sqrt(81.0 - 36.0 * x)) / 2.0
 
-    def derivative(x):
-        x = np.asarray(x, dtype=float)
-        return 9.0 / np.sqrt(81.0 - 36.0 * x)
-
-    def second_derivative(x):
-        x = np.asarray(x, dtype=float)
-        return 162.0 / np.sqrt(81.0 - 36.0 * x) ** 3
+    def jet(x):
+        r = np.sqrt(81.0 - 36.0 * np.asarray(x, dtype=float))
+        return (9.0 - r) / 2.0, 9.0 / r, 162.0 / r ** 3
 
     def inverse(y):
         y = np.asarray(y, dtype=float)
         return y - y * y / 9.0
 
-    tmap = map_from_callables(forward, inverse=inverse, derivative=derivative,
-                              second_derivative=second_derivative,
-                              source=m0, target=m1)
+    tmap = map_from_callables(forward, jet, inverse=inverse, source=m0, target=m1)
     partition = FixedPointPartition(
         domain=(0.0, 3.0),
         fixed_intervals=((0.0, 0.0),),
@@ -261,8 +255,7 @@ def _accumulating_example(variant: str = "c1", n_tiers: int = 12) -> ExampleProb
                             n=65537)
     # no closed-form inverse: the shared Newton solve on [0, 1], which the
     # orbit march runs on its own jet
-    tmap = map_from_callables(forward, source=m0, target=m1, domain=(0.0, 1.0),
-                              jet=jet)
+    tmap = map_from_callables(forward, jet, source=m0, target=m1, domain=(0.0, 1.0))
 
     cuts = [1.0 / n for n in range(n_tiers, 0, -1)]
     fixed = [(0.0, cuts[0])] + [(c, c) for c in cuts[1:]]

@@ -36,8 +36,8 @@ from .errors import (ConstructionError, InputError, MeasureSpecError,
                      UnsupportedDecompositionError)
 from .flow import flow as flow_1d
 from .flow import push_measure
-from .measures import (Measure1D, _as_array, _read_spec, _scalar_like,
-                       measure_to_dict, parse_measure, wasserstein1)
+from .measures import (Measure1D, _as_array, _check_prob, _read_spec,
+                       _scalar_like, measure_to_dict, parse_measure, wasserstein1)
 from .monotone import MonotoneMap, compute_monotone_map
 from .velocity import VelocityField1D, build_velocity
 
@@ -126,8 +126,7 @@ class RadiusLaw(Measure1D):
 
     def quantile(self, p):
         p, scalar = _as_array(p)
-        if np.any((p < 0.0) | (p > 1.0)):
-            raise InputError("radius law quantile: probabilities must lie in [0, 1]")
+        _check_prob(p, "radius.quantile")
         return _scalar_like(self.radius * p ** (1.0 / self.dimension), scalar)
 
 
@@ -386,8 +385,6 @@ class RayFamilyND:
         on the sphere of directions (radial)."""
         n = int(n)
         if self.kind == "parallel":
-            if self.dimension - 1 == 0:
-                return np.zeros((n, 0))
             cols = [np.asarray(f.quantile(rng.random(n)), dtype=float)
                     for f in self.transverse0]
             return np.column_stack(cols)
@@ -606,12 +603,6 @@ class VelocityFieldND:
         mask = np.atleast_1d(self.transport_set_mask(pts))
         out[~mask] = np.nan
         return out[0] if single else out
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family.describe(),
-            "scalar_field": self.field.describe(),
-        }
 
 
 def assemble_field(family: RayFamilyND, *,

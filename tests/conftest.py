@@ -105,7 +105,8 @@ def counted_map():
     map, and "inverse forward" and "inverse jet" made inside inverse.  A map
     whose inverse is the shared Newton solve (newton_domain set) is rebuilt
     by map_from_callables on the counted forward and jet, so the solve's
-    calls are counted and its bits and newton_domain stay.
+    calls are counted and its bits and newton_domain stay; the forward call
+    of that rebuild, which finds the image ends, is not counted.
     """
     def wrap(T):
         calls = Counter()
@@ -121,8 +122,9 @@ def counted_map():
         if T.newton_domain is None:
             base = replace(T, forward=forward, jet=jet)
         else:
-            base = map_from_callables(forward, jet=jet, domain=T.newton_domain,
+            base = map_from_callables(forward, jet, domain=T.newton_domain,
                                       source=T.source, target=T.target)
+            calls.clear()
 
         def inverse(y):
             calls["inverse"] += 1

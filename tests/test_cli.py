@@ -128,6 +128,14 @@ class TestFlowCommand:
         ts = [float(r[0]) for r in rows]
         assert ts[0] == 0.0 and ts[-1] == 1.0
 
+    def test_report_names_the_seed(self, tmp_path):
+        for kind in ("affine", "cubic"):
+            out = str(tmp_path / kind)
+            code = run_cli(["flow", "--mu0", UNIFORM_01, "--mu1", LINEAR_01,
+                            "--n", "64", "--seed-kind", kind, "--out", out])
+            assert code == 0
+            assert read_report(out)["seed_kind"] == kind
+
 
 class TestVerifyCommand:
     def test_identity_pair_passes(self, tmp_path):

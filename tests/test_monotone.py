@@ -13,9 +13,11 @@ from hypothesis import given
 
 from otflow.config import DEFAULT_CONFIG
 from otflow.errors import InputError, InvalidMapError
-from otflow.measures import AffineImage, Gaussian, Uniform
+from otflow.measures import AffineImage, Gaussian, PiecewiseDensity, Uniform
 from otflow.monotone import (compute_monotone_map, find_fixed_points,
                              map_from_callables)
+from otflow.pathology import build_counterexample
+from otflow.registry import get_example
 from otflow.sudakov import RadiusLaw
 from test_distances import pl_densities
 
@@ -123,29 +125,21 @@ class TestQuantileJet:
         _assert_jet_is_reference(m0, m1, xs)
 
 
-class TestMapFromCallables:
-    """Wrapping closed-form callables with numeric fallbacks."""
+def _cubic_jet(x):
+    x = np.asarray(x, dtype=float)
+    return x ** 3 + x, 3.0 * x * x + 1.0, 6.0 * x
 
-    def test_numeric_derivative(self):
-        T = map_from_callables(lambda x: np.asarray(x) ** 3 + np.asarray(x),
-                               source=Uniform(0.5, 2.0), domain=(0.5, 2.0))
-        xs = np.linspace(0.6, 1.9, 27)
-        assert np.max(np.abs(T.derivative(xs) - (3.0 * xs ** 2 + 1.0))) <= 1e-6
+
+class TestMapFromCallables:
+    """Wrapping closed-form callables: the jet as given, and the shared
+    Newton inverse where no inverse is."""
 
     def test_numeric_inverse(self):
-        T = map_from_callables(lambda x: np.asarray(x) ** 3 + np.asarray(x),
+        T = map_from_callables(lambda x: _cubic_jet(x)[0], _cubic_jet,
                                source=Uniform(0.5, 2.0), domain=(0.5, 2.0))
         ys = np.asarray(T.forward(np.linspace(0.6, 1.9, 13)))
         xs = np.asarray(T.inverse(ys))
         assert np.max(np.abs(xs ** 3 + xs - ys)) <= 1e-10
-
-    def test_numeric_second_derivative(self):
-        T = map_from_callables(lambda x: np.asarray(x) ** 3 + np.asarray(x),
-                               domain=(0.5, 2.0))
-        xs = np.linspace(0.5, 2.0, 31)
-        y, tp, tpp = T.jet(xs)
-        assert y.tobytes() == np.asarray(T.forward(xs), dtype=float).tobytes()
-        assert np.max(np.abs(tpp - 6.0 * xs) / (6.0 * xs)) <= 1e-6
 
     def test_given_jet_is_used_as_is(self):
         def jet(x):
@@ -153,7 +147,7 @@ class TestMapFromCallables:
             return 2.0 * x, np.full_like(x, 2.0), np.zeros_like(x)
 
         T = map_from_callables(lambda x: 2.0 * np.asarray(x, dtype=float),
-                               jet=jet, domain=(-1.0, 1.0))
+                               jet, domain=(-1.0, 1.0))
         assert T.jet is jet
         assert float(T.derivative(0.3)) == 2.0
         assert np.max(np.abs(T.inverse(np.array([-1.5, 0.2, 1.9]))
@@ -162,9 +156,12 @@ class TestMapFromCallables:
     def test_decreasing_callable_rejected_at_build(self):
         from otflow.errors import TransportError
         from otflow.velocity import build_velocity
-        T = map_from_callables(lambda x: -np.asarray(x),
-                               derivative=lambda x: np.full_like(
-                                   np.asarray(x, dtype=float), -1.0),
+
+        def jet(x):
+            x = np.asarray(x, dtype=float)
+            return -x, np.full_like(x, -1.0), np.zeros_like(x)
+
+        T = map_from_callables(lambda x: -np.asarray(x, dtype=float), jet,
                                domain=(0.0, 1.0))
         with pytest.raises(TransportError):
             build_velocity(transport_map=T, domain=(0.0, 1.0))
@@ -189,10 +186,12 @@ class TestFindFixedPoints:
         assert abs(total - 1.0) <= 1e-6
 
     def test_two_endpoint_fixed_points(self):
-        T = map_from_callables(
-            lambda x: np.asarray(x) + 0.1 * np.asarray(x) * (1.0 - np.asarray(x)),
-            derivative=lambda x: 1.0 + 0.1 - 0.2 * np.asarray(x),
-            source=Uniform(0.0, 1.0), domain=(0.0, 1.0))
+        def jet(x):
+            x = np.asarray(x, dtype=float)
+            return x + 0.1 * x * (1.0 - x), 1.0 + 0.1 - 0.2 * x, np.full_like(x, -0.2)
+
+        T = map_from_callables(lambda x: jet(x)[0], jet,
+                               source=Uniform(0.0, 1.0), domain=(0.0, 1.0))
         part = find_fixed_points(T, domain=(0.0, 1.0))
         fps = sorted(part.fixed_points)
         assert abs(fps[0] - 0.0) <= TOL_FP and abs(fps[-1] - 1.0) <= TOL_FP
@@ -201,10 +200,12 @@ class TestFindFixedPoints:
         assert itv.direction == 1 and itv.lo_is_fixed and itv.hi_is_fixed
 
     def test_cubic_touch_detected_as_plateau(self):
-        T = map_from_callables(
-            lambda x: np.asarray(x) + (np.asarray(x) - 0.5) ** 3,
-            derivative=lambda x: 1.0 + 3.0 * (np.asarray(x) - 0.5) ** 2,
-            source=Uniform(0.0, 1.0), domain=(0.0, 1.0))
+        def jet(x):
+            x = np.asarray(x, dtype=float)
+            return x + (x - 0.5) ** 3, 1.0 + 3.0 * (x - 0.5) ** 2, 6.0 * (x - 0.5)
+
+        T = map_from_callables(lambda x: jet(x)[0], jet,
+                               source=Uniform(0.0, 1.0), domain=(0.0, 1.0))
         part = find_fixed_points(T, domain=(0.0, 1.0))
         assert len(part.fixed_intervals) == 1
         a, b = part.fixed_intervals[0]
@@ -217,10 +218,12 @@ class TestFindFixedPoints:
         # touch point 1/3 is never a dyadic scan node, so the tangency is
         # located by local minimization and carries slope exactly 1
         c = 1.0 / 3.0
-        T = map_from_callables(
-            lambda x: np.asarray(x) + (np.asarray(x) - c) ** 2,
-            derivative=lambda x: 1.0 + 2.0 * (np.asarray(x) - c),
-            domain=(0.0, 1.0))
+
+        def jet(x):
+            x = np.asarray(x, dtype=float)
+            return x + (x - c) ** 2, 1.0 + 2.0 * (x - c), np.full_like(x, 2.0)
+
+        T = map_from_callables(lambda x: jet(x)[0], jet, domain=(0.0, 1.0))
         part = find_fixed_points(T, domain=(0.0, 1.0))
         assert part.indeterminate, "a tangency with unit slope should be flagged"
         assert min(abs(p - c) for p in part.indeterminate) <= 1e-5
@@ -246,16 +249,64 @@ class TestFindFixedPoints:
 
 
 def test_callable_newton_inverse_matches_fixed_steps():
-    # the filled-in inverse stops once its iterates cycle, with the bits of
-    # the fixed six steps: on the image, past both ends (bisection) and NaN
+    # the filled-in inverse takes the fixed six steps on the image; the
+    # shared solve under it falls back on bisection past both ends and
+    # passes NaN through
+    from otflow.monotone import _newton_inverse
     from test_registry import _reference_newton
-    T = map_from_callables(lambda x: x + 0.4 * np.sin(x),
-                           derivative=lambda x: 1.0 + 0.4 * np.cos(x),
-                           domain=(-4.0, 4.0))
-    ys = np.concatenate((T.forward(np.linspace(-4.0, 4.0, 2001)),
-                         [-5.0, 5.0, np.nan]))
+
+    def jet(x):
+        return x + 0.4 * np.sin(x), 1.0 + 0.4 * np.cos(x), -0.4 * np.sin(x)
+
+    T = map_from_callables(lambda x: x + 0.4 * np.sin(x), jet, domain=(-4.0, 4.0))
+    ys = T.forward(np.linspace(-4.0, 4.0, 2001))
     got = T.inverse(ys)
     want = _reference_newton(T.forward, T.derivative, ys, -4.0, 4.0)
     assert got.tobytes() == want.tobytes()
-    assert np.isnan(got[-1]) and np.max(np.abs(T.forward(got[:-3]) - ys[:-3])) <= 1e-15
+    assert np.max(np.abs(T.forward(got) - ys)) <= 1e-15
     assert float(T.inverse(float(ys[7]))) == got[7]
+    past = np.array([-5.0, 5.0, np.nan])
+    got = _newton_inverse(T.forward, lambda x: T.jet(x)[:2], past, -4.0, 4.0)
+    want = _reference_newton(T.forward, T.derivative, past, -4.0, 4.0)
+    assert got.tobytes() == want.tobytes() and np.isnan(got[-1])
+
+
+# every kind of map the program builds, with the domain it is checked on
+_PROGRAM_MAPS = {
+    "bad-fixed-point": (lambda: get_example("bad-fixed-point").transport_map,
+                        (0.0, 2.0)),
+    "accumulating-c1": (lambda: get_example("accumulating-c1").transport_map,
+                        (0.0, 1.0)),
+    "accumulating-cinf": (lambda: get_example("accumulating-cinf").transport_map,
+                          (0.0, 1.0)),
+    "counterexample-quadratic": (
+        lambda: build_counterexample("quadratic").to_monotone_map(), (0.0, 1.0)),
+    "counterexample-log_squared": (
+        lambda: build_counterexample("log_squared").to_monotone_map(), (0.0, 1.0)),
+    "quantile-gaussian": (
+        lambda: compute_monotone_map(Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)),
+        (-6.0, 6.0)),
+    "quantile-linear": (
+        lambda: compute_monotone_map(Uniform(0.0, 1.0), PiecewiseDensity(
+            np.array([0.0, 1.0]), np.array([0.5, 1.5]))), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROGRAM_MAPS))
+def test_map_contract(name):
+    # jet(x)[0] is bitwise forward(x), and inverse undoes forward to
+    # roundoff: within 2 ulp where it is the shared Newton solve, which
+    # refuses values just outside the image of its bracket
+    build, (lo, hi) = _PROGRAM_MAPS[name]
+    T = build()
+    xs = np.linspace(lo, hi, 4097)
+    ys = np.asarray(T.forward(xs), dtype=float)
+    assert np.asarray(T.jet(xs)[0], dtype=float).tobytes() == ys.tobytes()
+    err = np.abs(np.asarray(T.inverse(ys), dtype=float) - xs)
+    assert np.max(err) <= 1e-14 * (hi - lo)
+    if T.newton_domain is not None:
+        assert np.all(err <= 2.0 * np.spacing(np.abs(xs)))
+        a, b = np.asarray(T.forward(np.array(T.newton_domain)), dtype=float)
+        for y in (np.nextafter(a, -np.inf), np.nextafter(b, np.inf)):
+            with pytest.raises(InputError):
+                T.inverse(y)

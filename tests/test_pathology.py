@@ -560,46 +560,31 @@ def _brentq_inverse(cmap, y):
 
 
 class TestInverse:
-    """The vectorised inverse against the per-point brentq solve."""
+    """The map's shared Newton inverse against the per-point brentq solve."""
 
     @pytest.mark.parametrize("variant", ["quadratic", "log_squared"])
     def test_matches_brentq(self, variant):
         cmap = build_counterexample(variant)
+        inverse = cmap.to_monotone_map().inverse
         a, b, f = cmap.anchors, cmap.gaps, cmap.table_floor
         gaps = [a[j + 1] + u * b[j] for j in (0, 1, 7, 300, 5000, cmap.n_anchors - 1)
                 for u in (0.05, 0.15, 0.5, 0.75, 0.9, 0.99)]
         xs = np.concatenate((a[::397], a[-3:], gaps, f * np.array([1e-6, 0.3, 0.999]),
                              [0.5 + 1e-9, 0.6, 0.75, 0.9, 1.0]))
         ys = cmap.forward(xs)
-        got = cmap.inverse(ys)
+        got = inverse(ys)
         assert np.max(np.abs(got - _brentq_inverse(cmap, ys))) <= 1e-15
         assert np.max(np.abs(got - xs)) <= 1e-15
-        assert cmap.inverse(float(ys[7])) == got[7]
-
-    @pytest.mark.parametrize("variant", ["quadratic", "log_squared"])
-    def test_newton_matches_fixed_steps(self, variant, monkeypatch):
-        # the table-piece Newton stops once its iterates cycle, with the bits
-        # of the fixed six steps
-        from test_registry import _reference_newton
-        cmap = build_counterexample(variant)
-        a, b, f = cmap.anchors, cmap.gaps, cmap.table_floor
-        gaps = [a[j + 1] + u * b[j] for j in (0, 1, 7, 300, 5000, cmap.n_anchors - 1)
-                for u in (0.05, 0.15, 0.5, 0.75, 0.9, 0.99)]
-        xs = np.concatenate((a[::397], a[-3:], gaps, f * np.array([1e-6, 0.3, 0.999]),
-                             [0.5 + 1e-9, 0.6, 0.75, 0.9, 1.0]))
-        ys = cmap.forward(xs)
-        got = cmap.inverse(ys)
-        monkeypatch.setattr(
-            otflow.pathology, "_newton_inverse",
-            lambda forward, value_slope, y, lo, hi: _reference_newton(
-                forward, lambda x: value_slope(x)[1], y, lo, hi))
-        assert got.tobytes() == cmap.inverse(ys).tobytes()
+        assert inverse(float(ys[7])) == got[7]
 
     def test_refuses_outside_image(self):
         cmap = build_counterexample("quadratic")
-        for y in (0.0, -0.1, float(cmap.forward(1.0)) + 1e-9):
+        inverse = cmap.to_monotone_map().inverse
+        for y in (-0.1, float(cmap.forward(1.0)) + 1e-9):
             with pytest.raises(InputError):
-                cmap.inverse(np.array([0.3, y]))
+                inverse(np.array([0.3, y]))
+        # the image is [T(0), T(1)], and T(0) = 0
+        assert inverse(0.0) == 0.0
 
 
 class TestValidation:

@@ -327,39 +327,14 @@ class TestAccumulatingJet:
 
 # Backward sources of an accumulating-cinf build whose Newton iterates end
 # in a 2-cycle between two adjacent floats, by the step at which each first
-# repeats: 3 or 1 steps left (odd) end on the current iterate, 2 or 0 on the
-# new one, whose residual is the previous step's value
+# repeats
 _TWO_CYCLES = {2: "0x1.fffe5f36f933fp-1", 3: "0x1.a72bba4b63f40p-3",
                4: "0x1.c520901d9f74fp-3", 5: "0x1.ce140967443f1p-3"}
 
 
 class TestNewtonTwoCycles:
-    """The Newton inverse stops once its iterates cycle, on the iterate of
-    the fixed six steps, without a forward call."""
-
-    @staticmethod
-    def _iterates(value_slope, y):
-        x, out = y, [y]
-        for _ in range(6):
-            fx, d = value_slope(x)
-            x = np.clip(x - (fx - y) / np.where(np.abs(d) > 1e-30, d, 1.0), 0.0, 1.0)
-            out.append(x)
-        return out
-
-    @pytest.mark.parametrize("k", sorted(_TWO_CYCLES))
-    def test_exit_is_the_fixed_step_result(self, k, counted_map):
-        from otflow.monotone import _newton_inverse
-        tm = get_example("accumulating-cinf", n_tiers=4).transport_map
-        ys = np.array([float.fromhex(_TWO_CYCLES[k])])
-        its = self._iterates(lambda x: tm.jet(x)[:2], ys)
-        # a 2-cycle first reached at step k, no fixed point before
-        assert its[k + 1] == its[k - 1] and its[k + 1] != its[k]
-        assert its[k] != its[k - 1] and its[k] != its[k - 2]
-        T, calls = counted_map(tm)
-        got = _newton_inverse(T.forward, lambda x: T.jet(x)[:2], ys, 0.0, 1.0)
-        assert calls == {"jet": k + 1}
-        want = _reference_newton(tm.forward, tm.derivative, ys, 0.0, 1.0)
-        assert _bits(got) == _bits(want) == _bits(its[6])
+    """The Newton inverse on iterates that end in a 2-cycle: the bits of the
+    fixed six steps."""
 
     def test_mixed_exits_in_one_call(self):
         tm = get_example("accumulating-cinf", n_tiers=4).transport_map

@@ -50,6 +50,9 @@ class TestRadiusLaw:
             RadiusLaw(2, -1.0)
         with pytest.raises(InputError):
             RadiusLaw(2, 1.0).quantile(1.5)
+        for p in (np.nan, -np.inf):
+            with pytest.raises(MeasureSpecError):
+                RadiusLaw(2, 1.0).quantile(p)
 
 
 class TestParsing:
