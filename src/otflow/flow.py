@@ -182,9 +182,10 @@ def _segment_time(pp, a: float, b: float) -> float:
 
     Working in each piece's local coordinate keeps the arithmetic exact even
     when [a, b] lies within an ulp-scale distance of a large abscissa, where a
-    global evaluation of pp would lose the value to cancellation.
+    global evaluation of pp would lose the value to cancellation.  Node pairs
+    across junctions have zero width and drop out with the empty overlaps.
     """
-    xs = pp.x
+    xs = pp.xn
     j0 = max(int(np.searchsorted(xs, a, side="right")) - 1, 0)
     j1 = min(int(np.searchsorted(xs, b, side="left")), xs.size - 1)
     j = np.arange(j0, j1)
@@ -193,7 +194,7 @@ def _segment_time(pp, a: float, b: float) -> float:
     keep = s1 > s0
     j, s0, h = j[keep], s0[keep], (s1 - s0)[keep]
     s = s0[:, None] + h[:, None] * _GL_NODES
-    c3, c2, c1, c0 = (pp.c[k, j][:, None] for k in range(4))
+    c3, c2, c1, c0 = (c[:, None] for c in pp.cells(j))
     v = ((c3 * s + c2) * s + c1) * s + c0
     return float(np.sum(h * ((1.0 / np.abs(v)) @ _GL_WEIGHTS)))
 

@@ -341,9 +341,12 @@ def find_fixed_points(T: MonotoneMap, *, domain: tuple[float, float] | None = No
         return (sigma * np.where(turn, tp - 1.0, y - x),
                 sigma * np.where(turn, tpp, tp - 1.0))
 
+    # with no touch bracket T.forward, bitwise the jet's value, gives the residual
+    residual = ((lambda x: value_slope(x)[0]) if turn.any() else
+                (lambda x: sigma * (np.asarray(T.forward(x), dtype=float) - x)))
     r = np.empty(0)
     if ia.size:
-        r = _newton_inverse(lambda x: value_slope(x)[0], value_slope, sigma * c,
+        r = _newton_inverse(residual, value_slope, sigma * c,
                             xs[ia], xs[ib], start=xs[seed])
     r_lo, r_hi, points, r_touch = np.split(r, np.cumsum(
         (left.size, right.size, crossing.size + cell.size)))

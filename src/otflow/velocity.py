@@ -17,18 +17,18 @@ Construction, per moving interval of the map's fixed point partition:
      and backward by T^(-1) toward the trailing end.  Each orbit step yields
      one interpolation piece whose node values and node derivatives satisfy
      the functional equation exactly; between nodes the field is a cubic
-     Hermite interpolant.  The assembled tables are CubicTable objects: breaks
-     and coefficient rows in scipy's PPoly layout, evaluated in PPoly's own
-     arithmetic, so values and slopes are bitwise scipy's without importing
-     its interpolation package.
+     Hermite interpolant.  The field keeps only the node table (x, v, v', F);
+     its CubicTable objects form each cell from its node pair where it is
+     read, in scipy PPoly's arithmetic, so values and slopes are bitwise
+     scipy's without importing its interpolation package.
 
   3. Primitive.  Alongside v the primitive F with F' = 1/v is accumulated:
      quadrature on the seed, then exact unit shifts F(T(x)) = F(x) + 1 across
      pieces, which makes the unit-travel-time property a structural identity
-     at the nodes.  F is the interval's one clock: the flow
-     phi(t, x) = F^(-1)(F(x) + t) inverts the F table itself by Newton inside
-     its piece, so phi is a group to roundoff and the flow's semigroup check
-     guards that inversion.
+     at the nodes.  Its table reads the same nodes, with slopes 1/v.  F is
+     the interval's one clock: the flow phi(t, x) = F^(-1)(F(x) + t) inverts
+     the F table itself by Newton inside its piece, so phi is a group to
+     roundoff and the flow's semigroup check guards that inversion.
 
 Marching is lockstep: the build seeds every moving interval first, then
 advances all of their marches (forward, and backward toward a fixed trailing
@@ -55,16 +55,15 @@ Array convention: while marching, node arrays are kept in motion order (from
 the anchor toward the image), so index relations are direction independent:
 a forward piece's first node coincides with its source's last node, a backward
 piece's last node coincides with its source's first node.  Junction nodes are
-bitwise equal by evaluation chaining (forward) or explicit pinning (backward),
-so assembled breakpoints dedupe exactly.  The gather writes each interval's
-pieces once, in motion order (backward pieces deepest first, the seed,
-forward pieces), into the one set of node tables its field is assembled
-from, read flipped when it moves down; the node tables go once the field
-is assembled.
+bitwise equal in x and F by evaluation chaining (forward) or explicit pinning
+(backward); v and v' may differ there, so the node table keeps both copies.
+The gather scatters the rounds once into each interval's node table, in
+ascending x, which its field keeps as it is.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -205,12 +204,12 @@ class UnbuiltInterval:
 class IntervalField:
     """Velocity field and unit-time primitive on one moving interval.
 
-    Two cubic Hermite tables over one shared breaks array: v_spline, the
-    field, and F_spline, the clock F with F' = 1/v and F(T(x)) = F(x) + 1.
-    Both are CubicTable objects, whose breaks x and coefficient rows c
-    follow scipy's PPoly layout and whose values and slopes are computed in
-    PPoly's arithmetic.  The flow inverts F_spline piece by piece, so no
-    separate table of F^(-1) exists.
+    The field keeps one node table, the gathered orbit pieces (x, v, v', F)
+    in ascending x with both copies of every junction node, and two
+    CubicTable views of it: v_spline, the field, and F_spline, the clock F
+    with F' = 1/v and F(T(x)) = F(x) + 1.  Each cell is formed from its node
+    pair where it is read, in PPoly's arithmetic.  The flow inverts F_spline
+    cell by cell, so no separate table of F^(-1) exists.
     anchors and anchor_v hold x and v at the ends of the orbit pieces.
     """
 
@@ -233,22 +232,19 @@ class IntervalField:
 
     # ------------------------------------------------------------------
     def _assemble(self, x, v, dv, F, joints):
-        """Tables from the node arrays (x, v, dv, F) of all pieces, concatenated
-        in motion order; joints index the first node of every piece but the
-        first.  F rises along the motion, so its ends are the clock's range.
-        The two tables share one breaks array."""
-        self.F_lo, self.F_hi = float(F[0]), float(F[-1])
-        if self.direction < 0:
-            x, v, dv, F = x[::-1], v[::-1], dv[::-1], F[::-1]
-            joints = x.size - joints[::-1]
+        """Tables over the node arrays (x, v, dv, F) of all pieces, in
+        ascending x; joints index the first node of every piece but the
+        first.  F rises along the motion, so its ends are the clock's range."""
+        _check_nodes(x, F, joints)
+        F_ends = (float(F[0]), float(F[-1]))
+        self.F_lo, self.F_hi = F_ends if self.direction > 0 else F_ends[::-1]
         # the node ending each ascending piece, and the first node
         bounds = np.concatenate(([0], joints - 1, [x.size - 1]))
         self.anchors = x[bounds]
         self.anchor_v = v[bounds]
         self.built_lo, self.built_hi = float(x[0]), float(x[-1])
-        self.v_spline = _hermite_ppoly(x, v, dv, joints)
-        self.F_spline = _hermite_ppoly(x, F, 1.0 / v, joints,
-                                       breaks=self.v_spline.x)
+        self.v_spline = CubicTable(x, v, dv, joints)
+        self.F_spline = CubicTable(x, F, v, joints, reciprocal=True)
 
     # ------------------------------------------------------------------
     def _extend(self, x, inside_law, zone_law, fill, *, primitive_side=False):
@@ -259,8 +255,10 @@ class IntervalField:
         x = np.asarray(x, dtype=float)
         lo, hi = ((self.F_lo, self.F_hi) if primitive_side
                   else (self.built_lo, self.built_hi))
-        out = np.full_like(x, fill)
         inside = (x >= lo) & (x <= hi)
+        if inside.all():
+            return inside_law(x)
+        out = np.full_like(x, fill)
         if np.any(inside):
             out[inside] = inside_law(x[inside])
         for zone in (self.zone_trail, self.zone_lead):
@@ -293,19 +291,19 @@ class IntervalField:
     def _F_inverse(self, u):
         """Solve F_spline(x) = u for u in [F_lo, F_hi].
 
-        The piece holding u is found from the clock's values at the
-        breakpoints; Newton then runs on that piece's cubic in its local
-        coordinate s = x - breakpoint, from the linear guess, clipped to the
-        piece.  It stops once every step is within a few ulps of the piece
+        The cell holding u is found from the clock's values at the nodes
+        and formed once; Newton then runs on its cubic in the local
+        coordinate s = x - (its left node), from the linear guess, clipped to
+        the cell.  It stops once every step is within a few ulps of the cell
         width, so F_spline(x) reproduces u to roundoff.
         """
-        c3, c2, c1, c0 = self.F_spline.c
-        xb = self.F_spline.x
+        table = self.F_spline
+        xn, clock = table.xn, table.yn[1:-1]
         sign = float(self.direction)
-        j = np.searchsorted(sign * c0, sign * u, side="right") - 1
-        j = np.clip(j, 0, c0.size - 1)
-        h = xb[j + 1] - xb[j]
-        a3, a2, a1, r0 = c3[j], c2[j], c1[j], c0[j] - u
+        p = np.searchsorted(clock if sign > 0 else -clock, sign * u, side="right")
+        h = xn[1:][p] - xn[p]
+        a3, a2, a1, r0 = table.cells(p)
+        r0 -= u
         s = np.clip(-r0 * h / (((a3 * h + a2) * h + a1) * h), 0.0, h)
         for _ in range(_NEWTON_MAX_STEPS):
             step = ((((a3 * s + a2) * s + a1) * s + r0)
@@ -313,7 +311,7 @@ class IntervalField:
             s = np.clip(s - step, 0.0, h)
             if np.all(np.abs(step) <= _NEWTON_TOL * h):
                 break
-        return xb[j] + s
+        return xn[p] + s
 
     def describe(self) -> dict:
         d = {
@@ -335,64 +333,97 @@ class IntervalField:
         return d
 
 
-_JUNCTION_TOL = 1e-9
 # Newton on one cubic piece converges quadratically from the linear guess
 # (2-4 steps in practice); the cap only bounds a pathological piece
 _NEWTON_MAX_STEPS = 16
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 
 
+def _check_nodes(x, F, joints):
+    """Raise ConstructionError unless both copies of x and of F at every
+    junction are bitwise equal and x rises strictly inside every piece."""
+    for a in (x, F):
+        off = np.flatnonzero(a[joints - 1] != a[joints])
+        if off.size:
+            k = joints[off[0]]
+            raise ConstructionError(f"piece junction mismatch: {a[k - 1]!r} vs {a[k]!r}")
+    rising = x[1:] > x[:-1]
+    rising[joints - 1] = True
+    if not rising.all():
+        raise ConstructionError("assembled breakpoints are not strictly increasing")
+
+
 class CubicTable:
-    """Piecewise cubic over ascending breaks x, in scipy's PPoly layout: c has
-    shape (4, x.size - 1), highest power first, and on [x[i], x[i+1]] the
-    value is sum_k c[k, i] (t - x[i])^(3 - k).
+    """Piecewise cubic Hermite table over a node table: abscissae xn
+    ascending, values yn, slopes dn (1.0 / dn when reciprocal).  joints index
+    the first node of every piece but the first, which repeats the abscissa
+    of the node before it with its own value and slope.  x and c, formed on
+    demand, are the table in scipy's PPoly layout: the breaks (one copy of
+    each junction) and the rows, shape (4, x.size - 1), highest power first.
 
     table(t, nu) repeats PPoly(c, x)(t, nu) operation for operation, so the
     value (nu = 0) and the slope (nu = 1) are bitwise scipy's.  The cell is
-    the i with x[i] <= t < x[i+1]; t == x[-1] and points beyond either end
-    take the end cells' cubics; NaN gives NaN.  The sum starts from 0.0 at
-    the constant term, with powers of s = t - x[i] built by repeated
-    multiplication and the slope's factors 2 and 3 applied last.  Like
-    PPoly, it raises no floating-point warning (an infinite t gives inf or
-    NaN silently).
+    the one whose nodes bound t, the later piece's at a junction; points
+    beyond either end take the end cells' cubics; NaN gives NaN.  The sum
+    starts from 0.0 at the constant term, with powers of s = t - xn[cell]
+    built by repeated multiplication and the slope's factors 2 and 3 applied
+    last.  Like PPoly, it raises no floating-point warning.
     """
 
-    __slots__ = ("x", "c", "_inner")
+    __slots__ = ("xn", "yn", "dn", "joints", "reciprocal", "_inner")
 
-    def __init__(self, c, x):
-        self.c = c
-        self.x = x
-        self._inner = x[1:-1]
+    def __init__(self, xn, yn, dn, joints, *, reciprocal=False):
+        self.xn, self.yn, self.dn = xn, yn, dn
+        self.joints, self.reciprocal = joints, reciprocal
+        self._inner = xn[1:-1]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The breaks: the nodes without the later copy of each junction."""
+        return np.delete(self.xn, self.joints)
+
+    @property
+    def c(self) -> np.ndarray:
+        return np.array(self.cells(
+            np.delete(np.arange(self.xn.size - 1), self.joints - 1)))
+
+    def cells(self, p):
+        """Fresh rows (c3, c2, c1, c0) of the cells whose left nodes are p,
+        formed from the node pairs in the order of operations of h = xr - xl,
+        m = (yr - yl)/h, c2 = ((3m - 2dl) - dr)/h, c3 = ((dl + dr) - 2m)/(h h);
+        once per run of equal p where runs average two entries or more."""
+        flat = np.ravel(p)
+        new = np.ones(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        shared = 2 * first.size <= flat.size
+        rows = self._form(flat[first] if shared else flat)
+        if shared:
+            rows = np.repeat(rows, np.diff(first, append=flat.size), axis=1)
+        return tuple(r.reshape(np.shape(p))[()] for r in rows)
+
+    def _form(self, p):
+        xn, yn, dn = self.xn, self.yn, self.dn
+        dl, dr = dn[p], dn[1:][p]
+        if self.reciprocal:
+            dl, dr = 1.0 / dl, 1.0 / dr
+        h = xn[1:][p] - xn[p]
+        yl = yn[p]
+        m = (yn[1:][p] - yl) / h
+        return ((dl + dr - 2.0 * m) / (h * h), (3.0 * m - 2.0 * dl - dr) / h,
+                dl, yl)
 
     def __call__(self, t, nu: int = 0):
         if nu not in (0, 1):
             raise InputError(f"CubicTable: derivative order {nu!r} is not 0 or 1")
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self._inner, t, side="right")
-        # fresh rows, so the sums are accumulated in place
-        c3, c2, c1, c0 = np.take(self.c, i, axis=1)
+        p = np.searchsorted(self._inner, t, side="right")
+        c3, c2, c1, c0 = self.cells(p)
         with np.errstate(invalid="ignore", over="ignore"):
-            s = t - self.x[i]
+            s = t - self.xn[p]
             if nu == 0:
-                c1 *= s
-                z = s * s
-                c2 *= z
-                z *= s
-                c3 *= z
-                c0 += 0.0
-                c0 += c1
-                c0 += c2
-                c0 += c3
-                return c0
-            c2 *= s
-            c2 *= 2.0
-            s *= s
-            c3 *= s
-            c3 *= 3.0
-            c1 += 0.0
-            c1 += c2
-            c1 += c3
-            return c1
+                return c0 + 0.0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+            return c1 + 0.0 + c2 * s * 2.0 + c3 * (s * s) * 3.0
 
     def cumulative(self) -> np.ndarray:
         """Integral of the table from x[0] to every break: the cells' exact
@@ -401,58 +432,6 @@ class CubicTable:
         c3, c2, c1, c0 = self.c
         cell = h * (c0 + h * (c1 / 2.0 + h * (c2 / 3.0 + h * (c3 / 4.0))))
         return np.concatenate(([0.0], np.cumsum(cell)))
-
-
-def _hermite_ppoly(x, y, d, joints, breaks=None) -> CubicTable:
-    """One cubic Hermite piecewise polynomial over many node segments.
-
-    x, y, d are the concatenated segments with x ascending; joints index the
-    first node of every segment but the first.  Adjacent segments share their
-    junction abscissa but may carry different one-sided derivatives there;
-    the earlier segment's copy of a junction is the breakpoint.  breaks,
-    when given, are those of an earlier table over the same x and joints,
-    already checked, and the new table shares them.
-
-    The coefficient rows are written into one (4, n) array, in the order of
-    operations of h = xr - xl, m = (yr - yl)/h, c2 = ((3m - 2dl) - dr)/h and
-    c3 = ((dl + dr) - 2m)/(h h), with three full-length temporaries
-    besides.
-    """
-    if breaks is None:
-        prev_end, start = x[joints - 1], x[joints]
-        off = np.abs(prev_end - start) > _JUNCTION_TOL * np.maximum(
-            1.0, np.abs(prev_end))
-        if np.any(off):
-            k = int(np.argmax(off))
-            raise ConstructionError(
-                f"piece junction mismatch: {prev_end[k]!r} vs {start[k]!r}")
-        breaks = np.delete(x, joints)
-        if not np.all(np.diff(breaks) > 0):
-            raise ConstructionError("assembled breakpoints are not strictly increasing")
-    # node pairs inside a segment; the pair across each junction is skipped
-    inner = np.ones(x.size - 1, dtype=bool)
-    inner[joints - 1] = False
-    c = np.empty((4, breaks.size - 1))
-    c3, c2, dl, yl = c
-    np.compress(inner, y[:-1], out=yl)
-    np.compress(inner, d[:-1], out=dl)
-    h = np.compress(inner, x[1:])
-    h -= np.compress(inner, x[:-1])
-    m = np.compress(inner, y[1:])
-    m -= yl
-    m /= h
-    dr = np.compress(inner, d[1:])
-    np.multiply(dl, 2.0, out=c3)
-    np.multiply(m, 3.0, out=c2)
-    c2 -= c3
-    c2 -= dr
-    c2 /= h
-    np.add(dl, dr, out=c3)
-    m *= 2.0
-    c3 -= m
-    h *= h
-    c3 /= h
-    return CubicTable(c, breaks)
 
 
 # ======================================================================
@@ -480,9 +459,9 @@ class _March:
     applies the map, False its inverse; clip = (lo, hi) bounds where the
     applied map is defined; stop_at is the free end that completes the march
     (None toward a fixed end).  After marching, interval_nodes holds the
-    node tables of its interval in motion order, nodes the view of them
-    that is its own pieces (the deepest piece first when backward), sizes
-    their node counts, one piece per depth, and reason the stop reason.
+    node tables of its interval in ascending x, nodes views of its own pieces
+    in motion order (the deepest piece first when backward), sizes their
+    node counts, one piece per depth, and reason the stop reason.
     """
 
     def __init__(self, seed_arrays, *, forward, clip, stop_at, motion_sign,
@@ -492,12 +471,13 @@ class _March:
         self.clip = clip
         self.stop_at = stop_at
         self.reach_sign = motion_sign if forward else -motion_sign
+        self.ascending = motion_sign > 0
         self.min_step = min_step
         self.tol_reach = 1e-12 * width
         self.name = (f"interval ({interval[0]:.6g}, {interval[1]:.6g}), "
                      f"{'forward' if forward else 'backward'} march")
         self.reason = "max-steps"
-        self.interval_nodes = seed_arrays
+        self.interval_nodes = None
         self.nodes = tuple(np.empty(0) for _ in range(4))
         self.sizes = np.empty(0, dtype=int)
 
@@ -758,7 +738,7 @@ def _march_lockstep(T, marches, cfg: BuildConfig):
 
 
 # rows of recorded rounds per chunk
-_ROUND_CHUNK = 2 ** 16
+_ROUND_CHUNK = 2 ** 15
 
 
 class _Rounds:
@@ -787,61 +767,78 @@ class _Rounds:
         self.filled[-1] = at + n
         self.pieces.append((layout.ids, layout.sizes))
 
-    def release(self, col) -> list:
-        """Column col of every round, in order, as views of its chunks,
-        which the rounds no longer hold."""
-        chunks = self.columns[col]
-        out = [a[:n] for a, n in zip(chunks, self.filled)]
-        chunks.clear()
-        return out
+    def release(self, col):
+        """Column col of every round, in order, chunk by chunk, each let go."""
+        chunks = self.columns[col][::-1]
+        self.columns[col].clear()
+        for n in self.filled:
+            yield chunks.pop()[:n]
 
 
 def _gather_pieces(marches, rounds: _Rounds):
     """Set each march's nodes and piece sizes from the recorded rounds.
 
     The marches of one interval share its seed piece, and their nodes go
-    into the interval's one set of tables (x, v, dv, F) in motion order:
-    the backward pieces deepest first, the seed, the forward pieces.  Each
-    march holds those tables as interval_nodes, and its nodes are views into
-    them.  The rounds are gathered a column at a time, and each recorded
-    column is released once gathered.
+    into the interval's one set of tables (x, v, dv, F) in ascending x: in
+    motion order the backward pieces deepest first, the seed, the forward
+    pieces, read backward when the interval moves down.  Each march holds
+    those tables as interval_nodes, and its nodes are views of them.  All
+    tables are slices of one array per column, into which each recorded
+    chunk, then each seed, is scattered and released, so the gather holds
+    the rounds and one column.
     """
     if not marches:
         return
     empty = np.empty(0, dtype=int)
     ids = np.concatenate([p[0] for p in rounds.pieces] + [empty])
-    sizes = np.concatenate([p[1] for p in rounds.pieces] + [empty])
-    starts = np.cumsum(sizes) - sizes
-    # per interval, by seed: runs (first row, rows) of the backward pieces,
-    # the seed and the forward pieces; the seeds' rows follow the rounds'
-    seeds, runs, end = {}, {}, int(sizes.sum())
+    count = np.concatenate([p[1] for p in rounds.pieces] + [empty])
+    # per interval, by seed: a march, and its backward and forward pieces
+    intervals = {}
     for i, m in enumerate(marches):
         own = np.flatnonzero(ids == i)
         if not m.forward:
             own = own[::-1]
-        m.sizes = sizes[own]
-        key = id(m.seed)
-        if key not in seeds:
-            seeds[key] = m.seed
-            runs[key] = [[], [(end, m.seed[0].size)], []]
-            end += m.seed[0].size
-        runs[key][2 if m.forward else 0] = list(zip(starts[own], m.sizes))
-    index = {}
-    for key, (back, seed, fwd) in runs.items():
-        first, n = np.array(back + seed + fwd, dtype=int).T
-        index[key] = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
-    tables = {key: [] for key in seeds}
+        m.sizes = count[own]
+        intervals.setdefault(id(m.seed), [m, empty, empty])[1 + m.forward] = own
+    # per run of source rows, the recorded pieces and then the seeds: its
+    # rows, and base and step such that its source row r goes to table row
+    # base + step r
+    n_pieces = ids.size
+    del ids                 # the scatter keeps only what it reads
+    count = np.concatenate((count, [m.seed[0].size for m, _, _ in intervals.values()]))
+    first = np.cumsum(count) - count
+    base, step = np.empty_like(count), np.empty(count.size, dtype=np.int8)
+    spans, at = {}, 0
+    for k, (key, (m, back, fwd)) in enumerate(intervals.items()):
+        runs = np.concatenate((back, [n_pieces + k], fwd))    # in motion order
+        n = count[runs]
+        total = int(n.sum())
+        pos = np.cumsum(n) - n
+        sign = 1 if m.ascending else -1
+        base[runs] = (at + pos if sign > 0 else at + total - 1 - pos) - sign * first[runs]
+        step[runs] = sign
+        spans[key], at = (at, total), at + total
+    columns = []
     for col in range(4):
-        src = np.concatenate(rounds.release(col)
-                             + [seed[col] for seed in seeds.values()])
-        for key, idx in index.items():
-            tables[key].append(src[idx])
-        del src
+        out = np.empty(at)
+        r0 = k0 = 0
+        for block in itertools.chain(rounds.release(col),
+                                     (m.seed[col] for m, _, _ in intervals.values())):
+            r1 = r0 + block.size
+            k1 = int(np.searchsorted(first, r1))
+            rows = np.arange(r0, r1)
+            rows *= np.repeat(step[k0:k1], count[k0:k1])
+            rows += np.repeat(base[k0:k1], count[k0:k1])
+            out[rows] = block
+            r0, k0 = r1, k1
+        columns.append(out)
     for m in marches:
-        m.interval_nodes = t = tuple(tables[id(m.seed)])
+        lo, total = spans[id(m.seed)]
+        m.interval_nodes = t = tuple(a[lo:lo + total] for a in columns)
+        motion = t if m.ascending else tuple(a[::-1] for a in t)
         n = int(m.sizes.sum())
-        lo = t[0].size - n if m.forward else 0
-        m.nodes = tuple(a[lo:lo + n] for a in t)
+        lo = total - n if m.forward else 0
+        m.nodes = tuple(a[lo:lo + n] for a in motion)
 
 
 # ======================================================================
@@ -949,9 +946,12 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
         zone_trail = _truncation_zone("trail", s.trail, bwd, s.itv, indeterminate,
                                       width, warnings)
 
-    # motion order: backward pieces deepest first, the seed, forward pieces
+    # motion order: backward pieces deepest first, the seed, forward pieces;
+    # the node tables run in ascending x
     sizes = np.concatenate([m.sizes for m in before]
                            + [[s.seed_piece[0].size], fwd.sizes])
+    if s.itv.direction < 0:
+        sizes = sizes[::-1]
     return IntervalField(lo=s.itv.lo, hi=s.itv.hi, direction=s.itv.direction,
                          x0=s.x0, seed=s.seed, seed_interval=(s.x0, s.x1),
                          time_scale=s.tau, nodes=fwd.interval_nodes,
@@ -1123,13 +1123,8 @@ def build_velocity(m0: Measure1D | None = None, m1: Measure1D | None = None, *,
     _march_lockstep(T, [m for s in seeded if isinstance(s, _SeededInterval)
                         for m in (s.forward, s.backward) if m is not None],
                     config)
-    # each interval's node tables go as soon as its field is assembled
-    fields = []
-    seeded.reverse()
-    while seeded:
-        s = seeded.pop()
-        fields.append(_finish_interval(s, partition.indeterminate, width)
-                      if isinstance(s, _SeededInterval) else s)
+    fields = [_finish_interval(s, partition.indeterminate, width)
+              if isinstance(s, _SeededInterval) else s for s in seeded]
     return VelocityField1D(T, partition, fields, config)
 
 

@@ -323,7 +323,7 @@ class TestVerifyTransport:
 def _quad_segment_time(pp, a, b):
     """Reference for flow._segment_time: one adaptive quad of 1/|pp| per
     polynomial piece, in the piece's local coordinate."""
-    xs = pp.x
+    xs, c = pp.x, pp.c
     j0 = max(int(np.searchsorted(xs, a, side="right")) - 1, 0)
     j1 = min(int(np.searchsorted(xs, b, side="left")), xs.size - 1)
     total = 0.0
@@ -331,7 +331,7 @@ def _quad_segment_time(pp, a, b):
         lo, hi = max(a, float(xs[j])), min(b, float(xs[j + 1]))
         if not hi > lo:
             continue
-        c3, c2, c1, c0 = (float(pp.c[k, j]) for k in range(4))
+        c3, c2, c1, c0 = (float(c[k, j]) for k in range(4))
         val, _ = quad(lambda s: 1.0 / abs(((c3 * s + c2) * s + c1) * s + c0),
                       lo - float(xs[j]), hi - float(xs[j]),
                       epsabs=1e-14, epsrel=1e-14, limit=200)

@@ -745,8 +745,12 @@ def _reference_hermite_ppoly(segments):
     return np.concatenate(breaks), np.vstack((c3, c2, dl, yl))
 
 
+def _segments(x, y, d, joints):
+    return list(zip(*(np.split(a, joints) for a in (x, y, d))))
+
+
 def test_hermite_assembly_matches_segment_loop():
-    from otflow.velocity import _hermite_ppoly
+    from otflow.velocity import CubicTable, _check_nodes
     rng = np.random.default_rng(3)
     cuts = np.cumsum(rng.uniform(0.1, 1.0, 40))
     segments = []
@@ -755,13 +759,15 @@ def test_hermite_assembly_matches_segment_loop():
         segments.append((x, rng.normal(size=n), rng.normal(size=n)))
     joints = np.cumsum([seg[0].size for seg in segments[:-1]])
     flat = [np.concatenate(a) for a in zip(*segments)]
-    pp = _hermite_ppoly(*flat, joints)
+    pp = CubicTable(*flat, joints)
     bx, c = _reference_hermite_ppoly(segments)
     assert pp.x.tobytes() == bx.tobytes() and pp.c.tobytes() == c.tobytes()
+    # the abscissae serve as a clock that is equal at every joint
+    _check_nodes(flat[0], flat[0], joints)
     x = flat[0].copy()
     x[joints[4]:joints[5]] += 1e-3      # the sixth segment moves off its joint
     with pytest.raises(ConstructionError, match="junction mismatch"):
-        _hermite_ppoly(x, *flat[1:], joints)
+        _check_nodes(x, flat[0], joints)
 
 
 def test_boundary_hermite_matches_scipy_spline():
@@ -814,12 +820,13 @@ def _same_bits(a, b):
 
 @given(hermite_segments())
 def test_cubic_table_matches_scipy_ppoly(segments):
-    # scipy's PPoly is the reference for the in-repo table's arithmetic
+    # scipy's PPoly over the segment loop's rows is the reference for the
+    # cells the node table forms where they are read
     from scipy.interpolate import PPoly
-    from otflow.velocity import _hermite_ppoly
-    table = _hermite_ppoly(*segments)
-    ref = PPoly(table.c, table.x)
-    x = table.x
+    from otflow.velocity import CubicTable
+    table = CubicTable(*segments)
+    x, c = _reference_hermite_ppoly(_segments(*segments))
+    ref = PPoly(c, x)
     width = max(x[-1] - x[0], 1.0)
     cells = x[:-1, None] + np.diff(x)[:, None] * np.array([0.25, 0.5, 0.75])
     beyond = np.array([1e-3, 1.0, 10.0]) * width
@@ -833,45 +840,108 @@ def test_cubic_table_matches_scipy_ppoly(segments):
     # values: a cell's terms can cancel to a zero integral
     want = ref.antiderivative()(x)
     got = table.cumulative()
-    scale = PPoly(np.abs(table.c), x).antiderivative()(x)
+    scale = PPoly(np.abs(c), x).antiderivative()(x)
     assert got.shape == want.shape and got[0] == 0.0
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @given(hermite_segments())
 def test_hermite_rows_in_place_match_segment_loop(segments):
-    # the rows written in place, alone or over shared breaks, keep the bits
-    # of the per-segment form, one-sided joint slopes included
-    from otflow.velocity import _hermite_ppoly
+    # the rows formed on demand, alone, over the same nodes, or from
+    # reciprocal slopes, keep the bits of the per-segment form, one-sided
+    # joint slopes included
+    from otflow.velocity import CubicTable
     x, y, d, joints = segments
-    table = _hermite_ppoly(x, y, d, joints)
-    shared = _hermite_ppoly(x, 2.0 * y, d[::-1].copy(), joints, breaks=table.x)
-    for got, data in ((table, (x, y, d)), (shared, (x, 2.0 * y, d[::-1]))):
-        bx, c = _reference_hermite_ppoly(
-            list(zip(*(np.split(a, joints) for a in data))))
+    d = np.where(d == 0.0, 1.0, d)
+    table = CubicTable(x, y, d, joints)
+    shared = CubicTable(x, 2.0 * y, d[::-1].copy(), joints)
+    clock = CubicTable(x, y, d, joints, reciprocal=True)
+    for got, data in ((table, (x, y, d)), (shared, (x, 2.0 * y, d[::-1])),
+                      (clock, (x, y, 1.0 / d))):
+        bx, c = _reference_hermite_ppoly(_segments(*data, joints))
         assert got.x.tobytes() == bx.tobytes()
         assert _same_bits(got.c, c)
-    assert shared.x is table.x
+        p = np.delete(np.arange(x.size - 1), joints - 1)
+        assert all(_same_bits(a, b) for a, b in zip(got.cells(p), c))
+    assert shared.xn is table.xn
 
 
 def test_build_holds_each_node_table_once(peak_traced):
-    """An accumulating-cinf build (527,770 breaks) peaks at most 1.2 times
-    the memory its field keeps, and each interval's two tables share one
-    breaks array."""
+    """An accumulating-cinf build (527,770 breaks) keeps its four node
+    columns, the piece anchors and the joints, at most 36 bytes a node,
+    and peaks at most 1.4 times that; both tables of each interval read one
+    node table."""
     ex = get_example("accumulating-cinf")
     with warnings.catch_warnings(), peak_traced() as mem:
         warnings.simplefilter("ignore")
         field = ex.build()
-    assert mem.peak <= 1.2 * mem.held, (mem.peak, mem.held)
+    nodes = sum(f.v_spline.xn.size for f in field.built_intervals)
+    assert mem.held <= 36 * nodes, (mem.held, nodes)
+    assert mem.peak <= 1.4 * mem.held, (mem.peak, mem.held)
     for f in field.built_intervals:
-        assert f.F_spline.x is f.v_spline.x
+        v, F = f.v_spline, f.F_spline
+        assert F.xn is v.xn and F.dn is v.yn and F.joints is v.joints
+        assert F.reciprocal and not v.reciprocal
 
 
 def test_cubic_table_rejects_higher_derivatives():
     from otflow.velocity import CubicTable
-    table = CubicTable(np.ones((4, 1)), np.array([0.0, 1.0]))
+    table = CubicTable(np.array([0.0, 1.0]), np.ones(2), np.ones(2),
+                       np.empty(0, dtype=int))
     with pytest.raises(InputError, match="derivative order"):
         table(0.5, 2)
+
+
+@given(pl_densities(), pl_densities())
+def test_node_tables_match_segment_loop(m0, m1):
+    """On random pairs no build fails at a junction: both copies of x and
+    of F are bitwise equal at every joint, and each table's value, slope
+    and integral are bitwise those of the tables the per-segment loop
+    assembles from the same nodes."""
+    from scipy.interpolate import PPoly
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = build_velocity(m0, m1)
+    except TransportError as e:
+        assert "junction mismatch" not in str(e)
+        return
+    for f in field.built_intervals:
+        x, j = f.v_spline.xn, f.v_spline.joints
+        F = f.F_spline.yn
+        assert x[j - 1].tobytes() == x[j].tobytes()
+        assert F[j - 1].tobytes() == F[j].tobytes()
+        for table, d in ((f.v_spline, f.v_spline.dn), (f.F_spline, 1.0 / f.v_spline.yn)):
+            bx, c = _reference_hermite_ppoly(_segments(x, table.yn, d, j))
+            ref = PPoly(c, bx)
+            xq = np.concatenate((x, 0.5 * (bx[:-1] + bx[1:])))
+            for nu in (0, 1):
+                assert _same_bits(table(xq, nu), ref(xq, nu))
+            h = np.diff(bx)
+            c3, c2, c1, c0 = c
+            cell = h * (c0 + h * (c1 / 2.0 + h * (c2 / 3.0 + h * (c3 / 4.0))))
+            want = np.concatenate(([0.0], np.cumsum(cell)))
+            assert table.cumulative().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("column", ["x", "F"])
+def test_junction_copies_must_match(column):
+    """A joint whose two copies of x or of F differ by one ulp raises."""
+    from otflow.velocity import IntervalField
+    (f,) = build_velocity(Uniform(0.0, 1.0), Uniform(2.0, 3.0)).built_intervals
+    v = f.v_spline
+    nodes = [a.copy() for a in (v.xn, v.yn, v.dn, f.F_spline.yn)]
+    kw = dict(lo=f.lo, hi=f.hi, direction=f.direction, x0=f.x0, seed=f.seed,
+              seed_interval=f.seed_interval, time_scale=f.time_scale,
+              joints=v.joints, depth_forward=f.depth_forward,
+              depth_backward=f.depth_backward, zone_trail=None, zone_lead=None,
+              warnings=())
+    IntervalField(nodes=nodes, **kw)
+    a = nodes[0 if column == "x" else 3]
+    k = v.joints[v.joints.size // 2]
+    a[k] = np.nextafter(a[k], np.inf)
+    with pytest.raises(ConstructionError, match="junction mismatch"):
+        IntervalField(nodes=nodes, **kw)
 
 
 def _argsort_dispatch(field, x, per_interval, fill=0.0, unbuilt=None):

@@ -1,0 +1,122 @@
+"""Memory and flow cost of the paper-examples workload, phase by phase.
+
+Run from anywhere:
+
+    python3 tools/field_cost.py
+
+The program and the benchmark's instances (run seed 0) are imported from
+``src/`` and ``perfbench/`` of the checkout the script sits in, so the same
+script measures any two checkouts alike.  About 25 s on one core of a
+2-vCPU VM.
+
+Memory: every paper-examples instance runs once, in the benchmark's order
+and phases, under tracemalloc.  For a registry example the script prints,
+in MiB, the build's peak and what the built field holds after it, the
+peaks of the verify, flow and check phases above what was held before
+each, and the process's ru_maxrss after the instance; for a pathology
+variant, the peak of its whole solve.  tracemalloc slows every allocation
+and its own tables count in ru_maxrss, so these figures size memory and do
+not time anything.
+
+Flow: with tracing off, each registry field flows the benchmark's
+100,000-point cloud at t = 1 and t = 0.5, and the script prints the best
+of nine such pairs of queries, in ms, per field and in total.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import sys
+import time
+import tracemalloc
+from contextlib import nullcontext
+from types import SimpleNamespace
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from perfbench import workloads as W  # noqa: E402
+
+MIB = 2.0 ** 20
+FLOW_REPEATS = 9
+# the tracer interface an instance calls, recording nothing
+UNTRACED = SimpleNamespace(span=lambda name: nullcontext())
+
+
+def _rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+class _Phase:
+    """tracemalloc peak of a block above what was held when it began."""
+
+    def __enter__(self):
+        self.start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return self
+
+    def __exit__(self, *exc):
+        current, peak = tracemalloc.get_traced_memory()
+        self.peak = (peak - self.start) / MIB
+        self.held = (current - self.start) / MIB
+
+
+def memory(instances) -> None:
+    print("memory, MiB: build peak / held, verify, flow and check peaks; "
+          "ru_maxrss after the instance")
+    tracemalloc.start()
+    for inst in instances:
+        if isinstance(inst, W.RegistryInstance):
+            ex = inst.example
+            with _Phase() as build:
+                fld = W.quiet(ex.build)
+            with _Phase() as verify:
+                W.quiet(W.lib.flow.verify_transport, fld, ex.m0, ex.m1)
+            xs = W._field_cloud(fld, inst.u)
+            with _Phase() as flow:
+                flows = {t: W.quiet(W.lib.flow.flow, fld, t, xs) for t in (1.0, 0.5)}
+            with _Phase() as check:
+                W._oracle_disagreements(ex, fld, xs, flows)
+            del fld, flows
+            print(f"  {inst.name:<20} build {build.peak:7.2f} / {build.held:6.2f}"
+                  f"  verify {verify.peak:6.2f}  flow {flow.peak:6.2f}"
+                  f"  check {check.peak:6.2f}  rss {_rss_mib():7.1f}", flush=True)
+        else:
+            with _Phase() as solve:
+                inst.run(UNTRACED)
+            print(f"  {inst.name:<20} solve {solve.peak:7.2f}"
+                  f"  rss {_rss_mib():7.1f}", flush=True)
+    tracemalloc.stop()
+
+
+def flow_times(instances) -> None:
+    print(f"flow, ms: best of {FLOW_REPEATS} of t = 1 and t = 0.5 on the "
+          "100,000-point cloud")
+    total = 0.0
+    for inst in instances:
+        if not isinstance(inst, W.RegistryInstance):
+            continue
+        fld = W.quiet(inst.example.build)
+        xs = W._field_cloud(fld, inst.u)
+        best = float("inf")
+        for _ in range(FLOW_REPEATS):
+            t0 = time.perf_counter()
+            W.quiet(W.lib.flow.flow, fld, 1.0, xs)
+            W.quiet(W.lib.flow.flow, fld, 0.5, xs)
+            best = min(best, time.perf_counter() - t0)
+        del fld
+        total += best
+        print(f"  {inst.name:<20} {1e3 * best:8.2f}", flush=True)
+    print(f"  {'total':<20} {1e3 * total:8.2f}")
+
+
+def main() -> int:
+    instances = W.make_inputs("paper-examples", 0)
+    memory(instances)
+    flow_times(instances)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
