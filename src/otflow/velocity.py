@@ -28,7 +28,9 @@ Construction, per moving interval of the map's fixed point partition:
      at the nodes.  Its table reads the same nodes, with slopes 1/v.  F is
      the interval's one clock: the flow phi(t, x) = F^(-1)(F(x) + t) inverts
      the F table itself by Newton inside its piece, so phi is a group to
-     roundoff and the flow's semigroup check guards that inversion.
+     roundoff and the flow's semigroup check guards that inversion.  Lookups
+     and the inversion work in blocks of _BLOCK points; the Newton state and
+     its stop rule cover the whole query, so the result is that of one pass.
 
 Marching is lockstep: the build seeds every moving interval first, then
 advances all of their marches (forward, and backward toward a fixed trailing
@@ -292,26 +294,44 @@ class IntervalField:
         """Solve F_spline(x) = u for u in [F_lo, F_hi].
 
         The cell holding u is found from the clock's values at the nodes
-        and formed once; Newton then runs on its cubic in the local
-        coordinate s = x - (its left node), from the linear guess, clipped to
-        the cell.  It stops once every step is within a few ulps of the cell
-        width, so F_spline(x) reproduces u to roundoff.
+        (a reversed view of them when the interval moves down) and formed
+        once; Newton then runs on its cubic in the local coordinate
+        s = x - (its left node), from the linear guess, clipped to the cell.
+        It stops once every step is within a few ulps of the cell width, so
+        F_spline(x) reproduces u to roundoff.  The state (cell, rows, s)
+        covers the whole query and the arithmetic runs in blocks; only a
+        sweep in which every block converged ends the loop, so each point
+        takes the same steps as in one pass, bitwise.
         """
         table = self.F_spline
         xn, clock = table.xn, table.yn[1:-1]
-        sign = float(self.direction)
-        p = np.searchsorted(clock if sign > 0 else -clock, sign * u, side="right")
-        h = xn[1:][p] - xn[p]
-        a3, a2, a1, r0 = table.cells(p)
-        r0 -= u
-        s = np.clip(-r0 * h / (((a3 * h + a2) * h + a1) * h), 0.0, h)
+        shape, u = np.shape(u), np.ravel(u)
+        if self.direction > 0:
+            p = np.searchsorted(clock, u, side="right")
+        else:
+            p = clock.size - np.searchsorted(clock[::-1], u, side="left")
+        h, a3, a2, a1, r0, s = (np.empty(u.size) for _ in range(6))
+        blocks = _blocks(u.size)
+        for b in blocks:
+            pb, hb = p[b], h[b]
+            hb[:] = xn[1:][pb] - xn[pb]
+            a3[b], a2[b], a1[b], r0[b] = table.cells(pb)
+            r0[b] -= u[b]
+            np.clip(-r0[b] * hb / (((a3[b] * hb + a2[b]) * hb + a1[b]) * hb),
+                    0.0, hb, out=s[b])
         for _ in range(_NEWTON_MAX_STEPS):
-            step = ((((a3 * s + a2) * s + a1) * s + r0)
-                    / ((3.0 * a3 * s + 2.0 * a2) * s + a1))
-            s = np.clip(s - step, 0.0, h)
-            if np.all(np.abs(step) <= _NEWTON_TOL * h):
+            done = True
+            for b in blocks:
+                sb = s[b]
+                step = ((((a3[b] * sb + a2[b]) * sb + a1[b]) * sb + r0[b])
+                        / ((3.0 * a3[b] * sb + 2.0 * a2[b]) * sb + a1[b]))
+                np.clip(sb - step, 0.0, h[b], out=sb)
+                done = done and bool(np.all(np.abs(step) <= _NEWTON_TOL * h[b]))
+            if done:
                 break
-        return xn[p] + s
+        for b in blocks:
+            s[b] += xn[p[b]]
+        return s.reshape(shape)[()]
 
     def describe(self) -> dict:
         d = {
@@ -337,6 +357,14 @@ class IntervalField:
 # (2-4 steps in practice); the cap only bounds a pathological piece
 _NEWTON_MAX_STEPS = 16
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
+# points per block of a table lookup or a clock inversion: the temporaries
+# stay a block long whatever the query's size, and no result depends on it
+_BLOCK = 2 ** 13
+
+
+def _blocks(n):
+    """Slices of _BLOCK consecutive entries that cover range(n)."""
+    return [slice(b, b + _BLOCK) for b in range(0, n, _BLOCK)]
 
 
 def _check_nodes(x, F, joints):
@@ -361,13 +389,14 @@ class CubicTable:
     demand, are the table in scipy's PPoly layout: the breaks (one copy of
     each junction) and the rows, shape (4, x.size - 1), highest power first.
 
-    table(t, nu) repeats PPoly(c, x)(t, nu) operation for operation, so the
-    value (nu = 0) and the slope (nu = 1) are bitwise scipy's.  The cell is
-    the one whose nodes bound t, the later piece's at a junction; points
-    beyond either end take the end cells' cubics; NaN gives NaN.  The sum
-    starts from 0.0 at the constant term, with powers of s = t - xn[cell]
-    built by repeated multiplication and the slope's factors 2 and 3 applied
-    last.  Like PPoly, it raises no floating-point warning.
+    table(t, nu) repeats PPoly(c, x)(t, nu) operation for operation, _BLOCK
+    points at a time, so the value (nu = 0) and the slope (nu = 1) are
+    bitwise scipy's.  The cell is the one whose nodes bound t, the later
+    piece's at a junction; points beyond either end take the end cells'
+    cubics; NaN gives NaN.  The sum starts from 0.0 at the constant term,
+    with powers of s = t - xn[cell] built by repeated multiplication and the
+    slope's factors 2 and 3 applied last.  Like PPoly, it raises no
+    floating-point warning.
     """
 
     __slots__ = ("xn", "yn", "dn", "joints", "reciprocal", "_inner")
@@ -417,13 +446,16 @@ class CubicTable:
         if nu not in (0, 1):
             raise InputError(f"CubicTable: derivative order {nu!r} is not 0 or 1")
         t = np.asarray(t, dtype=float)
-        p = np.searchsorted(self._inner, t, side="right")
-        c3, c2, c1, c0 = self.cells(p)
-        with np.errstate(invalid="ignore", over="ignore"):
-            s = t - self.xn[p]
-            if nu == 0:
-                return c0 + 0.0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-            return c1 + 0.0 + c2 * s * 2.0 + c3 * (s * s) * 3.0
+        flat = t.ravel()
+        out = np.empty(flat.shape)
+        for b in _blocks(flat.size):
+            p = np.searchsorted(self._inner, flat[b], side="right")
+            c3, c2, c1, c0 = self.cells(p)
+            with np.errstate(invalid="ignore", over="ignore"):
+                s = flat[b] - self.xn[p]
+                out[b] = (c0 + 0.0 + c1 * s + c2 * (s * s) + c3 * (s * s * s) if nu == 0
+                          else c1 + 0.0 + c2 * s * 2.0 + c3 * (s * s) * 3.0)
+        return out.reshape(t.shape)[()]
 
     def cumulative(self) -> np.ndarray:
         """Integral of the table from x[0] to every break: the cells' exact
@@ -1013,7 +1045,7 @@ class VelocityField1D:
         field owns.  Other points get fill (None keeps the point itself);
         points of unbuilt intervals get unbuilt unless it is None.
 
-        Each field sees its points in ascending order, which its table
+        Each field sees its slice of the sorted points, which its table
         lookups need to run fast.  The sort need not be stable: per_interval
         acts elementwise, so the order of tied points changes no value."""
         x = np.asarray(x, dtype=float)
@@ -1029,8 +1061,7 @@ class VelocityField1D:
             i0 = int(np.searchsorted(sx, f.lo, side="left"))
             i1 = int(np.searchsorted(sx, f.hi, side="right"))
             if i1 > i0:
-                idx = order[i0:i1]
-                out[idx] = unbuilt if is_unbuilt else per_interval(f, flat[idx])
+                out[order[i0:i1]] = unbuilt if is_unbuilt else per_interval(f, sx[i0:i1])
         if scalar:
             return float(out[0])
         return out.reshape(np.shape(x))

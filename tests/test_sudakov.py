@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import otflow.velocity
 from otflow.errors import (InputError, MeasureSpecError,
                            UnsupportedDecompositionError)
 from otflow.measures import Gaussian, Uniform
@@ -246,6 +247,34 @@ class TestRadialExpansion:
         _, _, rep = radial_disks
         assert rep.radial_rearrangement_rel_max is not None
         assert rep.radial_rearrangement_rel_max <= 1e-6
+
+
+class TestBoundedMemory:
+    """The 1-D flow under verify_nd runs in blocks, and the check keeps one
+    copy of each sample cloud."""
+
+    def test_block_size_changes_no_bit(self, radial_disks, monkeypatch):
+        _, field_nd, _ = radial_disks
+        pts = field_nd.family.m0.sample(3000, np.random.default_rng(13))
+
+        def run():
+            rep = verify_nd(field_nd, n_samples=3000, n_rays=16)
+            return (json.dumps(rep.to_dict(), sort_keys=True),
+                    field_nd.flow(1.0, pts).tobytes(),
+                    field_nd.flow(0.5, pts).tobytes())
+
+        want = run()
+        monkeypatch.setattr(otflow.velocity, "_BLOCK", 7)
+        assert run() == want
+
+    def test_verify_peak_memory(self, radial_disks, peak_traced):
+        """At its default 100,000 samples the check on the disks peaks at
+        most at 14 MiB."""
+        _, field_nd, _ = radial_disks
+        with warnings.catch_warnings(), peak_traced() as mem:
+            warnings.simplefilter("ignore")
+            verify_nd(field_nd)
+        assert mem.peak <= 14 * 2 ** 20, mem.peak / 2 ** 20
 
 
 class TestRadialBallsInThree:

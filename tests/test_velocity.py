@@ -1001,3 +1001,54 @@ def test_dispatch_equals_stable_argsort(name, request):
             want = _argsort_dispatch(field, pts, law, fill=fill, unbuilt=unbuilt)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.shape(got) == np.shape(want)
+
+
+def test_clock_inverse_blocks_share_one_newton_loop(affine_built, monkeypatch):
+    """A query whose first block converges sweeps before its second gets
+    the same bits in blocks of 7 as in one block: every block keeps
+    stepping until the whole query has converged."""
+    f = affine_built[1].built_intervals[0]
+    # the clock values of the last orbit step; some points, solved alone,
+    # stop sweeps before the query does and end on other bits
+    u = np.random.default_rng(5).uniform(f.F_hi - 1.0, f.F_hi, 3000)
+    alone = np.array([f._F_inverse(u[i:i + 1])[0] for i in range(u.size)])
+    early = u[alone != f._F_inverse(u)][:7]
+    assert early.size == 7
+    first = f._F_inverse(early)
+    # a point that keeps a query of the early ones stepping past them
+    late = next(q for q in u
+                if not np.array_equal(f._F_inverse(np.append(early, q))[:7], first))
+    u = np.append(early, late)
+    want = f._F_inverse(u)
+    monkeypatch.setattr(otflow.velocity, "_BLOCK", 7)
+    assert want.tobytes() == f._F_inverse(u).tobytes()
+
+
+@pytest.mark.parametrize("name", ["affine_built", "accumulating_cinf_built"])
+def test_block_size_changes_no_bit(name, request, monkeypatch):
+    """Flows at t = 1 and 0.5, the field and its slope, in blocks of 7
+    points, are bitwise those of the default blocks."""
+    from otflow.flow import flow
+    field = request.getfixturevalue(name)[1]
+    lo, hi = field.domain
+    xs = np.random.default_rng(11).uniform(lo, hi, 3000)
+
+    def run():
+        return [flow(field, 1.0, xs), flow(field, 0.5, xs),
+                field.evaluate(xs), field.derivative(xs)]
+
+    want = run()
+    monkeypatch.setattr(otflow.velocity, "_BLOCK", 7)
+    assert all(_same_bits(a, b) for a, b in zip(run(), want))
+
+
+def test_flow_peak_memory_per_point(affine_built, peak_traced):
+    """A 100,000-point flow holds its Newton state and a block of
+    temporaries: at most 48 bytes a point at its peak."""
+    from otflow.flow import flow
+    field = affine_built[1]
+    lo, hi = field.domain
+    xs = np.random.default_rng(3).uniform(lo, hi, 100_000)
+    with peak_traced() as mem:
+        flow(field, 1.0, xs)
+    assert mem.peak <= 48 * xs.size, mem.peak / xs.size

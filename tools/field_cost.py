@@ -1,4 +1,5 @@
-"""Memory and flow cost of the paper-examples workload, phase by phase.
+"""Memory and flow cost of the sudakov and paper-examples workloads, phase
+by phase.
 
 Run from anywhere:
 
@@ -6,10 +7,17 @@ Run from anywhere:
 
 The program and the benchmark's instances (run seed 0) are imported from
 ``src/`` and ``perfbench/`` of the checkout the script sits in, so the same
-script measures any two checkouts alike.  About 25 s on one core of a
+script measures any two checkouts alike.  About 30 s on one core of a
 2-vCPU VM.
 
-Memory: every paper-examples instance runs once, in the benchmark's order
+sudakov runs first, so its ru_maxrss figures read that workload alone:
+each pair is decomposed and its field assembled, then, under tracemalloc,
+the script prints the peaks of verify_nd (at the benchmark's settings) and
+of the field's flow of the benchmark's 50,000-point cloud at t = 1, in MiB,
+and ru_maxrss after the instance; a pair whose construction raises prints
+the error's name.
+
+paper-examples memory: every instance runs once, in the benchmark's order
 and phases, under tracemalloc.  For a registry example the script prints,
 in MiB, the build's peak and what the built field holds after it, the
 peaks of the verify, flow and check phases above what was held before
@@ -18,9 +26,9 @@ variant, the peak of its whole solve.  tracemalloc slows every allocation
 and its own tables count in ru_maxrss, so these figures size memory and do
 not time anything.
 
-Flow: with tracing off, each registry field flows the benchmark's
-100,000-point cloud at t = 1 and t = 0.5, and the script prints the best
-of nine such pairs of queries, in ms, per field and in total.
+paper-examples flow: with tracing off, each registry field flows the
+benchmark's 100,000-point cloud at t = 1 and t = 0.5, and the script prints
+the best of nine such pairs of queries, in ms, per field and in total.
 """
 
 from __future__ import annotations
@@ -63,8 +71,8 @@ class _Phase:
 
 
 def memory(instances) -> None:
-    print("memory, MiB: build peak / held, verify, flow and check peaks; "
-          "ru_maxrss after the instance")
+    print("paper-examples memory, MiB: build peak / held, verify, flow and "
+          "check peaks; ru_maxrss after the instance")
     tracemalloc.start()
     for inst in instances:
         if isinstance(inst, W.RegistryInstance):
@@ -111,7 +119,28 @@ def flow_times(instances) -> None:
     print(f"  {'total':<20} {1e3 * total:8.2f}")
 
 
+def sudakov_memory(instances) -> None:
+    print("sudakov memory, MiB: verify_nd and 50,000-point flow peaks; "
+          "ru_maxrss after the instance")
+    S = W.lib.sudakov
+    tracemalloc.start()
+    for inst in instances:
+        try:
+            fnd = W.quiet(S.assemble_field, W.quiet(S.decompose, inst.m0, inst.m1))
+        except W.TransportError as e:
+            print(f"  {inst.name:<20} {type(e).__name__}  rss {_rss_mib():7.1f}")
+            continue
+        with _Phase() as verify:
+            W.quiet(S.verify_nd, fnd, **inst.verify_kw)
+        with _Phase() as flow:
+            W.quiet(fnd.flow, 1.0, inst.points)
+        print(f"  {inst.name:<20} verify_nd {verify.peak:6.2f}  flow {flow.peak:6.2f}"
+              f"  rss {_rss_mib():7.1f}", flush=True)
+    tracemalloc.stop()
+
+
 def main() -> int:
+    sudakov_memory(W.make_inputs("sudakov", 0))
     instances = W.make_inputs("paper-examples", 0)
     memory(instances)
     flow_times(instances)
