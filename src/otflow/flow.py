@@ -254,40 +254,27 @@ def _monotonicity(field: VelocityField1D, n_pairs: int = 10000):
 def _osgood_rows(field: VelocityField1D, m_max: int = 20):
     """Cumulative independent integrals of 1/|v| over successive orbit gaps.
 
-    Per interval, the seed anchor's orbit is followed toward a fixed end when
-    one exists (where the gaps accumulate without bound), else along the
-    motion.  The m-th cumulative integral must equal m, unit travel time per
-    orbit step.  Gaps are validated as orbit-consecutive before integrating,
-    so boundary-clipped partial pieces never contribute a row.
+    Per interval, the seed anchor's orbit is followed toward the trailing
+    fixed end when the interval has one (where the gaps accumulate without
+    bound) across the whole backward pieces, else along the motion across
+    the seed and the whole forward pieces.  The m-th cumulative integral must
+    equal m, unit travel time per orbit step.  The walk stops where a clip
+    first cut the march: every later piece is the image of a cut one, whose
+    far end is no orbit point of the anchor, so it spans no orbit gap.
     """
-    T = field.map
     rows = []
     for i, f in enumerate(field.built_intervals):
-        anchors = np.asarray(f.anchors, dtype=float)
-        j0 = int(np.argmin(np.abs(anchors - f.x0)))
-        toward_trail = f.zone_trail is not None
-        if (f.direction > 0) == toward_trail:
-            seq = anchors[j0::-1]
+        # anchors in motion order: the seed's first node follows the
+        # backward pieces
+        anchors = f.anchors if f.direction > 0 else f.anchors[::-1]
+        k0 = f.depth_backward
+        if f.zone_trail is not None:
+            seq, n = anchors[k0::-1], f.whole_backward
         else:
-            seq = anchors[j0:]
+            seq, n = anchors[k0:], 1 + f.whole_forward
         acc = 0.0
-        for m in range(1, min(m_max, seq.size - 1) + 1):
-            a_prev, a_next = float(seq[m - 1]), float(seq[m])
-            if toward_trail:
-                img, pre = a_prev, a_next
-            else:
-                img, pre = a_next, a_prev
-            gap = abs(a_next - a_prev)
-            if abs(float(np.asarray(T.forward(pre))) - img) > 1e-12 * (
-                    field.domain[1] - field.domain[0]) + 1e-6 * gap:
-                break
-            # a quantile-route map saturates (slope 0) beyond the source
-            # support, where boundary-clipped anchors masquerade as orbit
-            # points; a genuine orbit step has positive local slope
-            dpre = float(np.asarray(T.derivative(pre)))
-            if not (np.isfinite(dpre) and dpre > 0.0):
-                break
-            a, b = sorted((a_prev, a_next))
+        for m in range(1, min(m_max, n) + 1):
+            a, b = sorted((float(seq[m - 1]), float(seq[m])))
             acc += _segment_time(f.v_spline, a, b)
             rows.append({"interval": i, "m": m, "integral": acc,
                          "deviation": acc - m})

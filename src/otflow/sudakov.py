@@ -565,18 +565,6 @@ class VelocityFieldND:
                 ok &= (pts[:, j] >= flo) & (pts[:, j] <= fhi)
         return ok
 
-    def ray_parameter(self, pts):
-        """Coordinate along the ray through each point."""
-        pts, single = _as_points(pts, self.dimension)
-        s = self._ray(pts)
-        return s[0] if single else s
-
-    def direction(self, pts):
-        """Unit ray direction at each point (zero vector at a radial center)."""
-        pts, single = _as_points(pts, self.dimension)
-        e = self._ray(pts, unit=True)[1]
-        return e[0] if single else e
-
     def transport_set_mask(self, pts):
         """True where the field is defined: on a ray of the family, at a ray
         coordinate inside the built working domain."""

@@ -44,8 +44,12 @@ form; when it is the shared Newton solve (the map's newton_domain), the
 march solves it on the jet from each node's Taylor guess, with a second jet
 call, or T.inverse, only for entries that guess leaves over one ulp.  Each
 round's tables are recorded whole, into a few large chunks, and every
-march gathers its pieces once at the end.  The map callables act
-elementwise, so every interval gets bitwise the tables it would get alone.
+march gathers its pieces once at the end.  A march records the depth at
+which a clip first cut its source: the pieces before it span whole orbit
+gaps, one unit of travel time each, and every later piece is the image of a
+cut one, so each field keeps the count of whole pieces per direction.  The
+map callables act elementwise, so every interval gets bitwise the tables it
+would get alone.
 Each march stops on its own: at its free end ("complete"), below the step
 floor ("min-step"), at the step cap ("max-steps"), or where the applied map's
 domain ends ("boundary").  Near fixed ends the remaining gap is recorded as a
@@ -213,11 +217,13 @@ class IntervalField:
     pair where it is read, in PPoly's arithmetic.  The flow inverts F_spline
     cell by cell, so no separate table of F^(-1) exists.
     anchors and anchor_v hold x and v at the ends of the orbit pieces.
+    whole_forward and whole_backward count the pieces of each march that
+    span whole orbit gaps: those before a clip first cut the march.
     """
 
     def __init__(self, *, lo, hi, direction, x0, seed, seed_interval, time_scale,
-                 nodes, joints, depth_forward, depth_backward, zone_trail,
-                 zone_lead, warnings):
+                 nodes, joints, depth_forward, depth_backward, whole_forward,
+                 whole_backward, zone_trail, zone_lead, warnings):
         self.lo = float(lo)
         self.hi = float(hi)
         self.direction = int(direction)
@@ -230,6 +236,8 @@ class IntervalField:
         self.warnings = tuple(warnings)
         self.depth_forward = int(depth_forward)
         self.depth_backward = int(depth_backward)
+        self.whole_forward = int(whole_forward)
+        self.whole_backward = int(whole_backward)
         self._assemble(*nodes, joints)
 
     # ------------------------------------------------------------------
@@ -490,10 +498,11 @@ class _March:
     seed is the seed piece (x, v, dv, F) in motion order.  forward=True
     applies the map, False its inverse; clip = (lo, hi) bounds where the
     applied map is defined; stop_at is the free end that completes the march
-    (None toward a fixed end).  After marching, interval_nodes holds the
-    node tables of its interval in ascending x, nodes views of its own pieces
-    in motion order (the deepest piece first when backward), sizes their
-    node counts, one piece per depth, and reason the stop reason.
+    (None toward a fixed end).  cut is the depth whose source a clip first
+    cut (None if none did).  After marching, interval_nodes holds the node
+    tables of its interval in ascending x, sizes the node counts of the
+    march's own pieces in motion order (the deepest piece first when
+    backward), one piece per depth, and reason the stop reason.
     """
 
     def __init__(self, seed_arrays, *, forward, clip, stop_at, motion_sign,
@@ -509,15 +518,23 @@ class _March:
         self.name = (f"interval ({interval[0]:.6g}, {interval[1]:.6g}), "
                      f"{'forward' if forward else 'backward'} march")
         self.reason = "max-steps"
+        self.cut = None
         self.interval_nodes = None
-        self.nodes = tuple(np.empty(0) for _ in range(4))
         self.sizes = np.empty(0, dtype=int)
 
     @property
+    def whole(self) -> int:
+        """The number of pieces that span whole orbit gaps: those before the
+        cut, as each later piece is the image of a cut one."""
+        return self.sizes.size if self.cut is None else self.cut - 1
+
+    @property
     def edge(self):
-        """(x, v, F) at the far end of the last piece, or of the seed."""
-        x, v, _, F = self.nodes if self.sizes.size else self.seed
-        i = -1 if self.forward else 0
+        """(x, v, F) at the far end of the last piece, or of the seed: the
+        interval's last node in motion order when forward, its first when
+        backward."""
+        x, v, _, F = self.interval_nodes
+        i = -1 if self.forward == self.ascending else 0
         return float(x[i]), float(v[i]), float(F[i])
 
 
@@ -532,7 +549,7 @@ def _clip_and_thin(m: _March, nodes, depth):
     """m's live source nodes (x, v, dv, F, guess) restricted to its clip
     window, the exact boundary point inserted at the far end (its own first
     guess), and thinned when deep; None when under two nodes stay inside
-    (the march stops at the boundary)."""
+    (the march stops at the boundary).  The first cut sets m.cut."""
     clip_lo, clip_hi = m.clip
     x, v, dv, F, _ = nodes
     keep = (x >= clip_lo) & (x <= clip_hi)
@@ -541,6 +558,8 @@ def _clip_and_thin(m: _March, nodes, depth):
         m.reason = "boundary"
         return None
     if n_keep < x.size:
+        if m.cut is None:
+            m.cut = depth
         bound = clip_hi if (x.max() > clip_hi) else clip_lo
         v_b, dv_b = _local_hermite(x, v, dv, bound)
         with np.errstate(divide="ignore"):
@@ -808,13 +827,14 @@ class _Rounds:
 
 
 def _gather_pieces(marches, rounds: _Rounds):
-    """Set each march's nodes and piece sizes from the recorded rounds.
+    """Set each march's interval_nodes and piece sizes from the recorded
+    rounds.
 
     The marches of one interval share its seed piece, and their nodes go
     into the interval's one set of tables (x, v, dv, F) in ascending x: in
     motion order the backward pieces deepest first, the seed, the forward
     pieces, read backward when the interval moves down.  Each march holds
-    those tables as interval_nodes, and its nodes are views of them.  All
+    those tables as interval_nodes.  All
     tables are slices of one array per column, into which each recorded
     chunk, then each seed, is scattered and released, so the gather holds
     the rounds and one column.
@@ -866,11 +886,7 @@ def _gather_pieces(marches, rounds: _Rounds):
         columns.append(out)
     for m in marches:
         lo, total = spans[id(m.seed)]
-        m.interval_nodes = t = tuple(a[lo:lo + total] for a in columns)
-        motion = t if m.ascending else tuple(a[::-1] for a in t)
-        n = int(m.sizes.sum())
-        lo = total - n if m.forward else 0
-        m.nodes = tuple(a[lo:lo + n] for a in motion)
+        m.interval_nodes = tuple(a[lo:lo + total] for a in columns)
 
 
 # ======================================================================
@@ -886,7 +902,6 @@ class _SeededInterval:
     x0: float
     x1: float
     tau: float
-    seed_piece: tuple
     lead: float
     lead_fixed: bool
     trail: float
@@ -952,9 +967,9 @@ def _seed_interval(T: MonotoneMap, itv: MovingInterval, seed: str,
                      stop_at=None if lead_fixed else lead, **march_kw)
     backward = (_March(seed_piece, forward=False, clip=map_range, stop_at=None,
                        **march_kw) if trail_fixed else None)
-    return _SeededInterval(itv=itv, seed=seed, x0=x0, x1=x1, tau=tau,
-                           seed_piece=seed_piece, lead=lead, lead_fixed=lead_fixed,
-                           trail=trail, forward=forward, backward=backward)
+    return _SeededInterval(itv=itv, seed=seed, x0=x0, x1=x1, tau=tau, lead=lead,
+                           lead_fixed=lead_fixed, trail=trail, forward=forward,
+                           backward=backward)
 
 
 def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
@@ -981,7 +996,7 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
     # motion order: backward pieces deepest first, the seed, forward pieces;
     # the node tables run in ascending x
     sizes = np.concatenate([m.sizes for m in before]
-                           + [[s.seed_piece[0].size], fwd.sizes])
+                           + [[fwd.seed[0].size], fwd.sizes])
     if s.itv.direction < 0:
         sizes = sizes[::-1]
     return IntervalField(lo=s.itv.lo, hi=s.itv.hi, direction=s.itv.direction,
@@ -990,6 +1005,8 @@ def _finish_interval(s: _SeededInterval, indeterminate, width) -> IntervalField:
                          joints=np.cumsum(sizes[:-1], dtype=int),
                          depth_forward=fwd.sizes.size,
                          depth_backward=0 if bwd is None else bwd.sizes.size,
+                         whole_forward=fwd.whole,
+                         whole_backward=0 if bwd is None else bwd.whole,
                          zone_trail=zone_trail, zone_lead=zone_lead,
                          warnings=warnings)
 

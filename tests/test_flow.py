@@ -10,12 +10,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from otflow.errors import InputError, TransportError
-from otflow.flow import flow, push_measure, verify_transport
+from otflow.flow import (_osgood_rows, _segment_time, flow, push_measure,
+                         verify_transport)
 from otflow.measures import Gaussian, Uniform, wasserstein1
-from otflow.registry import get_example
+from otflow.registry import example_names, get_example
+from otflow.velocity import SEED_KINDS, build_velocity
+from test_distances import pl_densities
+from test_velocity import sudakov_pairs_that_build
 
 TOL_TIME_ONE = 1e-6
 TOL_RK4 = 1e-6
@@ -359,3 +364,77 @@ def test_segment_time_matches_quad(name, request, monkeypatch):
     assert len(pairs) >= 25
     for got, ref in pairs:
         assert abs(got - ref) <= 1e-13, (got, ref)
+
+
+def _position_checked_osgood_rows(field, m_max=20):
+    """Reference for flow._osgood_rows: the walk that finds the orbit gaps
+    from positions.  It starts at the anchor nearest x0 and takes a gap
+    only while the map sends its preimage end to its image end, within
+    1e-12 of the domain width plus 1e-6 of the gap, at a positive slope."""
+    T = field.map
+    rows = []
+    for i, f in enumerate(field.built_intervals):
+        anchors = np.asarray(f.anchors, dtype=float)
+        j0 = int(np.argmin(np.abs(anchors - f.x0)))
+        toward_trail = f.zone_trail is not None
+        seq = anchors[j0::-1] if (f.direction > 0) == toward_trail else anchors[j0:]
+        acc = 0.0
+        for m in range(1, min(m_max, seq.size - 1) + 1):
+            a_prev, a_next = float(seq[m - 1]), float(seq[m])
+            img, pre = (a_prev, a_next) if toward_trail else (a_next, a_prev)
+            gap = abs(a_next - a_prev)
+            if abs(float(np.asarray(T.forward(pre))) - img) > 1e-12 * (
+                    field.domain[1] - field.domain[0]) + 1e-6 * gap:
+                break
+            dpre = float(np.asarray(T.derivative(pre)))
+            if not (np.isfinite(dpre) and dpre > 0.0):
+                break
+            a, b = sorted((a_prev, a_next))
+            acc += _segment_time(f.v_spline, a, b)
+            rows.append({"interval": i, "m": m, "integral": acc,
+                         "deviation": acc - m})
+    return rows
+
+
+def _row_bits(rows):
+    return [(r["interval"], r["m"], float(r["integral"]).hex(),
+             float(r["deviation"]).hex()) for r in rows]
+
+
+def _assert_osgood_matches_reference(field):
+    got = _osgood_rows(field)
+    assert _row_bits(got) == _row_bits(_position_checked_osgood_rows(field))
+    return got
+
+
+def test_osgood_walk_matches_position_checks():
+    """The walk over whole pieces gives bitwise the rows of the position-
+    checked walk on every registry build, on a build whose forward march a
+    clip cut at its first depth, and on every sudakov field that builds."""
+    from otflow.sudakov import assemble_field, decompose
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fields = [get_example(name).build() for name in example_names()]
+        clipped = get_example("affine", alpha=2.0, beta=0.5).build()
+        fields += [assemble_field(decompose(m0, m1)).field
+                   for m0, m1 in sudakov_pairs_that_build()]
+    for field in fields:
+        assert _assert_osgood_matches_reference(field)
+    # the clip cuts the seed, the source of depth 1: one forward piece, no
+    # whole one, so the walk stops after the seed
+    (f,) = clipped.built_intervals
+    assert (f.zone_trail, f.depth_forward, f.whole_forward) == (None, 1, 0)
+    assert [r["m"] for r in _assert_osgood_matches_reference(clipped)] == [1]
+
+
+@given(pl_densities(), pl_densities(), st.sampled_from(SEED_KINDS))
+def test_osgood_walk_matches_position_checks_on_random_pairs(m0, m1, seed):
+    """The same on random piecewise-linear pairs with either seed profile; a
+    pair whose build raises TransportError is skipped."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = build_velocity(m0, m1, seed=seed)
+    except TransportError:
+        return
+    _assert_osgood_matches_reference(field)

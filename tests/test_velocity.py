@@ -452,8 +452,8 @@ class _ReferenceMarch:
     """One march advanced on its own arrays: the per-march form of the
     lockstep loop, kept as the reference of the struct-of-arrays march.
     g holds the first guesses of T^(-1) at its nodes (x itself where no jet
-    is known).  inserts and thinnings count its clip-boundary inserts and
-    thinnings."""
+    is known).  cut is the first depth whose source the clip cut; inserts
+    and thinnings count its clip-boundary inserts and thinnings."""
 
     def __init__(self, m):
         self.x, self.v, self.dv, self.F = m.seed
@@ -466,6 +466,7 @@ class _ReferenceMarch:
         self.reason = "max-steps"
         self.edge = self._node(self.x, self.v, self.F)
         self.inserts = self.thinnings = 0
+        self.cut = None
 
     def _node(self, x, v, F):
         i = self.far
@@ -481,6 +482,7 @@ class _ReferenceMarch:
             self.reason = "boundary"
             return False
         if n_keep < x.size:
+            self.cut = self.cut or depth
             bound = clip_hi if (x.max() > clip_hi) else clip_lo
             v_b, dv_b = _local_hermite(x, v, dv, bound)
             with np.errstate(divide="ignore"):
@@ -592,13 +594,23 @@ def _reference_lockstep(T, marches, cfg):
             new_x[seg], new_v[seg], new_dv[seg], new_F[seg], g[seg])]
 
 
+def sudakov_pairs_that_build():
+    """The d = 2 pairs of the sudakov benchmark whose ray field builds."""
+    from otflow.sudakov import BallMeasure, ProductMeasure
+    return (
+        (BallMeasure((0.0, 0.0), 1.0), BallMeasure((0.0, 0.0), 2.0)),
+        (ProductMeasure((Gaussian(0.0, 1.0), Uniform(0.0, 1.0))),
+         ProductMeasure((Gaussian(0.0, 1.0), Uniform(1.0, 3.0)))),
+        (ProductMeasure((Uniform(0.0, 1.0), Gaussian(0.0, 1.0))),
+         ProductMeasure((Uniform(0.0, 1.0), Gaussian(1.0, 2.0)))))
+
+
 def test_lockstep_matches_per_march_loop(monkeypatch):
     """Every registry build, and the field of every sudakov pair that
     builds, marches bitwise as the per-march loop does: nodes, piece sizes,
-    stop reasons and far edges of every march."""
+    stop reasons, far edges and first clip cuts of every march."""
     from otflow.registry import example_names
-    from otflow.sudakov import (BallMeasure, ProductMeasure, assemble_field,
-                                decompose)
+    from otflow.sudakov import assemble_field, decompose
     lockstep = otflow.velocity._march_lockstep
     pairs = []
 
@@ -609,24 +621,23 @@ def test_lockstep_matches_per_march_loop(monkeypatch):
         pairs.extend(zip(marches, refs))
 
     monkeypatch.setattr(otflow.velocity, "_march_lockstep", checked)
-    sudakov_pairs = (
-        (BallMeasure((0.0, 0.0), 1.0), BallMeasure((0.0, 0.0), 2.0)),
-        (ProductMeasure((Gaussian(0.0, 1.0), Uniform(0.0, 1.0))),
-         ProductMeasure((Gaussian(0.0, 1.0), Uniform(1.0, 3.0)))),
-        (ProductMeasure((Uniform(0.0, 1.0), Gaussian(0.0, 1.0))),
-         ProductMeasure((Uniform(0.0, 1.0), Gaussian(1.0, 2.0)))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in example_names():
             get_example(name).build()
-        for m0, m1 in sudakov_pairs:
+        for m0, m1 in sudakov_pairs_that_build():
             assemble_field(decompose(m0, m1))
     for m, ref in pairs:
         pieces = ref.pieces if m.forward else ref.pieces[::-1]
         assert m.sizes.tolist() == [p[0].size for p in pieces], m.name
-        for got, want in zip(m.nodes, zip(*pieces)):
+        # the march's own pieces: its slice of the interval's tables in
+        # motion order, at the end of the motion when forward
+        motion = [a if m.ascending else a[::-1] for a in m.interval_nodes]
+        n, total = int(m.sizes.sum()), motion[0].size
+        lo = total - n if m.forward else 0
+        for got, want in zip((a[lo:lo + n] for a in motion), zip(*pieces)):
             assert got.tobytes() == np.concatenate(want).tobytes(), m.name
-        assert (m.reason, m.edge) == (ref.reason, ref.edge), m.name
+        assert (m.reason, m.edge, m.cut) == (ref.reason, ref.edge, ref.cut), m.name
     # the builds reach every layout change: clip-boundary inserts,
     # thinnings, and marches stopping at different depths for each reason
     assert sum(r.inserts for _, r in pairs) >= 3
@@ -934,7 +945,8 @@ def test_junction_copies_must_match(column):
     kw = dict(lo=f.lo, hi=f.hi, direction=f.direction, x0=f.x0, seed=f.seed,
               seed_interval=f.seed_interval, time_scale=f.time_scale,
               joints=v.joints, depth_forward=f.depth_forward,
-              depth_backward=f.depth_backward, zone_trail=None, zone_lead=None,
+              depth_backward=f.depth_backward, whole_forward=f.whole_forward,
+              whole_backward=f.whole_backward, zone_trail=None, zone_lead=None,
               warnings=())
     IntervalField(nodes=nodes, **kw)
     a = nodes[0 if column == "x" else 3]

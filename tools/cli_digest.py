@@ -5,7 +5,7 @@ Run from anywhere:
     python3 tools/cli_digest.py
 
 The program is imported from ``src/`` of the checkout the script sits in.
-Each of fifteen commands runs in its own interpreter, with PYTHONPATH=src,
+Each of sixteen commands runs in its own interpreter, with PYTHONPATH=src,
 into its own temporary directory.  For each command the script prints one
 line with its exit code and arguments, then one ``sha256  path`` line per
 file it wrote, paths relative to its output directory, sorted.  Two
@@ -47,7 +47,10 @@ COMMANDS = (
      ["flow", *PAIR],
      ["verify", *PAIR]]
     + [["example", name] for name in EXAMPLES]
-    + [["example", "accumulating-cinf", "--seed-kind", "cubic"],
+    # a clip cuts this build's forward march at its first depth, so its
+    # Osgood walk stops after the seed
+    + [["example", "affine", "--alpha", "2", "--beta", "0.5"],
+       ["example", "accumulating-cinf", "--seed-kind", "cubic"],
        ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2],
        ["sudakov", "--mu0", PRODUCT_U01, "--mu1", PRODUCT_U13],
        ["pathology", "--variant", "both"]])
