@@ -23,6 +23,8 @@ T' within [1/2, 3/2] whenever consecutive gaps shrink by at most 1/3.
 
 The glued displacement is tabulated once per map as piecewise polynomials, so
 a map evaluation costs the same few array operations at every orbit depth.
+The probes repeat small steps thousands of times, so numpy's fixed cost per
+call sets their speed, and each step makes few calls and allocates little.
 """
 
 from __future__ import annotations
@@ -170,9 +172,12 @@ class _QuadraticSeq:
         o = self.offset
         return (2.0 * i + 2 * o + 1) / (i + o + 1) ** 2
 
-    def drops(self, start: int, n: int):
-        """The drops of the n indices from start."""
-        return self.drop(np.arange(start, start + n, dtype=float))
+    def drops(self, start: int, out):
+        """The drops of the out.size indices from start, into out: (2u - 1)/u^2
+        of exact integers, u = i + 11, while u^2 < 2^53 (i < 9.4e7): drop(i)."""
+        u = np.arange(start + self.offset + 1.0, start + self.offset + 1.0 + out.size)
+        np.subtract(np.multiply(u, 2.0, out), 1.0, out)
+        return np.divide(out, np.multiply(u, u, u), out)
 
 
 class _LogSquaredSeq:
@@ -207,11 +212,15 @@ class _LogSquaredSeq:
         out = np.array([self.gamma * self._tail(int(k)) for k in np.atleast_1d(i)])
         return out if i.ndim else float(out[0])
 
-    def drops(self, start: int, n: int):
-        """The drops 1 - b_(i+1)/b_i of the n indices from start, from one
-        evaluation of the sequence on its n + 1 terms."""
-        f = self._f(np.arange(start, start + n + 1, dtype=float))
-        return 1.0 - f[1:] / f[:-1]
+    def drops(self, start: int, out):
+        """The drops 1 - b_(i+1)/b_i of the out.size indices from start, into
+        out, from the sequence on its out.size + 1 terms by _f's operations."""
+        t = np.arange(start + self.offset + 0.0, start + self.offset + out.size + 1.0)
+        ln = np.log(t)
+        t *= ln
+        t *= ln
+        f = np.divide(1.0, t, t)
+        return np.subtract(1.0, np.divide(f[1:], f[:-1], out), out)
 
 
 _SEQUENCES = {"quadratic": _QuadraticSeq, "log_squared": _LogSquaredSeq}
@@ -233,8 +242,9 @@ class CounterexampleMap:
     the pinch on [0, floor), the four profile regions of every gap, and the
     cubic on (1/2, 1], each piece a quartic in x minus the piece's origin.
     (D, D', D'') at any number of points is then one search, one gather and
-    three Horner sums.  Each gap's first piece is expanded about its lower
-    anchor and its tail about its upper anchor, so D is exactly b_j at every
+    three Horner sums in place (the exact cascade gathers by runs instead,
+    _gap_rows).  Each gap's first piece is expanded about its lower anchor
+    and its tail about its upper anchor, so D is exactly b_j at every
     anchor.  1/2 and the floor are orbit points, and 1/2 seeds the probes'
     orbit, whose T'' there enters every anchor's node data; so both read
     their gap's profile, not the continuation or the pinch.  The table is
@@ -251,11 +261,9 @@ class CounterexampleMap:
 
         n = self.n_anchors
         self.gaps = np.asarray(sequence.gap(np.arange(n + 2)), dtype=float)
-        anchors = np.empty(n + 1)
-        anchors[0] = 0.5
-        for i in range(n):
-            anchors[i + 1] = anchors[i] - self.gaps[i]
-        self.anchors = anchors
+        # the recursion, in one sequential pass
+        self.anchors = anchors = np.subtract.accumulate(
+            np.concatenate(([0.5], self.gaps[:n])))
         self.table_floor = float(anchors[-1])
         if not np.all(np.diff(anchors) < 0) or self.table_floor <= 0:
             raise ConstructionError(
@@ -287,70 +295,85 @@ class CounterexampleMap:
 
         self._breaks = np.concatenate(
             ([0.0], starts.T.ravel(), [np.nextafter(0.5, 1.0)]))
+        self._ends = self._breaks[1:]     # x is in piece k if k are at or below it
         c = np.column_stack(([0.0, self._pinch_slope, 0.0, 0.0, 0.0],
                              coef.transpose(1, 2, 0).reshape(5, -1), ext))
         i = np.arange(5)[:, None]
-        # rows: origin, D coefficients, then those of D' and of D''
+        # rows: origin, then the coefficients of D, of D' and of D'', each
+        # from the highest power down
         self._table = np.vstack((
             np.concatenate(([0.0], origins.T.ravel(), [0.5])),
-            c, i[1:] * c[1:], (i[2:] * (i[2:] - 1)) * c[2:]))
+            c[::-1], (i[1:] * c[1:])[::-1], ((i[2:] * (i[2:] - 1)) * c[2:])[::-1]))
 
     # ------------------------------------------------------------------
-    def _displacement(self, x, order: int, k=None):
-        """(D, D', ..., D^(order)) at x in [0, 1] from the table; k, when
-        given, holds the table piece of every point."""
-        if k is None:
-            k = np.searchsorted(self._breaks, x, side="right") - 1
-        # the origin row, then 5, 4 and 3 coefficient rows per order
-        rows = np.take(self._table[:(6, 10, 13)[order]], k, axis=-1)
-        t = x - rows[0]
+    @staticmethod
+    def _horner(rows, t, order: int):
+        """[D, ..., D^(order)] at t, summed in place over the gathered rows
+        from each one's leading coefficient (outputs by position: numpy parses
+        out= slower)."""
         out = []
-        for c in (rows[1:6], rows[6:10], rows[10:13])[:order + 1]:
-            acc = c[-1]
-            for ci in c[-2::-1]:
-                acc = acc * t + ci
+        for lead, end in ((1, 6), (6, 10), (10, 13))[:order + 1]:
+            acc = rows[lead]
+            for c in rows[lead + 1:end]:
+                np.multiply(acc, t, acc)
+                np.add(acc, c, acc)
             out.append(acc)
         return out
 
+    def _rows(self, x, n: int):
+        """The first n table rows of the pieces of the 1-d points x in [0, 1]."""
+        return self._table[:n].take(self._ends.searchsorted(x, "right"), 1)
+
+    def _displacement(self, x, order: int):
+        """[D, ..., D^(order)] at the 1-d points x in [0, 1], as row views."""
+        rows = self._rows(x, (6, 10, 13)[order])
+        return self._horner(rows, np.subtract(x, rows[0], rows[0]), order)
+
+    def _gap_rows(self, x, gap: int, descends):
+        """Rows 0-9 (origin, D and D' coefficients) of the pieces of the 1-d
+        points x, expected in gap j = gap.  If no point descends (tested into
+        the bool buffer descends) and the window of gap j's pieces and one
+        more on each side covers them, one search of its breaks into x cuts
+        the pieces' runs (a point on a break starts a run, as in the full
+        search), and each column repeats over its run; else the full search."""
+        # pieces: the pinch, then four per gap from the deepest up; the
+        # window starts one piece below gap j's first
+        lo = 4 * (self.n_anchors - 1 - gap)
+        window = self._breaks[lo:lo + 7]
+        if (window[0] <= x[0] and x[-1] < window[-1]
+                and not np.less(x[1:], x[:-1], descends).any()):
+            cuts = x.searchsorted(window)
+            return self._table[:10, lo:lo + window.size - 1].repeat(
+                cuts[1:] - cuts[:-1], 1)
+        return self._rows(x, 10)
+
     @staticmethod
     def _on_domain(x):
-        x = np.asarray(x, dtype=float)
-        if (x < 0.0).any() or (x > 1.0).any():
+        x = np.asarray(x, dtype=float)    # the second test passes empty and NaN
+        if not (x.size and 0.0 <= x.min() and x.max() <= 1.0) and (
+                (x < 0.0).any() or (x > 1.0).any()):
             raise InputError("counterexample map is defined on [0, 1]")
         return x
 
     def displacement(self, x):
-        return self._displacement(self._on_domain(x), 0)[0]
+        x = self._on_domain(x)    # the copy holds D, not all rows gathered
+        return self._displacement(x.reshape(-1), 0)[0].reshape(x.shape).copy()[()]
 
     # map callables ----------------------------------------------------
     def forward(self, x):
         x = self._on_domain(x)
-        return x - self._displacement(x, 0)[0]
+        return x - self._displacement(x.reshape(-1), 0)[0].reshape(x.shape)
 
     def jet(self, x):
-        """(T, T', T'') at x from one table lookup."""
+        """(T, T', T'') at x from one table lookup: x - D, 1 - D' and -D''."""
         x = self._on_domain(x)
-        disp, slope, curv = self._displacement(x, 2)
-        return x - disp, 1.0 - slope, -curv
-
-    def _value_slope(self, x, gap: int | None = None):
-        """(T, T') at x.  With gap = j (0 <= j < n_anchors), the points are
-        expected in gap j, [anchors[j+1], anchors[j]], and only its four
-        table pieces and one more on each side are searched, which holds
-        points that roundoff moved across an anchor; a point outside them
-        sends the call to the full search.  Either way each point reads the
-        same piece."""
-        k = None
-        if gap is not None:
-            # pieces: the pinch, then four per gap from the deepest up; the
-            # window starts one piece below gap j's first
-            lo = 4 * (self.n_anchors - 1 - gap)
-            window = self._breaks[lo:lo + 7]
-            r = np.searchsorted(window, x, side="right")
-            if r.min() >= 1 and r.max() < window.size:
-                k = r + (lo - 1)
-        disp, slope = self._displacement(x, 1, k)
-        return x - disp, 1.0 - slope
+        flat = x.reshape(-1)
+        disp, slope, curv = self._displacement(flat, 2)
+        y, tp, tpp = jet = np.empty((3, flat.size))
+        np.subtract(flat, disp, y)
+        np.subtract(1.0, slope, tp)
+        np.negative(curv, tpp)
+        return (y, tp, tpp) if x.ndim == 1 else tuple(jet.reshape((3,) + x.shape))
 
     def anchor_derivative(self, i):
         """T' at the i-th anchor, in closed form from the gap sequence."""
@@ -404,12 +427,11 @@ def build_counterexample(variant: str = "quadratic", *,
         raise ConstructionError(
             f"anchor {k} maps to {img[k]!r} instead of {cmap.anchors[k + 1]!r}")
 
-    xs = np.linspace(cmap.table_floor, 1.0, _CERTIFY_GRID)
-    tp = cmap.jet(xs)[1]
+    disp, slope = cmap._displacement(np.linspace(cmap.table_floor, 1.0, _CERTIFY_GRID), 1)
+    tp = 1.0 - slope
     if tp.min() < 0.5 or tp.max() > 1.5:
         raise ConstructionError(
             f"map derivative range [{tp.min():.6g}, {tp.max():.6g}] leaves [1/2, 3/2]")
-    disp = cmap.displacement(xs)
     if disp.min() <= 0.0:
         raise ConstructionError("displacement loses positivity on the grid")
     return cmap
@@ -447,24 +469,34 @@ def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
     blocks sequentially, so the results do not depend on the block size.
     Reported rows are geometrically thinned; the scan stops at the end of the
     block where the product first exceeds target_product (or at i_max).
+
+    log P and the drop sum are one complex cumsum, as real and imaginary
+    parts, each bitwise its float64 cumsum.  If every drop of a block is
+    positive, both sums are nondecreasing, so its first product against its
+    last bound, with a margin of 2^-30 for exp's rounding, settles every
+    index; other blocks test each index.
     """
     seq = cmap.sequence
     res = GrowthResult(variant=cmap.variant)
     row_marks = _geometric_marks(i_max)
-    log_p = 0.0
-    sum_drop = 0.0
     log_target = math.log(target_product)
+    # entry k: the sums over factors j < start + k, the previous block's
+    # totals leading (P at index i uses factors j < i)
+    sums, terms = np.zeros(_GROWTH_BLOCK + 1, dtype=complex), np.empty(_GROWTH_BLOCK)
     start = 0
     while start < i_max:
         n = min(_GROWTH_BLOCK, i_max - start)
-        drops = seq.drops(start, n)
-        if drops.min() <= 0.0:
+        z = sums[:n + 1]
+        lp, sd = z.real, z.imag
+        drops = seq.drops(start, terms[:n])
+        if not (positive := drops.min() > 0.0):
             res.product_monotone = False
-        # entry k is the sum over factors j < start + k, the previous block's
-        # total leading: P at index i uses factors j < i
-        lp = np.cumsum(np.concatenate(([log_p], np.log1p(drops / 4.0))))
-        sd = np.cumsum(np.concatenate(([sum_drop], drops)))
-        if np.any(np.exp(lp[:-1]) < 0.25 * sd[:-1]):
+        sd[1:] = drops
+        # d * 0.25 is d / 4 exactly: both round the same real number
+        np.log1p(np.multiply(drops, 0.25, drops), lp[1:])
+        np.cumsum(z, out=z)
+        if not (positive and np.exp(lp[0]) >= 0.25 * sd[n - 1] * (1.0 + 2.0 ** -30)) \
+                and np.any(np.exp(lp[:-1]) < 0.25 * sd[:-1]):
             res.bound_holds = False
         for mark in row_marks:
             if start <= mark < start + n:
@@ -479,14 +511,13 @@ def probe_velocity_growth(cmap: CounterexampleMap, i_max: int = 30_000_000, *,
                     al = row["alpha"]
                     row["growth_scale"] = 1.0 / al - 2.0 * math.log(al)
                 res.rows.append(row)
-        log_p = float(lp[-1])
-        sum_drop = float(sd[-1])
         start += n
-        if log_p > log_target:
+        if lp[n] > log_target:
             k = int(np.searchsorted(lp, log_target, side="right"))
             res.crossing_index = start - n + k
             res.crossing_value = float(np.exp(lp[k]))
             break
+        z[0] = z[n]
     res.i_scanned = start
     return res
 
@@ -557,9 +588,11 @@ def probe_non_integrability(cmap: CounterexampleMap,
     # interval moves down from its seed at 1/2, so its anchors in descending
     # order are the orbit, and the piece of depth d spans the d-th gap; each
     # anchor's node speed is the one its piece recorded when marching from it.
-    # The anchors are breaks of the table, where its integral is tabulated
-    table = itf.v_spline
-    V = table.cumulative()[np.searchsorted(table.x, itf.anchors)][::-1]
+    # The anchors are breaks of the table, where its integral is tabulated:
+    # its ends, and break joints[i-1] - i (joints are no breaks) for 0 < i <= J
+    joints = itf.v_spline.joints
+    breaks = np.concatenate(([0], joints - np.arange(1, joints.size + 1), [-1]))
+    V = itf.v_spline.cumulative()[breaks][::-1]
     cum_field = np.cumsum(np.abs(V[:depth] - V[1:depth + 1]))
     anchor_speed = np.abs(itf.anchor_v[::-1][:depth + 1])
     mass_exact = _orbit_mass_cascade(cmap, itf, depth)
@@ -569,7 +602,7 @@ def probe_non_integrability(cmap: CounterexampleMap,
     b0 = float(cmap.gaps[0])
     xs = np.linspace(0.5 - b0 / 10.0, 0.5, 513)
     seed_floor = float(np.min(np.abs(itf.v_spline(xs))))
-    drops = cmap.sequence.drops(0, depth)
+    drops = cmap.sequence.drops(0, np.empty(depth))
     products = np.exp(np.concatenate(([0.0], np.cumsum(np.log1p(drops / 4.0)))))
     bound_terms = 0.1 * np.asarray(cmap.gaps[:depth]) * products[:depth] * seed_floor
     cum_bound = np.cumsum(bound_terms)
@@ -611,8 +644,12 @@ def _orbit_mass_cascade(cmap, itf, depth: int):
     mass concentrates in boundary layers at both seed endpoints (orbits that
     hug the anchors keep the largest products), with roughly unit logarithmic
     variation per octave of endpoint distance, so the panels are graded
-    geometrically toward both ends.  The depth-d points lie in gap d, so
-    each map call searches that gap's table pieces only.
+    geometrically toward both ends.
+
+    The depth-d points lie in gap d, in the ascending order of the panels,
+    which the increasing map keeps, so each depth gathers gap d's
+    coefficients by the runs of its points (_gap_rows), and the points and
+    the product advance in place.
     """
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(8)
     lo, hi = itf.seed_interval
@@ -632,13 +669,16 @@ def _orbit_mass_cascade(cmap, itf, depth: int):
     # the map sends (0, 1] into itself, so one domain check covers every depth
     cur = cmap._on_domain(x0)
     g = np.ones_like(x0)
+    descends = np.empty(x0.size - 1, dtype=bool)
     # the products of a block of depths, one row each, summed row by row
     block = np.empty((min(depth, _CASCADE_BLOCK), x0.size))
     for d0 in range(0, depth, _CASCADE_BLOCK):
         rows = block[:min(_CASCADE_BLOCK, depth - d0)]
         for i, row in enumerate(rows):
             row[:] = g
-            cur, tp = cmap._value_slope(cur, gap=d0 + i)
-            g = g * tp
+            c = cmap._gap_rows(cur, d0 + i, descends)
+            disp, slope = cmap._horner(c, np.subtract(cur, c[0], c[0]), 1)
+            np.subtract(cur, disp, cur)
+            np.multiply(g, np.subtract(1.0, slope, slope), g)
         mass[d0:d0 + len(rows)] = np.sum(wv * rows * rows, axis=1)
     return mass

@@ -3,12 +3,15 @@
 Independent oracles: the consecutive-gap drop for the quadratic sequence in
 exact rational arithmetic, integral brackets for the gap sum, the identity
 tying the anchor derivative to the drop, and the region-split jet that the
-map's displacement table replaced.  Scan landmarks (crossing index,
+map's displacement table replaced.  Bitwise references: the map evaluation,
+cascade step and growth scan that the in-place kernels replaced.  Scan landmarks (crossing index,
 partial integrals) were computed once with this module's probes and are frozen
 here so regressions surface as value changes, not just flag flips.
 """
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -429,9 +432,81 @@ class TestTableAgainstReference:
         assert tp == want[1][1]
 
 
+class _ParentMap:
+    """The map evaluation that the in-place kernels replaced, kept as their
+    bitwise reference: the table in its old row order (origin, then the
+    coefficients of D, D' and D'' from the constant term up), one search
+    and one gather per call, allocating Horner sums, an elementwise domain
+    test, and the cascade's gap-searched step (value_slope with gap = j)."""
+
+    def __init__(self, cmap):
+        self.n_anchors = cmap.n_anchors
+        self._breaks = cmap._breaks
+        self._table = cmap._table[[0, 5, 4, 3, 2, 1, 9, 8, 7, 6, 12, 11, 10]]
+
+    def _displacement(self, x, order, k=None):
+        if k is None:
+            k = np.searchsorted(self._breaks, x, side="right") - 1
+        rows = np.take(self._table[:(6, 10, 13)[order]], k, axis=-1)
+        t = x - rows[0]
+        out = []
+        for c in (rows[1:6], rows[6:10], rows[10:13])[:order + 1]:
+            acc = c[-1]
+            for ci in c[-2::-1]:
+                acc = acc * t + ci
+            out.append(acc)
+        return out
+
+    @staticmethod
+    def _on_domain(x):
+        x = np.asarray(x, dtype=float)
+        if (x < 0.0).any() or (x > 1.0).any():
+            raise InputError("counterexample map is defined on [0, 1]")
+        return x
+
+    def displacement(self, x):
+        return self._displacement(self._on_domain(x), 0)[0]
+
+    def forward(self, x):
+        x = self._on_domain(x)
+        return x - self._displacement(x, 0)[0]
+
+    def jet(self, x):
+        x = self._on_domain(x)
+        disp, slope, curv = self._displacement(x, 2)
+        return x - disp, 1.0 - slope, -curv
+
+    def value_slope(self, x, gap=None):
+        k = None
+        if gap is not None:
+            lo = 4 * (self.n_anchors - 1 - gap)
+            window = self._breaks[lo:lo + 7]
+            r = np.searchsorted(window, x, side="right")
+            if r.min() >= 1 and r.max() < window.size:
+                k = r + (lo - 1)
+        disp, slope = self._displacement(x, 1, k)
+        return x - disp, 1.0 - slope
+
+
+@pytest.fixture(scope="module")
+def parents(cmaps):
+    return {v: _ParentMap(cmaps[v]) for v in VARIANTS}
+
+
+def _cascade_step(cmap, x, gap):
+    """(T, T') at the 1-d points x by the cascade's own step: the run fetch
+    of gap, then the in-place Horner sums."""
+    x = np.array(x, dtype=float)
+    rows = cmap._gap_rows(x, gap, np.empty(max(x.size - 1, 0), dtype=bool))
+    disp, slope = cmap._horner(rows, np.subtract(x, rows[0], rows[0]), 1)
+    return x - disp, 1.0 - slope
+
+
 def _cascade_per_depth(cmap, itf, depth):
     """_orbit_mass_cascade as a loop of one weighted sum and one full table
-    search per depth: the reference of the blocked, gap-searched form."""
+    search per depth by the old evaluation: the reference of the blocked
+    form with its run fetch."""
+    parent = _ParentMap(cmap)
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(8)
     lo, hi = sorted(itf.seed_interval)
     width = hi - lo
@@ -447,55 +522,339 @@ def _cascade_per_depth(cmap, itf, depth):
     cur, g = x0, np.ones_like(x0)
     for d in range(depth):
         mass[d] = float(np.sum(weights * v0 * g * g))
-        cur, tp = cmap._value_slope(cur)
+        cur, tp = parent.value_slope(cur)
         g = g * tp
     return mass
 
 
+def _probe_interval(monkeypatch, variant, levels, n_anchors=1100):
+    """The map, the probe's result and the interval of the velocity it
+    built, for probe_non_integrability at levels."""
+    built, real_build = [], otflow.pathology.build_velocity
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(otflow.pathology, "build_velocity", recording_build)
+    cmap = build_counterexample(variant, n_anchors=n_anchors)
+    res = probe_non_integrability(cmap, levels=levels)
+    return cmap, res, built[0].built_intervals[0]
+
+
 class TestGapSearch:
-    """The cascade's map calls search only the gap of their depth, and read
-    the pieces and bits of the full search."""
+    """The cascade reads each depth's coefficients by the runs of its points
+    over its gap's table pieces, and gets the pieces and bits of the full
+    search."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_gap_search_matches_full_search(self, cmaps, variant):
-        cmap = cmaps[variant]
+    def test_gap_search_matches_full_search(self, cmaps, parents, variant):
+        cmap, parent = cmaps[variant], parents[variant]
         a = cmap.anchors
         for j in (0, 1, 57, _N_ANCHORS - 5):
             inside = a[j + 1] + np.linspace(0.0, 1.0, 33) * cmap.gaps[j]
             near = np.array([np.nextafter(a[j + 1], 0.0), np.nextafter(a[j], 1.0)])
             far = np.array([a[j + 3], 0.75, 0.5 * cmap.table_floor])
-            for xs in (inside, np.concatenate((inside, near)), far,
+            # sorted points in the window take the runs; the unsorted and
+            # the far ones the full search
+            for xs in (inside, np.sort(np.concatenate((inside, near))),
+                       np.concatenate((inside, near)), far,
                        np.concatenate((inside, far[:1]))):
-                for got, want in zip(cmap._value_slope(xs, gap=j),
-                                     cmap._value_slope(xs)):
-                    assert _same_bits(got, want), (j, xs)
+                rows = cmap._gap_rows(xs, j, np.empty(xs.size - 1, dtype=bool))
+                assert _same_bits(rows, cmap._rows(xs, 10)), (j, xs)
+                for got, gap_searched, full in zip(
+                        _cascade_step(cmap, xs, j), parent.value_slope(xs, gap=j),
+                        parent.value_slope(xs)):
+                    assert _same_bits(got, gap_searched), (j, xs)
+                    assert _same_bits(got, full), (j, xs)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_cascade_matches_per_depth_loop(self, variant, monkeypatch):
-        built, real_build = [], otflow.pathology.build_velocity
-
-        def recording_build(*args, **kwargs):
-            built.append(real_build(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(otflow.pathology, "build_velocity", recording_build)
-        cmap = build_counterexample(variant, n_anchors=1100)
-        probe_non_integrability(cmap, levels=(10, 600))
-        itf = built[0].built_intervals[0]
+        cmap, _, itf = _probe_interval(monkeypatch, variant, (10, 600))
         want = _cascade_per_depth(cmap, itf, 600)
-        full = []
-        displacement = cmap._displacement
+        fetched, searched = [], []
+        gap_rows, rows = cmap._gap_rows, cmap._rows
 
-        def counted(x, order, k=None):
-            full.append(k is None)
-            return displacement(x, order, k)
+        def counted_gap_rows(x, gap, descends):
+            fetched.append(gap)
+            return gap_rows(x, gap, descends)
 
-        monkeypatch.setattr(cmap, "_displacement", counted)
+        def counted_rows(x, n):
+            searched.append(n)
+            return rows(x, n)
+
+        monkeypatch.setattr(cmap, "_gap_rows", counted_gap_rows)
+        monkeypatch.setattr(cmap, "_rows", counted_rows)
         # 600 depths: two whole blocks of rows and a part of one
         assert 2 * otflow.pathology._CASCADE_BLOCK < 600
         got = otflow.pathology._orbit_mass_cascade(cmap, itf, 600)
         assert got.tobytes() == want.tobytes()
-        assert len(full) == 600 and not any(full)
+        # one fetch per depth, in depth order, and every depth's points
+        # sorted inside its window: no full search
+        assert fetched == list(range(600)) and searched == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(j=st.integers(0, _N_ANCHORS - 1),
+           us=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12),
+           shift=st.sampled_from([-1, 1, 2]))
+    def test_fallbacks_read_the_same_pieces(self, cmaps, parents, variant, j, us, shift):
+        # unsorted points, and sorted ones pushed out of the window by the
+        # points of gap j + shift: each takes the full search
+        cmap, parent = cmaps[variant], parents[variant]
+        inside = cmap.anchors[j] - (1.0 - np.array(us)) * cmap.gaps[j]
+        k = min(max(j + shift, 0), _N_ANCHORS - 1)
+        other = cmap.anchors[k] - 0.5 * cmap.gaps[k]
+        for xs in (inside[::-1], inside, np.sort(np.append(inside, other))):
+            rows = cmap._gap_rows(xs, j, np.empty(xs.size - 1, dtype=bool))
+            assert _same_bits(rows, cmap._rows(xs, 10))
+            for got, want in zip(_cascade_step(cmap, xs, j),
+                                 parent.value_slope(xs, gap=j)):
+                assert _same_bits(got, want)
+
+
+_ULP_STEPS = (-1, 0, 1)
+
+
+@st.composite
+def _map_positions(draw):
+    """A point of [0, 1]: inside a gap, within an ulp of an anchor or a
+    table break (region starts among them), the floor, 1/2, on the
+    continuation, 0 or 1."""
+    kind = draw(st.sampled_from(
+        ["gap", "anchor", "break", "floor", "half", "continuation", "ends"]))
+    if kind == "gap":
+        return ("gap", draw(st.integers(0, _N_ANCHORS - 1)), draw(st.floats(0.0, 1.0)))
+    if kind in ("anchor", "break"):
+        top = _N_ANCHORS if kind == "anchor" else 4 * _N_ANCHORS + 1
+        return (kind, draw(st.integers(0, top)), draw(st.sampled_from(_ULP_STEPS)))
+    if kind == "continuation":
+        return (kind, draw(st.floats(0.0, 1.0, exclude_min=True)), 0)
+    if kind == "ends":
+        return (kind, draw(st.sampled_from([0.0, 1.0])), 0)
+    return (kind, 0, draw(st.sampled_from(_ULP_STEPS)))
+
+
+def _position(cmap, spec):
+    kind, i, u = spec
+    if kind == "gap":
+        return float(cmap.anchors[i] - (1.0 - u) * cmap.gaps[i])
+    x = {"anchor": lambda: cmap.anchors[i], "break": lambda: cmap._breaks[i],
+         "floor": lambda: cmap.table_floor, "half": lambda: 0.5,
+         "continuation": lambda: 0.5 + 0.5 * i, "ends": lambda: i}[kind]()
+    x = float(x)
+    for _ in range(abs(u)):
+        x = float(np.nextafter(x, np.sign(u) * np.inf))
+    return min(max(x, 0.0), 1.0)
+
+
+def _same_results(got, want):
+    """Equal types, shapes and bits, entry by entry of a tuple."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same_results, got, want))
+    return type(got) is type(want) and _same_bits(got, want)
+
+
+class TestAgainstParentEvaluation:
+    """jet, forward and displacement against the evaluation they replaced:
+    the same bits, shapes and types everywhere on [0, 1], the same
+    passes and refusals off it."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(specs=st.lists(_map_positions(), min_size=1, max_size=16))
+    def test_dense_positions(self, cmaps, parents, variant, specs):
+        cmap, parent = cmaps[variant], parents[variant]
+        xs = np.array([_position(cmap, s) for s in specs])
+        for name in ("jet", "forward", "displacement"):
+            for x in (xs, xs[0], float(xs[0]), xs.reshape(1, -1)):
+                assert _same_results(getattr(cmap, name)(x),
+                                     getattr(parent, name)(x)), (name, x)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_anchor_and_break(self, cmaps, parents, variant):
+        cmap, parent = cmaps[variant], parents[variant]
+        pts = np.concatenate((cmap.anchors, cmap._breaks, [0.5, 1.0]))
+        xs = np.concatenate([np.nextafter(pts, d) for d in (-1.0, 2.0)] + [pts])
+        xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+        for name in ("jet", "forward", "displacement"):
+            assert _same_results(getattr(cmap, name)(xs), getattr(parent, name)(xs))
+
+    def test_empty_nan_and_scalar_inputs(self, cmaps, parents):
+        cmap, parent = cmaps["quadratic"], parents["quadratic"]
+        for x in (np.array([]), np.empty((0, 3)), np.array([np.nan, 0.3]),
+                  np.nan, np.array(0.25), 0.25, [0.1, 0.2], np.float32(0.3), 0):
+            for name in ("jet", "forward", "displacement"):
+                assert _same_results(getattr(cmap, name)(x),
+                                     getattr(parent, name)(x)), (name, x)
+
+    @pytest.mark.parametrize("x", [-1e-300, 1.0 + 1e-15, np.inf, -np.inf,
+                                   [0.2, 1.5], [[0.2], [-0.1]], [np.nan, 2.0]])
+    def test_refusals(self, cmaps, parents, x):
+        for mapping in (cmaps["quadratic"], parents["quadratic"]):
+            for name in ("jet", "forward", "displacement"):
+                with pytest.raises(InputError, match=r"defined on \[0, 1\]"):
+                    getattr(mapping, name)(x)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_anchor_recursion(self, cmaps, variant):
+        cmap = cmaps[variant]
+        anchors = np.empty(cmap.n_anchors + 1)
+        anchors[0] = 0.5
+        for i in range(cmap.n_anchors):
+            anchors[i + 1] = anchors[i] - cmap.gaps[i]
+        assert _same_bits(cmap.anchors, anchors)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_certification_pass(self, cmaps, variant):
+        # the certificate's order-1 pass gives the jet's T' and displacement
+        cmap = cmaps[variant]
+        xs = np.linspace(cmap.table_floor, 1.0, 20001)
+        disp, slope = cmap._displacement(xs, 1)
+        assert _same_bits(1.0 - slope, cmap.jet(xs)[1])
+        assert _same_bits(disp, cmap.displacement(xs))
+
+
+def _parent_drops(seq):
+    """The old drops of n indices from start: the closed form of drop for
+    the quadratic sequence, 1 - f[1:]/f[:-1] on _f for the other."""
+    if seq.variant == "quadratic":
+        return lambda start, n: seq.drop(np.arange(start, start + n, dtype=float))
+
+    def drops(start, n):
+        f = seq._f(np.arange(start, start + n + 1, dtype=float))
+        return 1.0 - f[1:] / f[:-1]
+    return drops
+
+
+def _parent_growth(cmap, drops, i_max=30_000_000, target_product=1e3):
+    """probe_velocity_growth as it was: two float64 cumsums per block over
+    concatenated carries, and the bound tested at every index."""
+    seq = cmap.sequence
+    res = otflow.pathology.GrowthResult(variant=cmap.variant)
+    row_marks = otflow.pathology._geometric_marks(i_max)
+    log_p = 0.0
+    sum_drop = 0.0
+    log_target = math.log(target_product)
+    start = 0
+    while start < i_max:
+        n = min(otflow.pathology._GROWTH_BLOCK, i_max - start)
+        d = drops(start, n)
+        if d.min() <= 0.0:
+            res.product_monotone = False
+        lp = np.cumsum(np.concatenate(([log_p], np.log1p(d / 4.0))))
+        sd = np.cumsum(np.concatenate(([sum_drop], d)))
+        if np.any(np.exp(lp[:-1]) < 0.25 * sd[:-1]):
+            res.bound_holds = False
+        for mark in row_marks:
+            if start <= mark < start + n:
+                k = mark - start
+                row = {"i": int(mark),
+                       "alpha": float(seq.anchor(mark)),
+                       "beta": float(seq.gap(mark)),
+                       "tprime": float(cmap.anchor_derivative(mark)),
+                       "product": float(np.exp(lp[k])),
+                       "lower_bound": float(0.25 * sd[k])}
+                if cmap.variant == "log_squared":
+                    al = row["alpha"]
+                    row["growth_scale"] = 1.0 / al - 2.0 * math.log(al)
+                res.rows.append(row)
+        log_p = float(lp[-1])
+        sum_drop = float(sd[-1])
+        start += n
+        if log_p > log_target:
+            k = int(np.searchsorted(lp, log_target, side="right"))
+            res.crossing_index = start - n + k
+            res.crossing_value = float(np.exp(lp[k]))
+            break
+    res.i_scanned = start
+    return res
+
+
+class _StubSequence:
+    """Drops from a fixed formula of the index, for driving the growth scan
+    through blocks that its one test per block must not settle."""
+
+    variant = "stub"
+
+    def __init__(self, formula):
+        self.formula = formula
+
+    def reference(self, start, n):
+        return self.formula(np.arange(start, start + n, dtype=float))
+
+    def drops(self, start, out):
+        out[:] = self.reference(start, out.size)
+        return out
+
+    def anchor(self, i):
+        return 1.0 / (i + 2.0)
+
+    def gap(self, i):
+        return 1.0 / ((i + 2.0) * (i + 3.0))
+
+
+class TestGrowthAgainstParentScan:
+    """The growth scan against its per-index form with float64 cumsums:
+    equal rows, crossings and flags, bit for bit."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_default_scan(self, cmaps, variant):
+        cmap = cmaps[variant]
+        got = probe_velocity_growth(cmap)
+        assert got == _parent_growth(cmap, _parent_drops(cmap.sequence))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(start=st.integers(0, 93_000_000), n=st.integers(1, 64))
+    @example(start=0, n=1)
+    @example(start=94_906_254 - 11 - 64, n=64)
+    def test_drops(self, cmaps, variant, start, n):
+        # the quadratic form is exact while (i + 11)^2 < 2^53
+        seq = cmaps[variant].sequence
+        out = np.empty(n)
+        assert seq.drops(start, out) is out
+        assert _same_bits(out, _parent_drops(seq)(start, n))
+
+    @pytest.mark.parametrize("formula, i_max, monotone, bound_holds", [
+        # a drop of 40 then one of -3.99: the product falls below the bound
+        (lambda i: np.where(i == 0, 40.0, np.where(i == 1, -3.99, 1.0 / (i + 1.0))),
+         20_000, False, False),
+        # one zero drop deep in the scan
+        (lambda i: np.where(i == 4321, 0.0, 2.0 / (i + 11.0)), 20_000, False, True),
+        # negative drops every seventh index
+        (lambda i: np.where(i % 7 == 3, -0.01, 0.5 / (i + 1.0)), 20_000, False, True),
+        # inside the last block the bound fails and the drop sum falls back
+        # under its value at the block's start: only a drop's sign shows it
+        (lambda i: np.where(i == 3500, 40.0, np.where((i > 3500) & (i < 3512), -3.99,
+                                                      2.0 / (i + 11.0))),
+         4_000, False, False),
+        # all positive, but exp rounds the product 1 + 10^18 below the bound
+        (lambda i: np.where(i == 0, 4e18, 2.0 / (i + 11.0)), 20_000, True, False),
+    ])
+    def test_stub_sequences(self, formula, i_max, monotone, bound_holds, monkeypatch):
+        monkeypatch.setattr(otflow.pathology, "_GROWTH_BLOCK", 1000)
+        seq = _StubSequence(formula)
+        cmap = SimpleNamespace(variant=seq.variant, sequence=seq,
+                               anchor_derivative=lambda i: 1.0 + seq.gap(i))
+        kw = {"i_max": i_max, "target_product": 1e300}
+        got = probe_velocity_growth(cmap, **kw)
+        assert got == _parent_growth(cmap, seq.reference, **kw)
+        assert (got.product_monotone, got.bound_holds) == (monotone, bound_holds)
+        kw["target_product"] = 1.5
+        assert probe_velocity_growth(cmap, **kw) == \
+            _parent_growth(cmap, seq.reference, **kw)
+
+
+class TestAnchorBreaks:
+    """The probe reads the anchors' breaks from the table's joints."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_joints_give_the_anchor_breaks(self, variant, monkeypatch):
+        _, _, itf = _probe_interval(monkeypatch, variant, (10, 100, 1000))
+        table = itf.v_spline
+        joints = table.joints
+        breaks = np.concatenate(([0], joints - np.arange(1, joints.size + 1),
+                                 [table.xn.size - 1 - joints.size]))
+        assert np.array_equal(breaks, np.searchsorted(table.x, itf.anchors))
+        assert np.array_equal(table.x[breaks], itf.anchors)
 
 
 class TestFusedJet:

@@ -7,7 +7,7 @@ Run from anywhere:
 
 The program and the benchmark's instances (run seed 0) are imported from
 ``src/`` and ``perfbench/`` of the checkout the script sits in, so the same
-script measures any two checkouts alike.  About 30 s on one core of a
+script measures any two checkouts alike.  About 26 s on one core of a
 2-vCPU VM.
 
 sudakov runs first, so its ru_maxrss figures read that workload alone:
@@ -29,6 +29,14 @@ not time anything.
 paper-examples flow: with tracing off, each registry field flows the
 benchmark's 100,000-point cloud at t = 1 and t = 0.5, and the script prints
 the best of nine such pairs of queries, in ms, per field and in total.
+
+pathology: for each variant, at the benchmark's settings and with tracing
+off, the best of five in-process runs, in ms, of build_counterexample, the
+growth scan, the divergence probe's velocity build and its exact orbit
+cascade, then the best of five means, in microseconds, of one map jet on 12
+points of one orbit gap and of one cascade depth.  Best-of-five figures
+from one process drift less between runs than the benchmark's passes do;
+compare two checkouts by alternating runs of the script.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ import time
 import tracemalloc
 from contextlib import nullcontext
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -139,11 +149,61 @@ def sudakov_memory(instances) -> None:
     tracemalloc.stop()
 
 
+def _best(fn, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def pathology_times(instances) -> None:
+    print("pathology, ms: best of 5 of build_counterexample, the growth scan, "
+          "the probe's build and the cascade; us per jet on 12 points and "
+          "per cascade depth")
+    P = W.lib.pathology
+    real_build = P.build_velocity
+    for inst in instances:
+        if not isinstance(inst, W.PathologyInstance):
+            continue
+        cmap = W.quiet(P.build_counterexample, inst.variant)
+        build = _best(lambda: P.build_counterexample(inst.variant))
+        growth = _best(lambda: W.quiet(P.probe_velocity_growth, cmap,
+                                       **inst.growth_kw))
+        fields, field_build = [], float("inf")
+
+        def timed_build(*args, **kwargs):
+            nonlocal field_build
+            t0 = time.perf_counter()
+            fields.append(real_build(*args, **kwargs))
+            field_build = min(field_build, time.perf_counter() - t0)
+            return fields[-1]
+
+        # the probe's own build, timed from inside the probe
+        P.build_velocity = timed_build
+        try:
+            for _ in range(5):
+                dive = W.quiet(P.probe_non_integrability, cmap, **inst.divergence_kw)
+        finally:
+            P.build_velocity = real_build
+        itf, depth = fields[0].built_intervals[0], dive.levels[-1]
+        cascade = _best(lambda: P._orbit_mass_cascade(cmap, itf, depth))
+        xs = cmap.anchors[101] + cmap.gaps[100] * np.linspace(0.0, 1.0, 12)
+        calls = 2000
+        jet = _best(lambda: [cmap.jet(xs) for _ in range(calls)]) / calls
+        print(f"  {inst.name:<20} build {1e3 * build:7.2f}  growth {1e3 * growth:7.1f}"
+              f"  probe build {1e3 * field_build:7.1f}  cascade {1e3 * cascade:7.1f}"
+              f"  jet {1e6 * jet:6.2f}  depth {1e6 * cascade / depth:6.2f}",
+              flush=True)
+
+
 def main() -> int:
     sudakov_memory(W.make_inputs("sudakov", 0))
     instances = W.make_inputs("paper-examples", 0)
     memory(instances)
     flow_times(instances)
+    pathology_times(instances)
     return 0
 
 
