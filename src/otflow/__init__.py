@@ -16,10 +16,10 @@ from .velocity import (VelocityField1D, approximate_lipschitz, build_velocity,
 from .flow import flow, push_measure, verify_transport
 from .pathology import (build_counterexample, probe_non_integrability,
                         probe_velocity_growth)
-from .sudakov import (BallMeasure, ProductMeasure, RadiusLaw, Ray,
-                      VelocityFieldND, assemble_field, decompose,
-                      measure_nd_to_dict, parse_measure_nd,
-                      per_ray_monotone_map, translate_nd, verify_nd)
+from .sudakov import (BallMeasure, ProductMeasure, RadiusLaw, VelocityFieldND,
+                      assemble_field, decompose, measure_nd_to_dict,
+                      parse_measure_nd, per_ray_monotone_map, translate_nd,
+                      verify_nd)
 from .registry import ExampleProblem, example_names, get_example
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ named registry problem end to end), pathology (counterexample tables), sudakov
 
 Measure specs are JSON, inline or by file path.  Outputs land in --out (default
 $OTFLOW_OUT or ./otflow-out) as CSV tables with fixed columns -- (x, T, Tp),
-(x, v), (t, phi) -- plus a versioned report.json.  Runs are deterministic:
+(x, v), (t, phi) -- plus a versioned report.json; sudakov writes report.json
+only.  Runs are deterministic:
 fixed config and seed give byte-identical files.  Exit codes: 0 success, 1
 verification failure (report still written), 2 input error.
 """
@@ -46,17 +47,19 @@ _FLOW_ROWS_CAP = 256  # trajectory tables stay readable even at large --n
 def _check(args: argparse.Namespace):
     """Validate the settings argparse leaves open, among the flags the
     command has: --n a power of two at least 16, positive tolerances and
-    --eps.  InputError otherwise."""
+    --eps, finite --x0 and --t, a non-negative --seed.  InputError otherwise."""
     n = getattr(args, "n", None)
     if n is not None and (n < 16 or (n & (n - 1)) != 0):
         raise InputError(f"--n must be a power of two >= 16, got {n}")
-    for name, key in (("--tol-julia", "tol_julia"), ("--tol-time", "tol_time")):
+    for key, need in (("tol_julia", "positive"), ("tol_time", "positive"),
+                      ("eps", "positive"), ("x0", "finite"), ("t", "finite")):
         val = getattr(args, key, None)
-        if val is not None and not (np.isfinite(val) and val > 0.0):
-            raise InputError(f"{name} must be positive, got {val}")
-    eps = getattr(args, "eps", None)
-    if eps is not None and not (np.isfinite(eps) and eps > 0.0):
-        raise InputError(f"--eps must be positive, got {eps}")
+        if val is None:
+            continue
+        if not (np.isfinite(val) and (need == "finite" or val > 0.0)):
+            raise InputError(f"--{key.replace('_', '-')} must be {need}, got {val}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
 
 
 def _build_config(args) -> BuildConfig:
@@ -297,13 +300,9 @@ def _cmd_sudakov(args) -> int:
     family = decompose(m0, m1)
     field_nd = assemble_field(family)
     rep = verify_nd(field_nd, n_samples=args.n, seed=args.seed)
-    width = max(len(a) for a in rep.per_ray_alphas) if rep.per_ray_alphas else 1
-    header = ["ray"] + [f"alpha{k}" for k in range(width)] + ["w1"]
-    rows = [[i, *alpha, w] for i, (alpha, w)
-            in enumerate(zip(rep.per_ray_alphas, rep.per_ray_w1))]
-    write_table(args.out, "rays", header, rows, args.fmt)
-    write_report(args.out, {"command": "sudakov", "ok": rep.ok,
-                            "mu0": measure_nd_to_dict(m0),
+    # schema 2: the verification holds one per_ray_w1_max and no per-ray lists
+    write_report(args.out, {"command": "sudakov", "schema_version": 2,
+                            "ok": rep.ok, "mu0": measure_nd_to_dict(m0),
                             "mu1": measure_nd_to_dict(m1),
                             "decomposition": family.describe(),
                             "verification": rep.to_dict()})
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                 measures=False)
 
     p = sub.add_parser("sudakov", help="ray decomposition in d >= 2")
-    _add_common(p, tolerances=False, seed_profile=False)
+    _add_common(p, tolerances=False, seed_profile=False, tables=False)
     p.add_argument("--seed", type=int, default=20260823,
                    help="RNG seed for the Monte-Carlo check (recorded)")
 

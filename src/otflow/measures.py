@@ -911,6 +911,25 @@ def _read_spec(spec) -> dict:
     return spec
 
 
+def _spec_fields(spec: dict, where: str, **convs) -> list:
+    """conv(spec[name]) for each name=conv, in order.  MeasureSpecError names
+    the fields missing, or the field a conv refuses."""
+    missing = [n for n in convs if n not in spec]
+    if missing:
+        raise MeasureSpecError(f"{where}: missing field(s) {missing}")
+    out = []
+    for name, conv in convs.items():
+        try:
+            out.append(conv(spec[name]))
+        except (TypeError, ValueError) as exc:
+            raise MeasureSpecError(f"{where}: field {name!r}: {exc}") from exc
+    return out
+
+
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
 def parse_measure(spec) -> Measure1D:
     """Build a measure from a dict, a JSON string, or a path to a JSON file.
 
@@ -923,25 +942,16 @@ def parse_measure(spec) -> Measure1D:
     kind = spec.get("kind")
     if kind is None:
         raise MeasureSpecError("measure spec: missing field 'kind'")
-
-    def need(*names):
-        missing = [n for n in names if n not in spec]
-        if missing:
-            raise MeasureSpecError(f"measure spec kind={kind!r}: missing field(s) {missing}")
-        return [spec[n] for n in names]
-
+    where = f"measure spec kind={kind!r}"
     if kind == "uniform":
-        lo, hi = need("lo", "hi")
-        return Uniform(float(lo), float(hi))
+        return Uniform(*_spec_fields(spec, where, lo=float, hi=float))
     if kind == "gaussian":
-        mean, std = need("mean", "std")
-        return Gaussian(float(mean), float(std))
+        return Gaussian(*_spec_fields(spec, where, mean=float, std=float))
     if kind == "affine_image":
-        base, alpha, beta = need("base", "alpha", "beta")
-        return AffineImage(parse_measure(base), float(alpha), float(beta))
+        return AffineImage(*_spec_fields(spec, where, base=parse_measure,
+                                         alpha=float, beta=float))
     if kind in ("piecewise_linear", "grid"):
-        xs, ds = need("x", "density")
-        return PiecewiseDensity(np.asarray(xs, dtype=float), np.asarray(ds, dtype=float),
+        return PiecewiseDensity(*_spec_fields(spec, where, x=_floats, density=_floats),
                                 kind_label=kind)
     raise MeasureSpecError(f"measure spec: unknown kind {kind!r}")
 

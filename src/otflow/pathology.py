@@ -166,15 +166,10 @@ class _QuadraticSeq:
         i = np.asarray(i, dtype=float)
         return self.gamma * _trigamma(i + self.offset)
 
-    def drop(self, i):
-        """1 - b_(i+1)/b_i in cancellation-free closed form."""
-        i = np.asarray(i, dtype=float)
-        o = self.offset
-        return (2.0 * i + 2 * o + 1) / (i + o + 1) ** 2
-
     def drops(self, start: int, out):
-        """The drops of the out.size indices from start, into out: (2u - 1)/u^2
-        of exact integers, u = i + 11, while u^2 < 2^53 (i < 9.4e7): drop(i)."""
+        """The drops 1 - b_(i+1)/b_i of the out.size indices from start, into
+        out, in cancellation-free closed form: (2u - 1)/u^2 of exact
+        integers, u = i + 11, while u^2 < 2^53 (i < 9.4e7)."""
         u = np.arange(start + self.offset + 1.0, start + self.offset + 1.0 + out.size)
         np.subtract(np.multiply(u, 2.0, out), 1.0, out)
         return np.divide(out, np.multiply(u, u, u), out)

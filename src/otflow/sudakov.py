@@ -15,9 +15,10 @@ classes are supported:
 In both classes the per-ray conditional pair does not depend on the ray, so
 one one-dimensional velocity field drives the whole family: the d-dimensional
 field is that scalar field evaluated at the ray coordinate, times the ray
-direction.  Pairs outside these classes raise UnsupportedDecompositionError;
-general ray extraction from a Kantorovich potential is out of scope and is
-the natural extension point.
+direction.  verify_nd pushes and measures that one pair once; its ray draws
+serve only the fiber-mass check.  Pairs outside these classes raise
+UnsupportedDecompositionError; general ray extraction from a Kantorovich
+potential is out of scope and is the natural extension point.
 
 The velocity is only defined on the transport set (the union of rays meeting
 both supports).  Off that set evaluators return NaN and a mask method reports
@@ -32,18 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, BuildConfig
-from .errors import (ConstructionError, InputError, MeasureSpecError,
-                     UnsupportedDecompositionError)
+from .errors import InputError, MeasureSpecError, UnsupportedDecompositionError
 from .flow import flow as flow_1d
 from .flow import push_measure
-from .measures import (Measure1D, _as_array, _check_prob, _read_spec,
-                       _scalar_like, measure_to_dict, parse_measure, wasserstein1)
+from .measures import (Measure1D, _as_array, _check_prob, _floats, _read_spec,
+                       _scalar_like, _spec_fields, measure_to_dict, parse_measure,
+                       wasserstein1)
 from .monotone import MonotoneMap, compute_monotone_map
 from .velocity import VelocityField1D, build_velocity
 
 __all__ = [
     "RadiusLaw", "ProductMeasure", "BallMeasure", "parse_measure_nd",
-    "measure_nd_to_dict", "translate_nd", "Ray", "RayFamilyND", "decompose",
+    "measure_nd_to_dict", "translate_nd", "RayFamilyND", "decompose",
     "per_ray_monotone_map", "VelocityFieldND", "assemble_field",
     "NdTransportReport", "verify_nd",
 ]
@@ -206,11 +207,13 @@ class BallMeasure(MeasureND):
     kind = "ball"
 
     def __post_init__(self):
-        center = tuple(float(c) for c in np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if len(center) < 2:
-            raise MeasureSpecError("ball measure: center must have dimension >= 2")
-        if not all(math.isfinite(c) for c in center):
+        center = np.asarray(self.center, dtype=float)
+        if center.ndim != 1 or center.size < 2:
+            raise MeasureSpecError("ball measure: center must be a vector of "
+                                   "dimension >= 2")
+        if not np.all(np.isfinite(center)):
             raise MeasureSpecError("ball measure: center must be finite")
+        center = tuple(float(c) for c in center)
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise MeasureSpecError(f"ball measure: radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", center)
@@ -267,14 +270,12 @@ def parse_measure_nd(spec) -> MeasureND:
     spec = _read_spec(spec)
     kind = spec.get("kind")
     if kind == "product":
-        if "factors" not in spec:
-            raise MeasureSpecError("product measure spec: missing field 'factors'")
-        return ProductMeasure(tuple(parse_measure(f) for f in spec["factors"]))
+        return ProductMeasure(*_spec_fields(
+            spec, "product measure spec",
+            factors=lambda fs: tuple(map(parse_measure, fs))))
     if kind == "ball":
-        missing = [k for k in ("center", "radius") if k not in spec]
-        if missing:
-            raise MeasureSpecError(f"ball measure spec: missing field(s) {missing}")
-        return BallMeasure(tuple(spec["center"]), float(spec["radius"]))
+        return BallMeasure(*_spec_fields(spec, "ball measure spec", center=_floats,
+                                         radius=float))
     raise MeasureSpecError(f"d-dimensional measure spec: unknown kind {kind!r}")
 
 
@@ -296,20 +297,6 @@ def _measure_summary(m) -> dict:
 # ======================================================================
 # ray families
 # ======================================================================
-
-@dataclass(frozen=True)
-class Ray:
-    """One ray: the line t -> base + t * direction over a parameter interval."""
-
-    base: tuple
-    direction: tuple
-    interval: tuple
-
-    def point(self, s):
-        s = np.asarray(s, dtype=float)
-        return (np.asarray(self.base, dtype=float)[None, :]
-                + np.atleast_1d(s)[:, None] * np.asarray(self.direction, dtype=float)[None, :])
-
 
 class RayFamilyND:
     """A parallel or radial family of rays with its shared conditional pair.
@@ -344,45 +331,10 @@ class RayFamilyND:
         self.conditional_rule = conditional_rule
         self.dimension = m0.dimension
 
-    # ---- parametrization --------------------------------------------------
-
-    def _interval(self) -> tuple:
-        w0 = self.cond0.window(1e-12)
-        w1 = self.cond1.window(1e-12)
-        return (min(w0[0], w1[0]), max(w0[1], w1[1]))
-
-    def ray(self, alpha) -> Ray:
-        """The ray indexed by alpha: transverse coordinates (parallel) or a
-        direction vector (radial; any nonzero vector is normalized)."""
-        if self.kind == "parallel":
-            alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-            if alpha.size != self.dimension - 1:
-                raise InputError(f"parallel ray index needs {self.dimension - 1} "
-                                 f"transverse coordinates, got {alpha.size}")
-            base = np.insert(alpha, self.axis, 0.0)
-            direction = np.zeros(self.dimension)
-            direction[self.axis] = 1.0
-            return Ray(tuple(base), tuple(direction), self._interval())
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if alpha.size != self.dimension:
-            raise InputError(f"radial ray index needs a {self.dimension}-vector, "
-                             f"got size {alpha.size}")
-        norm = float(np.linalg.norm(alpha))
-        if not norm > 0:
-            raise InputError("radial ray index must be a nonzero direction")
-        lo, hi = self._interval()
-        return Ray(tuple(self.center), tuple(alpha / norm), (max(lo, 0.0), hi))
-
-    def representative_alpha(self):
-        if self.kind == "parallel":
-            return tuple(float(f.quantile(0.5)) for f in self.transverse0)
-        e = np.zeros(self.dimension)
-        e[0] = 1.0
-        return tuple(e)
-
     def sample_alphas(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Ray indices drawn from the transverse law (parallel) or uniformly
-        on the sphere of directions (radial)."""
+        on the sphere of directions (radial), at which verify_nd checks the
+        fiber masses."""
         n = int(n)
         if self.kind == "parallel":
             cols = [np.asarray(f.quantile(rng.random(n)), dtype=float)
@@ -493,19 +445,10 @@ def decompose(m0, m1) -> RayFamilyND:
         f"no ray decomposition rule for the pair ({m0.kind}, {m1.kind})")
 
 
-def per_ray_monotone_map(family: RayFamilyND, alpha) -> MonotoneMap | None:
-    """Increasing rearrangement between the conditionals on one ray.
-
-    Returns None for a zero-mass ray (fiber density vanishing on either
-    side); callers iterating over rays should record and skip those.
-    """
-    if _zero_mass(family, alpha):
-        return None
+def per_ray_monotone_map(family: RayFamilyND) -> MonotoneMap:
+    """Increasing rearrangement between the conditionals, the one map every
+    ray of the family shares."""
     return compute_monotone_map(family.cond0, family.cond1)
-
-
-def _zero_mass(family: RayFamilyND, alpha) -> bool:
-    return min(family.fiber_mass(alpha, 0), family.fiber_mass(alpha, 1)) <= 0.0
 
 
 # ======================================================================
@@ -606,11 +549,8 @@ def assemble_field(family: RayFamilyND, *,
                    config: BuildConfig = DEFAULT_CONFIG) -> VelocityFieldND:
     """Build the shared scalar ray field and wrap it with the ray geometry.
     The seed is build_velocity's default, "affine"; no caller picks another."""
-    tmap = per_ray_monotone_map(family, family.representative_alpha())
-    if tmap is None:
-        raise ConstructionError("assemble_field: representative ray has zero mass")
-    field = build_velocity(family.cond0, family.cond1, transport_map=tmap,
-                           config=config)
+    field = build_velocity(family.cond0, family.cond1,
+                           transport_map=per_ray_monotone_map(family), config=config)
     return VelocityFieldND(family, field)
 
 
@@ -622,9 +562,9 @@ def assemble_field(family: RayFamilyND, *,
 class NdTransportReport:
     """Measured invariants of an assembled d-dimensional field.
 
-    per_ray_w1 holds one entry per sampled ray of positive mass.  The
-    conditional pair is shared across rays by the class structure, so its
-    push and W1 are measured once and every entry repeats that value.
+    The conditional pair is shared across rays by the class structure, so
+    per_ray_w1_max is the W1 of its push, measured once, and holds for all
+    n_rays rays; the sampled rays feed fiber_mass_defect_max.
     sliced_w1_* compare the pushed sample cloud against a coupled target
     cloud (same uniform draws through both samplers), so an exact field
     reports values at the flow-accuracy level rather than the Monte Carlo
@@ -642,10 +582,7 @@ class NdTransportReport:
     rng_seed: int
     conditional_mass_defect: float
     fiber_mass_defect_max: float
-    per_ray_alphas: list
-    per_ray_w1: list
     per_ray_w1_max: float
-    skipped_rays: list
     sliced_w1_mean: float
     sliced_w1_max: float
     n_unflowed: int
@@ -657,49 +594,36 @@ class NdTransportReport:
     notes: list
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["per_ray_alphas"] = [list(np.atleast_1d(a)) for a in self.per_ray_alphas]
-        return out
+        return dict(self.__dict__)
 
 
 def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
               n_rays: int = DEFAULT_RAY_COUNT,
               n_directions: int = DEFAULT_DIRECTION_COUNT,
               seed: int = 20260823) -> NdTransportReport:
-    """Monte Carlo and per-ray checks of an assembled field, at the time
+    """Monte Carlo and conditional checks of an assembled field, at the time
     t = 1 whose flow realizes the map.
 
-    Draws are coupled: the same uniform matrix feeds both samplers, so the
-    sliced distance isolates flow error instead of sampling noise (and an
-    identity problem reports exactly zero).  The reported seed makes reruns
-    byte-identical.  It keeps one copy of each cloud: the finite rows are
-    copied only when some row is not.
+    The shared conditional pair is pushed and measured once; the n_rays ray
+    draws serve the fiber-mass check.  Draws are coupled: the same uniform
+    matrix feeds both samplers, so the sliced distance isolates flow error
+    instead of sampling noise (and an identity problem reports exactly
+    zero).  The reported seed makes reruns byte-identical.  It keeps one
+    copy of each cloud: the finite rows are copied only when some row is not.
     """
+    if min(n_samples, n_rays, n_directions) < 1:
+        raise InputError("verify_nd: n_samples, n_rays and n_directions must be "
+                         f"positive, got {n_samples}, {n_rays}, {n_directions}")
     fam = field_nd.family
     rng = np.random.default_rng(seed)
     notes: list = []
 
-    # ---- per-ray structure -----------------------------------------------
+    # ---- the conditional pair and the fibers -----------------------------
     cond_defect = fam.conditional_mass_defect()
     alphas = fam.sample_alphas(n_rays, rng)
-    fiber_defect = max((fam.fiber_mass_defect(a) for a in alphas), default=0.0)
-
-    kept_alphas: list = []
-    skipped: list = []
-    for a in alphas:
-        if _zero_mass(fam, a):
-            skipped.append([float(v) for v in np.atleast_1d(a)])
-        else:
-            kept_alphas.append(np.atleast_1d(np.asarray(a, dtype=float)))
-    per_ray_w1: list = []
-    if kept_alphas:
-        pushed = push_measure(field_nd.field, fam.cond0, 1.0, n=_PUSH_GRID)
-        per_ray_w1 = [float(wasserstein1(pushed.measure, fam.cond1))] * len(kept_alphas)
-    w1_max = max(per_ray_w1, default=float("nan"))
-    if skipped:
-        notes.append(f"{len(skipped)} sampled rays carried zero mass and were skipped")
-    notes.append("conditional pair is shared across rays by the class structure; "
-                 "its push and W1 are measured once and repeated on every kept ray")
+    fiber_defect = max(fam.fiber_mass_defect(a) for a in alphas)
+    pushed = push_measure(field_nd.field, fam.cond0, 1.0, n=_PUSH_GRID)
+    w1 = float(wasserstein1(pushed.measure, fam.cond1))
 
     # ---- coupled sample clouds -------------------------------------------
     cols = max(fam.m0.n_uniform_columns, fam.m1.n_uniform_columns)
@@ -728,8 +652,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
         a.sort()
         b.sort()
         sliced.append(float(np.mean(np.abs(np.subtract(a, b, out=a), out=a))))
-    sliced_mean = float(np.mean(sliced)) if sliced else float("nan")
-    sliced_max = float(np.max(sliced)) if sliced else float("nan")
+    sliced_mean, sliced_max = float(np.mean(sliced)), float(np.max(sliced))
 
     # ---- ray confinement by columns, and the radial rearrangement -------
     radial_rel = None
@@ -759,7 +682,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
     checks = {
         "conditional_mass": cond_defect <= MASS_MATCH_TOL,
         "fiber_mass": fiber_defect <= MASS_MATCH_TOL,
-        "per_ray_w1": bool(per_ray_w1) and w1_max <= PER_RAY_W1_TOL,
+        "per_ray_w1": w1 <= PER_RAY_W1_TOL,
         "sliced_w1": math.isfinite(sliced_max) and sliced_max <= SLICED_W1_TOL,
         "confinement": confinement <= CONFINEMENT_TOL,
     }
@@ -770,9 +693,7 @@ def verify_nd(field_nd: VelocityFieldND, *, n_samples: int = 100000,
         kind=fam.kind, dimension=d, t=1.0, n_samples=int(n_samples),
         n_rays=int(n_rays), n_directions=int(n_directions), rng_seed=int(seed),
         conditional_mass_defect=cond_defect, fiber_mass_defect_max=fiber_defect,
-        per_ray_alphas=[list(a) for a in kept_alphas], per_ray_w1=per_ray_w1,
-        per_ray_w1_max=w1_max, skipped_rays=skipped,
-        sliced_w1_mean=sliced_mean, sliced_w1_max=sliced_max,
+        per_ray_w1_max=w1, sliced_w1_mean=sliced_mean, sliced_w1_max=sliced_max,
         n_unflowed=n_unflowed, confinement_max=confinement,
         radial_rearrangement_rel_max=radial_rel,
         tolerances=tolerances, checks=checks, ok=all(checks.values()),

@@ -242,12 +242,13 @@ class TestSudakovCommand:
         code = run_cli(["sudakov", "--mu0", BALL_1, "--mu1", BALL_2,
                         "--n", "1024", "--seed", "7", "--out", out])
         assert code == 0
-        header, rows = read_csv(os.path.join(out, "rays.csv"))
-        assert header == ["ray", "alpha0", "alpha1", "w1"]
-        assert len(rows) == 64
-        assert max(float(r[3]) for r in rows) <= 1e-4
+        assert os.listdir(out) == ["report.json"]
         rep = read_report(out)
-        assert rep["verification"]["rng_seed"] == 7
+        assert rep["schema_version"] == 2
+        ver = rep["verification"]
+        assert ver["n_rays"] == 64 and ver["per_ray_w1_max"] <= 1e-4
+        assert "per_ray_w1" not in ver and "per_ray_alphas" not in ver
+        assert ver["rng_seed"] == 7
         assert rep["decomposition"]["kind"] == "radial"
         assert rep["ok"] is True
 
@@ -257,10 +258,10 @@ class TestSudakovCommand:
                         "--mu1", PRODUCT_GAUSS_U13, "--n", "1024",
                         "--out", out])
         assert code == 0
-        header, rows = read_csv(os.path.join(out, "rays.csv"))
-        assert header == ["ray", "alpha0", "w1"]
-        assert len(rows) == 64
+        assert os.listdir(out) == ["report.json"]
         rep = read_report(out)
+        assert rep["verification"]["n_rays"] == 64
+        assert rep["verification"]["per_ray_w1_max"] <= 1e-4
         dec = rep["decomposition"]
         assert dec["kind"] == "parallel" and dec["axis"] == 1
         assert dec["transverse"] == [json.loads(GAUSS_01)]
@@ -320,6 +321,40 @@ class TestBadInput:
         assert code == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, spec, field", [
+        ("map", '{"kind": "uniform", "lo": "a", "hi": 1}', "lo"),
+        ("map", '{"kind": "gaussian", "mean": 0, "std": null}', "std"),
+        ("map", '{"kind": "piecewise_linear", "x": "ab", "density": [1, 1]}', "x"),
+        ("sudakov", '{"kind": "ball", "center": [0, 0], "radius": "r"}', "radius"),
+        ("sudakov", '{"kind": "ball", "center": "ab", "radius": 1}', "center"),
+        ("sudakov", '{"kind": "product", "factors": 5}', "factors"),
+    ])
+    def test_malformed_field_value_exits_two(self, tmp_path, capsys, command,
+                                             spec, field):
+        other = BALL_2 if command == "sudakov" else UNIFORM_12
+        code = run_cli([command, "--mu0", spec, "--mu1", other, "--n", "64",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("otflow: input error: --mu0: ")
+        assert f"field {field!r}" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--seed", "-1"],
+         "--seed must be non-negative"),
+        (["flow", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--x0", "nan"],
+         "--x0 must be finite"),
+        (["flow", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--t", "nan"],
+         "--t must be finite"),
+        (["flow", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--t", "inf"],
+         "--t must be finite"),
+    ], ids=["seed", "x0", "t-nan", "t-inf"])
+    def test_bad_number_exits_two(self, tmp_path, capsys, argv, message):
+        assert run_cli(argv + ["--n", "64", "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--tol-julia", "1e-8"],
         ["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--seed-kind", "affine"],
@@ -332,6 +367,7 @@ class TestBadInput:
         ["flow", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--tol-time", "1e-6"],
         ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--tol-julia", "1e-8"],
         ["verify", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE, "--format", "json"],
+        ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--format", "json"],
     ])
     def test_flag_the_command_never_reads_exits_two(self, tmp_path, capsys, argv):
         # each subcommand declares only the flags its handler reads

@@ -44,7 +44,7 @@ class TestQuadraticMap:
             # gamma cancels in 1 - b_(i+1)/b_i, so the drop is the rational
             # ((i+11)^2 - (i+10)^2) / (i+11)^2 with no roundoff at all
             want = 1 - Fraction((i + 10) ** 2, (i + 11) ** 2)
-            got = float(seq.drop(i))
+            got = float(seq.drops(i, np.empty(1))[0])
             assert abs(got - float(want)) <= 1e-16 * float(want)
 
     def test_gap_sum_bracket(self, quadratic_probe):
@@ -91,7 +91,7 @@ class TestQuadraticMap:
     def test_anchor_derivative_equals_quarter_drop(self, quadratic_probe):
         cmap, _ = quadratic_probe
         for i in (0, 3, 50, 900):
-            want = 1.0 + float(cmap.sequence.drop(i)) / 4.0
+            want = 1.0 + float(cmap.sequence.drops(i, np.empty(1))[0]) / 4.0
             assert abs(cmap.anchor_derivative(i) - want) <= 1e-14
 
 
@@ -122,8 +122,7 @@ class TestGrowthProbe:
         # recompute P_i for a mid-scan row directly from the drop formula
         row = next(r for r in res.rows if 1000 <= r["i"] <= 100000)
         i = row["i"]
-        js = np.arange(i, dtype=float)
-        lp = float(np.sum(np.log1p(cmap.sequence.drop(js) / 4.0)))
+        lp = float(np.sum(np.log1p(cmap.sequence.drops(0, np.empty(i)) / 4.0)))
         assert abs(row["product"] - np.exp(lp)) <= 1e-9 * row["product"]
 
     def test_crossing_frozen(self, quadratic_probe):
@@ -714,10 +713,14 @@ class TestAgainstParentEvaluation:
 
 
 def _parent_drops(seq):
-    """The old drops of n indices from start: the closed form of drop for
-    the quadratic sequence, 1 - f[1:]/f[:-1] on _f for the other."""
+    """The old drops of n indices from start: the closed form
+    (2i + 21)/(i + 11)^2 for the quadratic sequence, 1 - f[1:]/f[:-1] on _f
+    for the other."""
     if seq.variant == "quadratic":
-        return lambda start, n: seq.drop(np.arange(start, start + n, dtype=float))
+        def closed_form(start, n):
+            i = np.arange(start, start + n, dtype=float)
+            return (2.0 * i + 21) / (i + 11) ** 2
+        return closed_form
 
     def drops(start, n):
         f = seq._f(np.arange(start, start + n + 1, dtype=float))

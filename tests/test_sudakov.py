@@ -12,10 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
+import otflow.sudakov
 import otflow.velocity
 from otflow.errors import (InputError, MeasureSpecError,
                            UnsupportedDecompositionError)
-from otflow.measures import Gaussian, Uniform
+from otflow.flow import push_measure
+from otflow.measures import Gaussian, Uniform, wasserstein1
 from otflow.sudakov import (BallMeasure, ProductMeasure, RadiusLaw,
                             assemble_field, decompose, measure_nd_to_dict,
                             parse_measure_nd, per_ray_monotone_map,
@@ -147,26 +149,7 @@ class TestDecompose:
 
 
 class TestRayGeometry:
-    """Ray parametrization and fiber densities."""
-
-    def test_parallel_ray(self):
-        fam = decompose(ProductMeasure((Gaussian(0, 1), Uniform(0, 1))),
-                        ProductMeasure((Gaussian(0, 1), Uniform(1, 2))))
-        ray = fam.ray((0.3,))
-        assert ray.base == (0.3, 0.0)
-        assert ray.direction == (0.0, 1.0)
-        pts = ray.point([0.0, 0.5])
-        assert np.allclose(pts, [[0.3, 0.0], [0.3, 0.5]])
-        with pytest.raises(InputError):
-            fam.ray((0.3, 0.4))
-
-    def test_radial_ray_normalizes(self):
-        fam = decompose(BallMeasure((0.0, 0.0), 1.0), BallMeasure((0.0, 0.0), 2.0))
-        ray = fam.ray((3.0, 4.0))
-        assert np.allclose(ray.direction, (0.6, 0.8))
-        assert ray.interval[0] >= 0.0
-        with pytest.raises(InputError):
-            fam.ray((0.0, 0.0))
+    """Ray draws, fiber densities and the shared map."""
 
     def test_fiber_mass(self):
         g = Gaussian(0.0, 1.0)
@@ -190,7 +173,7 @@ class TestRayGeometry:
 
     def test_per_ray_map_matches_radius_rearrangement(self):
         fam = decompose(BallMeasure((0.0, 0.0), 1.0), BallMeasure((0.0, 0.0), 2.0))
-        tm = per_ray_monotone_map(fam, (1.0, 0.0))
+        tm = per_ray_monotone_map(fam)
         rs = np.linspace(0.05, 0.95, 37)
         assert np.max(np.abs(np.asarray(tm.forward(rs)) - 2.0 * rs)) <= 1e-9
 
@@ -206,10 +189,11 @@ class TestRadialExpansion:
         assert rep.n_unflowed == 0
 
     def test_per_ray_rows(self, radial_disks):
+        # one W1 for the pair every ray carries, next to the ray count
         _, _, rep = radial_disks
-        assert len(rep.per_ray_w1) == 64
+        assert rep.n_rays == 64
         assert rep.per_ray_w1_max <= 1e-4
-        assert rep.skipped_rays == []
+        assert not {"per_ray_w1", "per_ray_alphas", "skipped_rays"} & set(rep.to_dict())
 
     def test_flow_doubles_radii(self, radial_disks):
         _, field_nd, _ = radial_disks
@@ -241,12 +225,51 @@ class TestRadialExpansion:
     def test_report_serializes(self, radial_disks):
         _, _, rep = radial_disks
         text = json.dumps(rep.to_dict())
-        assert "per_ray_w1" in text and "rng_seed" in text
+        assert "per_ray_w1_max" in text and "rng_seed" in text
 
     def test_radial_rearrangement_column(self, radial_disks):
         _, _, rep = radial_disks
         assert rep.radial_rearrangement_rel_max is not None
         assert rep.radial_rearrangement_rel_max <= 1e-6
+
+
+class TestSingleMeasurement:
+    """verify_nd pushes the shared conditional pair once and measures one
+    W1, whatever the number of rays."""
+
+    def test_one_push_and_one_w1_per_check(self, radial_disks, monkeypatch):
+        _, field_nd, _ = radial_disks
+        calls = {"push_measure": 0, "wasserstein1": 0}
+
+        def counting(name):
+            fn = getattr(otflow.sudakov, name)
+
+            def wrapped(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            monkeypatch.setattr(otflow.sudakov, name, wrapped)
+
+        for name in calls:
+            counting(name)
+        verify_nd(field_nd, n_samples=500)
+        assert calls == {"push_measure": 1, "wasserstein1": 1}
+
+    @pytest.mark.parametrize("pair", ["disks", "parallel"])
+    def test_w1_is_the_one_push_at_any_ray_count(self, radial_disks, built, pair):
+        field_nd = radial_disks[1] if pair == "disks" else built[1]
+        fam = field_nd.family
+        pushed = push_measure(field_nd.field, fam.cond0, 1.0, n=2049).measure
+        want = wasserstein1(pushed, fam.cond1)
+        for n_rays in (1, 64):
+            rep = verify_nd(field_nd, n_samples=500, n_rays=n_rays)
+            assert rep.n_rays == n_rays
+            assert np.float64(rep.per_ray_w1_max).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("count", ["n_samples", "n_rays", "n_directions"])
+    def test_zero_count_is_refused(self, radial_disks, count):
+        # a zero count leaves a check with nothing to measure
+        with pytest.raises(InputError):
+            verify_nd(radial_disks[1], **{count: 0})
 
 
 class TestBoundedMemory:
@@ -304,8 +327,9 @@ class TestRadialBallsInThree:
         assert rep.ok and all(rep.checks.values())
         assert "radial_rearrangement" in rep.checks
         assert rep.dimension == 3 and rep.n_unflowed == 0
+        assert rep.n_rays == 16 and rep.per_ray_w1_max <= 1e-4
         # the ray indices are unit directions drawn on the sphere
-        alphas = np.array(rep.per_ray_alphas)
+        alphas = fam.sample_alphas(16, np.random.default_rng(rep.rng_seed))
         assert alphas.shape == (16, 3)
         assert np.allclose(np.linalg.norm(alphas, axis=1), 1.0, atol=1e-14)
         pts = BallMeasure(center, 1.0).sample(2000, np.random.default_rng(5))

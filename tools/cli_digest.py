@@ -5,7 +5,7 @@ Run from anywhere:
     python3 tools/cli_digest.py
 
 The program is imported from ``src/`` of the checkout the script sits in.
-Each of sixteen commands runs in its own interpreter, with PYTHONPATH=src,
+Each of seventeen commands runs in its own interpreter, with PYTHONPATH=src,
 into its own temporary directory.  For each command the script prints one
 line with its exit code and arguments, then one ``sha256  path`` line per
 file it wrote, paths relative to its output directory, sorted.  Two
@@ -30,6 +30,8 @@ LINEAR_01 = '{"kind": "piecewise_linear", "x": [0.0, 1.0], "density": [0.5, 1.5]
 GAUSS_01 = '{"kind": "gaussian", "mean": 0.0, "std": 1.0}'
 BALL_1 = '{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}'
 BALL_2 = '{"kind": "ball", "center": [0.0, 0.0], "radius": 2.0}'
+BALL3_1 = '{"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}'
+BALL3_2 = '{"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0}'
 PRODUCT_U01 = ('{"kind": "product", "factors": [' + GAUSS_01
                + ', {"kind": "uniform", "lo": 0.0, "hi": 1.0}]}')
 PRODUCT_U13 = ('{"kind": "product", "factors": [' + GAUSS_01
@@ -53,6 +55,8 @@ COMMANDS = (
        ["example", "accumulating-cinf", "--seed-kind", "cubic"],
        ["sudakov", "--mu0", BALL_1, "--mu1", BALL_2],
        ["sudakov", "--mu0", PRODUCT_U01, "--mu1", PRODUCT_U13],
+       # the one family whose ray and slice directions are random draws
+       ["sudakov", "--mu0", BALL3_1, "--mu1", BALL3_2],
        ["pathology", "--variant", "both"]])
 
 
