@@ -96,9 +96,18 @@ def _jsonable(v):
     return v
 
 
+def _write(out_dir: str, name: str, body: str) -> str:
+    """Write body as out_dir/name, making out_dir on the first write, so a
+    command that fails before it writes leaves no directory behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(body)
+    return path
+
+
 def write_table(out_dir: str, name: str, header: list[str], rows, fmt: str) -> str:
     """Write one table as name.csv or name.json; returns the path written."""
-    path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
@@ -107,18 +116,14 @@ def write_table(out_dir: str, name: str, header: list[str], rows, fmt: str) -> s
     else:
         records = [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]
         body = json.dumps(records, sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
-    return path
+    return _write(out_dir, f"{name}.{fmt}", body)
 
 
 def write_report(out_dir: str, payload: dict) -> str:
     payload = dict(payload)
     payload.setdefault("schema_version", _SCHEMA_VERSION)
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
-    return path
+    return _write(out_dir, "report.json",
+                  json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _grid(args, m) -> np.ndarray:
@@ -404,7 +409,6 @@ def main(argv=None) -> int:
     args.out = args.out or os.environ.get(_OUT_ENV) or "otflow-out"
     try:
         _check(args)
-        os.makedirs(args.out, exist_ok=True)
         return _DISPATCH[args.command](args)
     except InputError as e:
         print(f"otflow: input error: {e}", file=sys.stderr)

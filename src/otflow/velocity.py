@@ -36,15 +36,17 @@ Marching is lockstep: the build seeds every moving interval first, then
 advances all of their marches (forward, and backward toward a fixed trailing
 end) one orbit depth per round.  The live marches are one struct of arrays,
 forward segments first, with per-node index data that changes only when the
-layout does (a clip, a thinning, a stop); so a round is a fixed handful of
-array operations: one map jet call, (T, T', T'') at once, on the forward
-sources followed by the backward images, and vectorised stop tests.  The
-backward images come from one T.inverse call when the inverse is closed
-form; when it is the shared Newton solve (the map's newton_domain), the
-march solves it on the jet from each node's Taylor guess, with a second jet
-call, or T.inverse, only for entries that guess leaves over one ulp.  Each
-round's tables are recorded whole, into a few large chunks, and every
-march gathers its pieces once at the end.  A march records the depth at
+layout does (a clip, a thinning, a stop).  Only x has to be computed one
+depth after another: a depth makes one map jet call, (T, T', T'') at once,
+on the forward sources followed by the backward images, and the two tests
+that decide whether another depth follows.  The backward images come from
+one T.inverse call when the inverse is closed form; when it is the shared
+Newton solve (the map's newton_domain), the march solves it on the jet from
+each node's Taylor guess, with a second jet call, or T.inverse, only for
+entries that guess leaves over one ulp.  v, v' and F, a running product and
+two running sums along each node's orbit, follow over a block of depths at
+once.  Each block's tables are recorded whole, into a few large chunks, and
+every march gathers its pieces once at the end.  A march records the depth at
 which a clip first cut its source: the pieces before it span whole orbit
 gaps, one unit of travel time each, and every later piece is the image of a
 cut one, so each field keeps the count of whole pieces per direction.  The
@@ -620,18 +622,19 @@ def _solved_jet(T: MonotoneMap, x, guess, nf):
 
 
 class _Layout:
-    """The live marches as one struct of arrays.
+    """The live marches as one struct of arrays, advanced a block of depths
+    at a time by march.
 
     nodes are the marches' live source tables (x, v, dv, F, guess)
     concatenated, forward marches first; bounds delimit each march's
     segment.  guess, used on backward nodes only, is the first guess of
     T^(-1)(x): the second-order Taylor inverse from the jet the node's own
-    round evaluated, or x itself where no such jet exists (the seed, a clip
-    boundary).  The per-node and per-segment data a round needs change only
-    when the layout does, so they are computed here once: clip windows,
-    value signs and step signs (+1 forward, -1 backward) repeated per node,
-    the far node of each segment, the backward junctions to pin, and the
-    stop constants.
+    depth evaluated, or x itself where no such jet exists (the seed, a clip
+    boundary).  The per-node and per-segment data change only when the
+    layout does, so they are computed here once: clip windows, value signs
+    and step signs (+1 forward, -1 backward) repeated per node, the far node
+    of each segment, the backward junctions to pin, and per segment the stop
+    constants as Python floats, which the depth-by-depth stop test reads.
     """
 
     def __init__(self, marches, ids, tables):
@@ -655,20 +658,11 @@ class _Layout:
         # a backward piece's last node is its source's first node
         self.pin_to = self.bounds[n_seg_fwd + 1:] - 1
         self.pin_from = self.bounds[n_seg_fwd:-1]
-        # NaN where no free end completes the march: it compares false
-        self.stop_at = np.array([np.nan if m.stop_at is None else m.stop_at
-                                 for m in live])
-        self.reach_sign = np.array([m.reach_sign for m in live], dtype=float)
-        self.tol_reach = np.array([m.tol_reach for m in live])
-        self.min_step = np.array([m.min_step for m in live])
+        # free end (NaN where none completes the march: it compares false),
+        # reach sign, minus the reach tolerance, and step floor
+        self.stop = [(math.nan if m.stop_at is None else float(m.stop_at),
+                      float(m.reach_sign), -m.tol_reach, m.min_step) for m in live]
         self.max_size = int(self.sizes.max())
-
-    def needs_clip(self, depth) -> bool:
-        """Whether a node left its window or a segment is due for thinning."""
-        x = self.nodes[0]
-        return (not ((x >= self.clip_lo) & (x <= self.clip_hi)).all()
-                or (depth >= _DEEP_PIECE_DEPTH
-                    and self.max_size > _DEEP_PIECE_NODES))
 
     def split(self, nodes, keep=None) -> dict:
         """Per-march tables of the kept segments (all by default), by march
@@ -678,127 +672,155 @@ class _Layout:
         return {int(self.ids[k]): tuple(a[b[k]:b[k + 1]] for a in nodes)
                 for k in kept}
 
-    def advance(self, T, depth):
-        """The next depth's live tables (x, v, dv, F, guess) of every segment.
+    def march(self, T, depth, n_rows):
+        """Advance up to n_rows depths from depth on; returns the block's
+        tables (x, v, dv, F), one row per depth, and the segments to keep
+        (None while every node stays in its window and no march stops).
+        self.nodes becomes the last depth's live tables.
 
-        Forward nodes map by v(T(x)) = T'(x) v(x), backward ones by its
-        inverse, and the derivative recursion and unit clock shift take the
-        step sign.  One T.jet call takes the forward sources followed by
-        the backward images: from one T.inverse call on the backward sources
-        for a closed-form inverse, or solved on the jet from the guesses
-        (_solved_jet) for a map with newton_domain.  The new guesses cost no
-        map call: the second-order Taylor inverse a + r/T' - T'' r^2/(2 T'^3),
-        r = y - T(a), from the jet at a of the node y (a = y but at a pinned
-        junction).
+        A depth computes only what the next map call depends on: the map
+        call (one T.jet on the forward sources followed by the backward
+        images, which come from one T.inverse call for a closed-form inverse
+        or _solved_jet for a map with newton_domain), x with each backward
+        junction pinned bitwise (T^(-1)(T(x)) drifts by roundoff), the next
+        guesses of a solved map (the Taylor inverse a + r/T' - T'' r^2/(2 T'^3),
+        r = y - T(a), from the jet at a of the node y), and the two tests
+        that decide whether another depth follows: every node inside its
+        window (false for NaN and inf), and no march complete (far node at
+        its free end) or stalled (far node moved at most the step floor).
+        Then v(T(x)) = T'(x) v(x), forward, or its inverse, backward, runs
+        as one running product per column, v' and F as running sums, and
+        the pinned columns take the previous row of their source column.
+        These run in depth order per entry, so every entry is bitwise that
+        of a depth-by-depth march; v' stays elementwise at pinned junctions,
+        where with a C^0 seed junction v has a genuine kink.  A block
+        that fails the finite and sign check may have made map calls past
+        its failing depth.
         """
         x, v, dv, F, guess = self.nodes
-        nf = self.n_fwd
-        solve = T.newton_domain is not None and nf < x.size
-        if solve:
-            at, img, tp, tpp = _solved_jet(T, x, guess, nf)
+        nf, n = self.n_fwd, x.size
+        solve = T.newton_domain is not None and nf < n
+        X, TP, TPP = np.empty((3, n_rows, n))
+        far = x[self.far].tolist()
+        for r in range(1, n_rows + 1):
+            if solve:
+                at, img, tp, tpp = _solved_jet(T, x, guess, nf)
+            else:
+                at = x if nf == n else np.concatenate(
+                    (x[:nf], np.asarray(T.inverse(x[nf:]), dtype=float)))
+                img, tp, tpp = T.jet(at)
+            new = X[r - 1]
+            if nf == n:
+                new[:] = img
+            else:
+                np.concatenate((img[:nf], at[nf:]), out=new)
+                new[self.pin_to] = x[self.pin_from]
+            TP[r - 1], TPP[r - 1] = tp, tpp
+            if solve:
+                res = new - img     # entries of forward nodes come out unused
+                guess = at + res / tp - tpp * (res * res) / (2.0 * tp ** 3)
+            x, prev, far = new, far, new[self.far].tolist()
+            ends = ["complete" if rs * (f - s) >= neg_tol else
+                    "min-step" if abs(f - p) <= floor else None
+                    for f, p, (s, rs, neg_tol, floor) in zip(far, prev, self.stop)]
+            if any(ends) or np.count_nonzero(
+                    (x >= self.clip_lo) & (x <= self.clip_hi)) < n:
+                break
         else:
-            at = x
-            if nf < x.size:
-                at = np.concatenate((x[:nf], np.asarray(T.inverse(x[nf:]), dtype=float)))
-            img, tp, tpp = T.jet(at)
-        if nf == x.size:
-            new_x, new_v = img, tp * v
-            new_dv = dv + v * tpp / tp
-            new_F = F + 1.0
-        else:
-            v_b = v[nf:] / tp[nf:]
-            new_x = np.concatenate((img[:nf], at[nf:]))
-            new_v = np.concatenate((tp[:nf] * v[:nf], v_b))
-            v_src = np.concatenate((v[:nf], v_b))
-            new_dv = dv + self.step_sign * (v_src * tpp / tp)
-            new_F = F + self.step_sign
-            # pin each backward junction bitwise: T^(-1)(T(x)) drifts by
-            # roundoff.  dv stays elementwise: with a C^0 seed junction v has
-            # a genuine kink there, and each piece needs its own one-sided
-            # derivative.
-            new_x[self.pin_to] = x[self.pin_from]
-            new_v[self.pin_to] = v[self.pin_from]
-            new_F[self.pin_to] = F[self.pin_from]
+            ends = None
+        X, TP, TPP = X[:r], TP[:r], TPP[:r]
+        fwd, bwd, to, src = slice(None, nf), slice(nf, None), self.pin_to, self.pin_from
+        V = np.concatenate((v[None], TP))
+        np.multiply.accumulate(V[:, fwd], axis=0, out=V[:, fwd])
+        np.divide.accumulate(V[:, bwd], axis=0, out=V[:, bwd])
+        V[1:, to] = V[:-1, src]
+        # in place, each dv step is step_sign * (v_src * T'' / T') of its
+        # source's v_src: v forward, v / T' backward
+        DV = np.concatenate((dv[None], V[:-1]))
+        step = DV[1:]
+        step[:, bwd] /= TP[:, bwd]
+        step *= TPP
+        step /= TP
+        step *= self.step_sign
+        np.add.accumulate(DV, axis=0, out=DV)
+        FF = np.concatenate((F[None], np.broadcast_to(self.step_sign, TP.shape)))
+        np.add.accumulate(FF, axis=0, out=FF)
+        FF[1:, to] = FF[:-1, src]
 
-        finite = np.isfinite(new_x) & np.isfinite(new_v) & np.isfinite(new_dv)
-        ok = finite & (new_v * self.sign > 0.0)
+        finite = np.isfinite(X) & np.isfinite(V[1:]) & np.isfinite(DV[1:])
+        ok = finite & (V[1:] * self.sign > 0.0)
         if not ok.all():
+            row, i = divmod(int(np.argmin(ok)), n)
             b = self.bounds
-            k = int(np.searchsorted(b, int(np.argmin(ok)), side="right")) - 1
+            k = int(np.searchsorted(b, i, side="right")) - 1
             name = self.live[k].name
-            if finite[b[k]:b[k + 1]].all():
+            if finite[row, b[k]:b[k + 1]].all():
                 raise ConstructionError(
                     f"{name}: propagated field changed sign at depth "
-                    f"{depth}; the map derivative is not positive there")
+                    f"{depth + row}; the map derivative is not positive there")
             raise ConstructionError(
                 f"{name}: orbit march produced non-finite node data "
-                f"at depth {depth}")
-        guess = new_x
-        if solve:
-            # entries of forward nodes come out unused
-            r = new_x - img
-            guess = at + r / tp - tpp * (r * r) / (2.0 * tp ** 3)
-        return [new_x, new_v, new_dv, new_F, guess]
-
-    def stops(self, new_x):
-        """Per segment: whether the march reached its free end, and whether
-        its far node moved no more than the step floor."""
-        far_prev, far = self.nodes[0][self.far], new_x[self.far]
-        complete = self.reach_sign * (far - self.stop_at) >= -self.tol_reach
-        return complete, np.abs(far - far_prev) <= self.min_step
+                f"at depth {depth + row}")
+        self.nodes = [X[-1], V[r], DV[r], FF[r], guess if solve else X[-1]]
+        if ends is not None:
+            for m, e in zip(self.live, ends):
+                m.reason = e or m.reason
+            ends = [e is None for e in ends]
+        return (X, V[1:], DV[1:], FF[1:]), ends
 
 
 def _march_lockstep(T, marches, cfg: BuildConfig):
     """Advance every march one orbit depth per round until each stops, at
     most cfg.orbit_max_steps rounds.
 
-    The live marches form one _Layout, so a round is a fixed handful of
-    array operations whatever their number.  The per-march clip and thinning
-    run only in rounds where a node left its window or a segment is due for
-    thinning, and the layout is rebuilt only then and after a march stops.
-    Each round's tables (x, v, dv, F) are recorded whole, without the
-    guesses, in a _Rounds; every march gathers its pieces once at the end.
-    The map callables and the backward solve act elementwise, so each
-    march's tables are bitwise those it would get marching alone.
+    The live marches form one _Layout, which marches blocks of depths of
+    about _MARCH_BLOCK node values each (_Layout.march).  The per-march clip
+    and thinning, and a new layout, come only after a depth where a node
+    left its window or a march stopped, and at the thinning depth.  Each
+    block's tables (x, v, dv, F) are recorded, without the guesses, into a
+    _Rounds; every march gathers its pieces once at the end.  The map
+    callables and the backward solve act elementwise, so each march's tables
+    are bitwise those it would get marching alone, whatever the blocks.
     """
     # the seed nodes are their own first guesses
     tables = {i: (*m.seed, m.seed[0]) for i, m in enumerate(marches)}
-    layout = None
-    rounds = _Rounds()
-    for depth in range(1, cfg.orbit_max_steps + 1):
-        if layout is None or layout.needs_clip(depth):
-            if layout is not None:
-                tables = layout.split(layout.nodes)
+    layout, rounds, depth = None, _Rounds(), 1
+    while depth <= cfg.orbit_max_steps:
+        if layout is None:
             tables = {i: t for i, t in ((i, _clip_and_thin(marches[i], t, depth))
                                         for i, t in tables.items()) if t is not None}
             if not tables:
                 break
             ids = sorted(tables, key=lambda i: not marches[i].forward)
             layout = _Layout(marches, ids, [tables[i] for i in ids])
-        nodes = layout.advance(T, depth)
-        rounds.add(nodes, layout)
-        complete, stalled = layout.stops(nodes[0])
-        done = complete | stalled
-        if not done.any():
-            layout.nodes = nodes
-            continue
-        for k in np.flatnonzero(done):
-            layout.live[k].reason = "complete" if complete[k] else "min-step"
-        tables, layout = layout.split(nodes, ~done), None
+        n = int(layout.bounds[-1])
+        # a segment over the deep size is thinned at _DEEP_PIECE_DEPTH
+        deep = layout.max_size > _DEEP_PIECE_NODES
+        last = min(cfg.orbit_max_steps, _DEEP_PIECE_DEPTH - 1 if deep else math.inf)
+        rows = min(rounds.room(n), max(_MARCH_BLOCK // n, 1), last + 1 - depth)
+        block, keep = layout.march(T, depth, rows)
+        rounds.extend(block, layout)
+        depth += len(block[0])
+        if keep is not None or (deep and depth >= _DEEP_PIECE_DEPTH):
+            tables, layout = layout.split(layout.nodes, keep), None
     _gather_pieces(marches, rounds)
 
 
-# rows of recorded rounds per chunk
+# node values per march block, so a block is _MARCH_BLOCK // n depths of n
+# live nodes; rows of recorded rounds per chunk
+_MARCH_BLOCK = 2 ** 12
 _ROUND_CHUNK = 2 ** 15
 
 
 class _Rounds:
     """The recorded rounds: their tables (x, v, dv, F) in order, column by
-    column, and per round its layout's (march ids, segment sizes).
+    column, and per block its layout's (march ids, segment sizes) repeated
+    per round.
 
-    Each round is copied into preallocated chunks of at least _ROUND_CHUNK
+    Each block is copied into preallocated chunks of at least _ROUND_CHUNK
     rows per column, so the tables take a few large blocks, which go back
-    whole when released, rather than four small arrays per round.
+    whole when released, rather than four small arrays per round.  A chunk
+    ends at a round boundary: room caps a block at the rounds that fit.
     """
 
     def __init__(self):
@@ -806,17 +828,22 @@ class _Rounds:
         self.filled = []        # rows used in each chunk
         self.pieces = []
 
-    def add(self, nodes, layout):
-        n = nodes[0].size
+    def room(self, n) -> int:
+        """Rounds of n nodes that fit the last chunk, opening a new chunk
+        when none do."""
         if not self.filled or self.filled[-1] + n > self.columns[0][-1].size:
             for col in self.columns:
                 col.append(np.empty(max(_ROUND_CHUNK, n)))
             self.filled.append(0)
-        at = self.filled[-1]
-        for col, a in zip(self.columns, nodes):
-            col[-1][at:at + n] = a
-        self.filled[-1] = at + n
-        self.pieces.append((layout.ids, layout.sizes))
+        return (self.columns[0][-1].size - self.filled[-1]) // n
+
+    def extend(self, block, layout):
+        """Record a block's rounds, which room made fit, in the last chunk."""
+        at, (rows, n) = self.filled[-1], block[0].shape
+        for col, a in zip(self.columns, block):
+            col[-1][at:at + rows * n] = a.ravel()
+        self.filled[-1] = at + rows * n
+        self.pieces.append((np.tile(layout.ids, rows), np.tile(layout.sizes, rows)))
 
     def release(self, col):
         """Column col of every round, in order, chunk by chunk, each let go."""

@@ -28,6 +28,9 @@ PRODUCT_GAUSS_U01 = ('{"kind": "product", "factors": [' + GAUSS_01
                      + ', {"kind": "uniform", "lo": 0.0, "hi": 1.0}]}')
 PRODUCT_GAUSS_U13 = ('{"kind": "product", "factors": [' + GAUSS_01
                      + ', {"kind": "uniform", "lo": 1.0, "hi": 3.0}]}')
+# with PRODUCT_GAUSS_U01, the sudakov pair whose ray field does not build
+PRODUCT_GAUSS_G12 = ('{"kind": "product", "factors": [' + GAUSS_01 + ', '
+                     + GAUSS_12 + ']}')
 UNIFORM_01 = '{"kind": "uniform", "lo": 0.0, "hi": 1.0}'
 # a pair whose map has T'' != 0, so the two seed kinds give different fields
 LINEAR_01 = '{"kind": "piecewise_linear", "x": [0.0, 1.0], "density": [0.5, 1.5]}'
@@ -277,12 +280,15 @@ class TestSudakovCommand:
 
 
 class TestBadInput:
+    # every exit-2 case checks that no output directory was made
+
     def test_invalid_json_exits_two(self, tmp_path, capsys):
         code = run_cli(["map", "--mu0", '{"kind": "uniform", lo: 1}',
-                        "--mu1", UNIFORM_12, "--out", str(tmp_path)])
+                        "--mu1", UNIFORM_12, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert "line 1 column" in err
+        assert not (tmp_path / "out").exists()
 
     def test_spec_file_by_path(self, tmp_path):
         spec = tmp_path / "mu0.json"
@@ -300,26 +306,37 @@ class TestBadInput:
         assert code == 2
         err = capsys.readouterr().err
         assert missing in err and "--mu0" in err
+        assert not (tmp_path / "out").exists()
 
     def test_inline_array_exits_two(self, tmp_path, capsys):
         code = run_cli(["map", "--mu0", '[{"kind": "uniform"}]',
-                        "--mu1", UNIFORM_12, "--out", str(tmp_path)])
+                        "--mu1", UNIFORM_12, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert "--mu0" in err and "must be a JSON object, got list" in err
         assert "cannot read measure file" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_kind_exits_two(self, tmp_path, capsys):
         code = run_cli(["map", "--mu0", '{"kind": "cauchy", "loc": 0}',
-                        "--mu1", UNIFORM_12, "--out", str(tmp_path)])
+                        "--mu1", UNIFORM_12, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "cauchy" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pair_without_ray_field_exits_two(self, tmp_path, capsys):
+        code = run_cli(["sudakov", "--mu0", PRODUCT_GAUSS_U01, "--mu1",
+                        PRODUCT_GAUSS_G12, "--n", "64", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "ConstructionError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_grid_size_exits_two(self, tmp_path, capsys):
         code = run_cli(["map", "--mu0", UNIFORM_12, "--mu1", AFFINE_IMAGE,
-                        "--n", "100", "--out", str(tmp_path)])
+                        "--n", "100", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "power of two" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, spec, field", [
         ("map", '{"kind": "uniform", "lo": "a", "hi": 1}', "lo"),
@@ -333,12 +350,12 @@ class TestBadInput:
                                              spec, field):
         other = BALL_2 if command == "sudakov" else UNIFORM_12
         code = run_cli([command, "--mu0", spec, "--mu1", other, "--n", "64",
-                        "--out", str(tmp_path)])
+                        "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("otflow: input error: --mu0: ")
         assert f"field {field!r}" in err
-        assert not os.listdir(tmp_path)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["sudakov", "--mu0", BALL_1, "--mu1", BALL_2, "--seed", "-1"],

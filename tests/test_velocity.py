@@ -652,16 +652,20 @@ def _backward_nodes_solved(T, build):
     of x, or x is T.inverse(y) bitwise.  Returns how many nodes passed the
     step test."""
     rounds = []
-    advance = otflow.velocity._Layout.advance
+    march = otflow.velocity._Layout.march
 
-    def recorded(self, T, depth):
-        out = advance(self, T, depth)
-        rounds.append((self.nodes[0][self.n_fwd:], out[0][self.n_fwd:]))
+    def recorded(self, T, depth, n_rows):
+        # each depth's backward sources and new backward nodes, pinned
+        # junctions included: the block's x rows after the layout's sources
+        sources = self.nodes[0]
+        out = march(self, T, depth, n_rows)
+        xs = np.vstack((sources, out[0][0]))[:, self.n_fwd:]
+        rounds.extend(zip(xs[:-1], xs[1:]))
         return out
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mp.setattr(otflow.velocity._Layout, "advance", recorded)
+        mp.setattr(otflow.velocity._Layout, "march", recorded)
         build()
     passed = 0
     for y, x in rounds:
@@ -738,6 +742,113 @@ def test_closed_form_inverses_keep_one_call_per_round(monkeypatch, counted_map):
         backward = max(m.sizes.size for m in marches if not m.forward)
         assert backward > 0
         assert calls == {"inverse": backward, "jet": rounds}
+
+
+def _blocked_builds(block, cmaps):
+    """Every registry build, the sudakov fields that build and the probe
+    builds of cmaps at depth 300 (past the depth-64 thinning), marched in
+    blocks of `block` node values.  Returns per built interval its node
+    table, joints and whole counts, with per march its piece sizes, stop
+    reason and first cut; and per block its rows asked for, and whether it
+    changed the layout on its last depth."""
+    from otflow.pathology import probe_non_integrability
+    from otflow.registry import example_names
+    from otflow.sudakov import assemble_field, decompose
+    V = otflow.velocity
+    finish, march = V._finish_interval, V._Layout.march
+    fields, blocks = [], []
+
+    def recorded_finish(s, *args):
+        f = finish(s, *args)
+        marches = [m for m in (s.forward, s.backward) if m is not None]
+        fields.append((
+            [a.tobytes() for a in (f.v_spline.xn, f.v_spline.yn, f.v_spline.dn,
+                                   f.F_spline.yn)],
+            f.v_spline.joints.tolist(), f.whole_forward, f.whole_backward,
+            [(m.sizes.tolist(), m.reason, m.cut) for m in marches]))
+        return f
+
+    def recorded_march(self, T, depth, n_rows):
+        block_rows, keep = march(self, T, depth, n_rows)
+        blocks.append((n_rows, keep is not None and len(block_rows[0]) == n_rows))
+        return block_rows, keep
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(V, "_MARCH_BLOCK", block)
+        mp.setattr(V, "_finish_interval", recorded_finish)
+        mp.setattr(V._Layout, "march", recorded_march)
+        for name in example_names():
+            get_example(name).build()
+        for m0, m1 in sudakov_pairs_that_build():
+            assemble_field(decompose(m0, m1))
+        for cmap in cmaps:
+            probe_non_integrability(cmap, levels=(10, 300))
+    return fields, blocks
+
+
+def test_block_boundaries_change_nothing():
+    """Blocks of one depth and of a small odd size march bitwise as the
+    default blocks do; with the odd size, stops and clip cuts land on the
+    last depth of blocks of several depths."""
+    from otflow.pathology import build_counterexample
+    cmaps = [build_counterexample(v) for v in ("quadratic", "log_squared")]
+    default, blocks = _blocked_builds(otflow.velocity._MARCH_BLOCK, cmaps)
+    assert max(n for n, _ in blocks) > 64
+    for block in (1, 385):
+        fields, blocks = _blocked_builds(block, cmaps)
+        assert len(fields) == len(default)
+        for got, want in zip(fields, default):
+            assert got == want
+        rows = [n for n, _ in blocks]
+        assert max(rows) == 1 if block == 1 else 1 < max(rows) <= block // 2
+    assert sum(last for n, last in blocks if n > 1) >= 5
+
+
+def test_non_finite_march_names_its_depth():
+    # T' overflows in the quantile map's jet at the first forward depth
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ConstructionError) as err:
+            build_velocity(Uniform(0.0, 1.0), Gaussian(1.0, 2.0))
+    assert str(err.value) == ("interval (-11.7227, 0.377877), forward march: "
+                              "orbit march produced non-finite node data at depth 1")
+    assert [(w.category, w.filename.rsplit("/", 1)[-1], str(w.message))
+            for w in seen] == [(RuntimeWarning, "monotone.py",
+                                "overflow encountered in multiply")]
+
+
+def test_sign_change_names_the_reference_depth(monkeypatch):
+    # T(x) = x + x (1 - x) / 2 on [0, 1] with the Newton inverse, but the
+    # supplied T' turns negative on (0.99, 0.991), which the forward march
+    # reaches in the middle of a block; the reference loop names the same
+    # march and depth
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        tp = 1.0 + 0.5 * (1.0 - 2.0 * x)
+        return (x + 0.5 * x * (1.0 - x), np.where((x > 0.99) & (x < 0.991), -tp, tp),
+                np.full_like(x, -1.0))
+
+    T = map_from_callables(lambda x: jet(x)[0], jet, domain=(0.0, 1.0))
+    partition = FixedPointPartition(
+        domain=(0.0, 1.0), fixed_intervals=((0.0, 0.0), (1.0, 1.0)),
+        moving_intervals=(MovingInterval(0.0, 1.0, 1, True, True),))
+    lockstep = otflow.velocity._march_lockstep
+    expected = []
+
+    def checked(T, marches, cfg):
+        with pytest.raises(ConstructionError) as ref:
+            _reference_lockstep(T, [_ReferenceMarch(m) for m in marches], cfg)
+        expected.append(str(ref.value))
+        lockstep(T, marches, cfg)
+
+    monkeypatch.setattr(otflow.velocity, "_march_lockstep", checked)
+    with pytest.raises(ConstructionError) as err:
+        build_velocity(transport_map=T, partition=partition, domain=(0.0, 1.0))
+    name, depth = expected[0].rsplit(": depth ", 1)
+    assert int(depth) > 2
+    assert str(err.value) == (f"{name}: propagated field changed sign at depth "
+                              f"{depth}; the map derivative is not positive there")
 
 
 def _reference_hermite_ppoly(segments):

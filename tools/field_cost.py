@@ -7,7 +7,7 @@ Run from anywhere:
 
 The program and the benchmark's instances (run seed 0) are imported from
 ``src/`` and ``perfbench/`` of the checkout the script sits in, so the same
-script measures any two checkouts alike.  About 26 s on one core of a
+script measures any two checkouts alike.  About 31 s on one core of a
 2-vCPU VM.
 
 sudakov runs first, so its ru_maxrss figures read that workload alone:
@@ -37,6 +37,12 @@ cascade, then the best of five means, in microseconds, of one map jet on 12
 points of one orbit gap and of one cascade depth.  Best-of-five figures
 from one process drift less between runs than the benchmark's passes do;
 compare two checkouts by alternating runs of the script.
+
+march: for the pathology probe's build of each variant and for
+accumulating-cinf, at the benchmark's settings, the best of five orbit
+marches (_march_lockstep) and the best of five replays of the map calls
+one such march makes (T.jet, T.inverse), in microseconds per depth; their
+difference is what the march spends around its map calls.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,12 +205,60 @@ def pathology_times(instances) -> None:
               flush=True)
 
 
+def march_times(instances) -> None:
+    print("march, us per depth: best of 5 of the march, then of a replay of "
+          "its map calls alone")
+    V = W.lib.velocity
+    real = V._march_lockstep
+    for inst in instances:
+        if isinstance(inst, W.PathologyInstance):
+            cmap = W.quiet(W.lib.pathology.build_counterexample, inst.variant)
+            build = (lambda cmap=cmap, kw=inst.divergence_kw:
+                     W.lib.pathology.probe_non_integrability(cmap, **kw))
+        elif inst.name == "accumulating-cinf":
+            build = inst.example.build
+        else:
+            continue
+        runs, calls = [], []
+
+        def timed(T, marches, cfg):
+            t0 = time.perf_counter()
+            real(T, marches, cfg)
+            runs.append((time.perf_counter() - t0,
+                         max(m.sizes.size for m in marches)))
+
+        def logged(f):
+            def call(x):
+                calls.append((f, np.array(x, dtype=float)))
+                return f(x)
+            return call
+
+        def recorded(T, marches, cfg):
+            real(replace(T, jet=logged(T.jet), inverse=logged(T.inverse)),
+                 marches, cfg)
+
+        try:
+            V._march_lockstep = timed
+            for _ in range(5):
+                W.quiet(build)
+            V._march_lockstep = recorded
+            W.quiet(build)
+        finally:
+            V._march_lockstep = real
+        march, depths = min(runs)
+        replay = _best(lambda: [f(x) for f, x in calls])
+        print(f"  {inst.name:<20} march {1e6 * march / depths:6.2f}"
+              f"  map calls {1e6 * replay / depths:6.2f}  ({depths} depths)",
+              flush=True)
+
+
 def main() -> int:
     sudakov_memory(W.make_inputs("sudakov", 0))
     instances = W.make_inputs("paper-examples", 0)
     memory(instances)
     flow_times(instances)
     pathology_times(instances)
+    march_times(instances)
     return 0
 
 
